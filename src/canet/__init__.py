@@ -6,8 +6,7 @@ from canet.tensor import (Tensor, ShapeError, DegenerateMaskError, backward,
                           row_normalize, softmax, sqrt)
 from canet.optim import Adam, finite_difference_gradient
 from canet.attention import (AttentionParams, PositionalTable, causal_mask,
-                             multi_head_attention, positional_encoding,
-                             project_qkv, scaled_dot_attention)
+                             multi_head_attention, scaled_dot_attention)
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv, local_adjacency,
                          normalize_adjacency, topk_mask)

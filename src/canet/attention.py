@@ -8,26 +8,27 @@ itself and earlier ones.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from canet.initializers import glorot_uniform
-from canet.tensor import ShapeError, Tensor, concat, matmul, softmax
+from canet.tensor import ShapeError, Tensor, matmul, softmax
 
 
 @dataclass
 class AttentionParams:
-    """Per-head query/key/value projections plus the output projection."""
+    """Query/key/value projections plus the output projection.
 
-    w_query: List[Tensor]
-    w_key: List[Tensor]
-    w_value: List[Tensor]
+    ``w_query``, ``w_key`` and ``w_value`` are ``(width, width)``; head ``i``
+    owns their column block ``i`` of width ``width // heads``.
+    """
+
+    w_query: Tensor
+    w_key: Tensor
+    w_value: Tensor
     w_out: Tensor
-
-    @property
-    def heads(self) -> int:
-        return len(self.w_query)
+    heads: int
 
     @staticmethod
     def create(width: int, heads: int, rng: np.random.Generator, dtype=np.float32) -> "AttentionParams":
@@ -35,30 +36,18 @@ class AttentionParams:
             raise ValueError(f"head count must be >= 1, got {heads}")
         if width % heads != 0:
             raise ValueError(f"model width {width} is not divisible by head count {heads}")
-        head_dim = width // heads
-        return AttentionParams(
-            w_query=[glorot_uniform(rng, (width, head_dim), dtype) for _ in range(heads)],
-            w_key=[glorot_uniform(rng, (width, head_dim), dtype) for _ in range(heads)],
-            w_value=[glorot_uniform(rng, (width, head_dim), dtype) for _ in range(heads)],
-            w_out=glorot_uniform(rng, (heads * head_dim, width), dtype),
-        )
+
+        def blocks() -> Tensor:
+            # one draw per head block, in the order seeded models have always used
+            drawn = [glorot_uniform(rng, (width, width // heads), dtype).data for _ in range(heads)]
+            return Tensor(np.concatenate(drawn, axis=1), requires_grad=True)
+
+        return AttentionParams(w_query=blocks(), w_key=blocks(), w_value=blocks(),
+                               w_out=glorot_uniform(rng, (width, width), dtype), heads=heads)
 
     def named(self, prefix: str):
-        for i in range(self.heads):
-            yield f"{prefix}.w_query.{i}", self.w_query[i]
-            yield f"{prefix}.w_key.{i}", self.w_key[i]
-            yield f"{prefix}.w_value.{i}", self.w_value[i]
-        yield f"{prefix}.w_out", self.w_out
-
-
-def project_qkv(sequence: Tensor, params: AttentionParams, head: int):
-    """Bias-free linear maps into the query/key/value subspaces of one head."""
-    if head >= params.heads:
-        raise IndexError(f"head {head} out of range for {params.heads} heads")
-    q = matmul(sequence, params.w_query[head])
-    k = matmul(sequence, params.w_key[head])
-    v = matmul(sequence, params.w_value[head])
-    return q, k, v
+        for kind in ("w_query", "w_key", "w_value", "w_out"):
+            yield f"{prefix}.{kind}", getattr(self, kind)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -70,21 +59,25 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
     """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = matmul(q, k.transpose()) * scale
+    # scaling q rather than the (seq, seq) scores keeps the big temporaries to one
+    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
     mask = causal_mask(scores.shape[-1]) if causal else None
     weights = softmax(scores, axis=-1, mask=mask)
     return matmul(weights, v)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False) -> Tensor:
-    """Concatenate all head outputs along channels and project back."""
-    outputs = [
-        scaled_dot_attention(*project_qkv(sequence, params, i), causal=causal)
-        for i in range(params.heads)
-    ]
-    stacked = outputs[0] if len(outputs) == 1 else concat(outputs, axis=-1)
-    return matmul(stacked, params.w_out)
+    """Attend in every head at once: q, k and v are reshaped to
+    ``(..., heads, seq, head_dim)``, and the heads' outputs are laid side by
+    side again before the output projection."""
+    *lead, seq, width = sequence.shape
+    n = len(lead)
+    swap = tuple(range(n)) + (n + 1, n, n + 2)          # (seq, heads) <-> (heads, seq)
+    split = tuple(lead) + (seq, params.heads, width // params.heads)
+    q, k, v = (matmul(sequence, w).reshape(split).transpose(swap)
+               for w in (params.w_query, params.w_key, params.w_value))
+    attended = scaled_dot_attention(q, k, v, causal=causal).transpose(swap)
+    return matmul(attended.reshape(tuple(lead) + (seq, width)), params.w_out)
 
 
 def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:
@@ -94,11 +87,6 @@ def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:
     angles = positions / np.power(10000.0, 2.0 * (channels // 2) / width)
     table = np.where(channels % 2 == 0, np.sin(angles), np.cos(angles))
     return table.astype(dtype)
-
-
-def positional_encoding(seq_len: int, width: int, dtype=np.float32) -> Tensor:
-    """Sinusoidal positional rows for a sequence of ``seq_len`` slots."""
-    return Tensor(sinusoid_table(seq_len, width, dtype))
 
 
 class PositionalTable:
@@ -118,11 +106,6 @@ class PositionalTable:
                 requires_grad=True)
         else:
             self.values = Tensor(sinusoid_table(max_len, width, dtype))
-
-    @staticmethod
-    def create(max_len: int, width: int, learned: bool = False,
-               rng: Optional[np.random.Generator] = None, dtype=np.float32) -> "PositionalTable":
-        return PositionalTable(max_len, width, learned=learned, rng=rng, dtype=dtype)
 
     def take(self, seq_len: int) -> Tensor:
         if seq_len > self.max_len:

@@ -7,7 +7,7 @@ import numpy as np
 
 from canet.model import CanModel, ModelConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -42,8 +42,9 @@ def save_checkpoint(model: CanModel, path, extra: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[CanModel, dict]:
     """Rebuild the model and return ``(model, extra)``.
 
-    Round-trips every parameter bit-exactly; rejects version mismatches and
-    truncated files.
+    Round-trips every parameter bit-exactly; rejects unknown versions and
+    truncated files.  Version 1 files, with per-head attention projections,
+    still load.
     """
     try:
         with open(path, "rb") as handle:
@@ -57,29 +58,51 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
 
     version = header.get("version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(
-            f"checkpoint version {version} not supported (expected {FORMAT_VERSION})")
+            f"checkpoint version {version} not supported (expected {FORMAT_VERSION} or 1)")
     if len(blob) != header.get("total_bytes"):
         raise CheckpointError(
             f"truncated checkpoint {path}: {len(blob)} data bytes, "
             f"header declares {header.get('total_bytes')}")
 
     model = CanModel(ModelConfig(**header["config"]), seed=0)
-    params = dict(model.named_parameters())
-    recorded = {entry["name"] for entry in header["params"]}
-    if recorded != set(params):
-        raise CheckpointError(f"checkpoint parameter set does not match model in {path}")
+    arrays = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        param = params[entry["name"]]
-        if shape != param.shape:
-            raise CheckpointError(
-                f"parameter {entry['name']} has shape {shape}, model expects {param.shape}")
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
         raw = blob[start:start + 4 * count]
         if len(raw) != 4 * count:
             raise CheckpointError(f"truncated parameter data for {entry['name']} in {path}")
-        param.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    if version == 1:
+        arrays = _merge_v1_heads(arrays, model.config.heads, path)
+    params = dict(model.named_parameters())
+    if set(arrays) != set(params):
+        raise CheckpointError(f"checkpoint parameter set does not match model in {path}")
+    for name, value in arrays.items():
+        if value.shape != params[name].shape:
+            raise CheckpointError(
+                f"parameter {name} has shape {value.shape}, model expects {params[name].shape}")
+        params[name].data = value.astype(np.float32)
     return model, header.get("extra", {})
+
+
+def _merge_v1_heads(arrays: dict, n_heads: int, path) -> dict:
+    """Version 1 stored head i's projection as ``<prefix>.w_query.<i>``
+    (likewise key and value); version 2 keeps the heads as column blocks.
+    Anything else passes through to the parameter-set check."""
+    merged = {}
+    for name, value in arrays.items():
+        stem, _, index = name.rpartition(".")
+        if not (stem.endswith((".w_query", ".w_key", ".w_value")) and index.isdigit()
+                and int(index) < n_heads):
+            merged[name] = value
+        elif index == "0":
+            try:
+                merged[stem] = np.concatenate(
+                    [arrays[f"{stem}.{i}"] for i in range(n_heads)], axis=1)
+            except (KeyError, ValueError) as exc:
+                raise CheckpointError(f"bad head blocks for {stem} in {path}: {exc}") from None
+    return merged

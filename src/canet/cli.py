@@ -16,41 +16,11 @@ import numpy as np
 
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from canet.data import (DataError, downsample_median, load_csv, make_windows,
-                        minmax_apply, minmax_fit, write_csv, NormStats)
+                        minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
 from canet.detection import evaluate, prediction_errors, predict_series, write_scores_csv
 from canet.graph import write_embeddings_csv
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
-
-_FLAG_HELP = {
-    "window": "history length per window",
-    "layers": "encoder/decoder layer count",
-    "heads": "attention heads per layer",
-    "model_dim": "channel width of the model",
-    "embed_dim": "sensor embedding width",
-    "neighbor_k": "neighbour candidates kept per sensor",
-    "retain": "share of the original state kept by graph propagation",
-    "local_dim": "local-graph feature width (0 = model_dim)",
-    "adjacency_norm": "global adjacency normalization: row or sym",
-    "learned_positions": "learn the positional table instead of fixed sinusoids",
-    "ablation": "model variant: " + ", ".join(
-        ("none", "no-local-graph", "no-graph-conv", "no-ae", "no-rec-decoder")),
-    "batch_size": "windows per optimizer step",
-    "lr": "Adam learning rate",
-    "lr_decay": "per-epoch learning-rate factor",
-    "max_epochs": "training epoch cap",
-    "patience": "epochs without validation improvement before stopping",
-    "val_fraction": "series tail held out for validation",
-    "phi_start": "prediction-loss weight before the switch epoch",
-    "phi_late": "prediction-loss weight after the switch epoch",
-    "switch_epoch": "last epoch on the early loss weights",
-    "seed": "run seed (required for train)",
-    "score_sensors": "deviations aggregated per timestamp",
-    "calibration": "deviation calibration source: self or train",
-    "can_plus": "fuse reconstruction deviation into the score",
-    "downsample": "median-downsampling factor applied to input series",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -103,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in dataclasses.fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
+        valid = f.metadata["valid"]
+        text = f.metadata["help"] + (f" ({valid[1]})" if valid else "")
         if f.type is bool:
             parser.add_argument(flag, dest=f.name, default=None,
-                                action=argparse.BooleanOptionalAction,
-                                help=_FLAG_HELP.get(f.name, ""))
+                                action=argparse.BooleanOptionalAction, help=text)
         else:
-            parser.add_argument(flag, dest=f.name, type=f.type, default=None,
-                                help=_FLAG_HELP.get(f.name, ""))
+            parser.add_argument(flag, dest=f.name, type=f.type, default=None, help=text)
 
 
 def parse_config_file(path) -> dict:
@@ -179,8 +149,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_normalized(path, cfg_downsample: int, stats: "NormStats | None"):
-    series = load_csv(_require_file(path, "data file"))
+def _match_sensors(series: RawSeries, names, path) -> RawSeries:
+    """Reorder sensor rows into the checkpoint's order, matched by name."""
+    if names is None:
+        return series
+    if sorted(series.sensor_names) != sorted(names):
+        missing = sorted(set(names) - set(series.sensor_names))
+        unexpected = sorted(set(series.sensor_names) - set(names))
+        raise DataError(
+            f"{path}: sensors do not match the checkpoint's {len(names)}; "
+            f"missing {missing}, unexpected {unexpected}")
+    order = [series.sensor_names.index(name) for name in names]
+    return RawSeries(list(names), series.values[order], series.timestamps, series.labels)
+
+
+def _load_normalized(path, cfg_downsample: int, stats: "NormStats | None", names=None):
+    series = _match_sensors(load_csv(_require_file(path, "data file")), names, path)
     series = downsample_median(series, cfg_downsample)
     if stats is None:
         stats = minmax_fit(series)
@@ -224,7 +208,8 @@ def cmd_evaluate(args) -> int:
     stats = NormStats(minimum=np.asarray(extra["norm_min"], dtype=np.float64),
                       maximum=np.asarray(extra["norm_max"], dtype=np.float64))
 
-    series = load_csv(_require_file(args.data, "data file"))
+    names = extra.get("sensor_names")
+    series = _match_sensors(load_csv(_require_file(args.data, "data file")), names, args.data)
     if series.n_sensors != model.config.n_sensors:
         raise DataError(
             f"data has {series.n_sensors} sensors but the checkpoint expects "
@@ -243,7 +228,7 @@ def cmd_evaluate(args) -> int:
     if calibration == "train":
         if not args.train_data:
             raise ConfigError("--calibration train needs --train-data")
-        train_norm, _ = _load_normalized(args.train_data, factor, stats)
+        train_norm, _ = _load_normalized(args.train_data, factor, stats, names)
         train_windows = make_windows(train_norm, model.config.window)
         preds, _ = predict_series(model, train_windows, batch_size=args.batch_size)
         calibration_errors = prediction_errors(

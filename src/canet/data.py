@@ -89,6 +89,11 @@ def load_csv(path) -> RawSeries:
                     f"{path}: label must be 0 or 1, got {cell!r} at row {r + 1}")
             labels[r] = int(cell)
 
+    bad = np.argwhere(~np.isfinite(values.T))
+    if len(bad):
+        r, s = bad[0]
+        raise DataError(f"{path}: non-finite cell {data_rows[r][sensor_cols[s]]!r} at row "
+                        f"{r + 1}, column {header[sensor_cols[s]]!r}")
     names = [header[c] for c in sensor_cols]
     return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
 
@@ -175,9 +180,6 @@ class WindowedDataset:
 
     def target(self, j: int) -> np.ndarray:
         return self.values[:, j + self.window]
-
-    def target_index(self, j: int) -> int:
-        return j + self.window
 
     def batch(self, indices) -> tuple:
         """Stack histories (b, n, window) and targets (b, n) for the given

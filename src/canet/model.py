@@ -42,8 +42,8 @@ class ModelConfig:
     ablation: str = "none"
 
     def __post_init__(self):
-        if self.n_sensors < 1 or self.window < 1 or self.layers < 1:
-            raise ValueError("n_sensors, window and layers must all be >= 1")
+        if min(self.n_sensors, self.window, self.layers, self.heads) < 1:
+            raise ValueError("n_sensors, window, layers and heads must all be >= 1")
         if self.model_dim % self.heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} is not divisible by heads {self.heads}")
@@ -133,7 +133,7 @@ class CanModel:
         self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng, dtype)
         self.input_weight = glorot_uniform(rng, (1, cfg.model_dim), dtype)
         self.input_bias = zeros((cfg.model_dim,), dtype)
-        self.positions = PositionalTable.create(
+        self.positions = PositionalTable(
             seq, cfg.model_dim, learned=cfg.learned_positions, rng=rng, dtype=dtype)
 
         self.encoder: List[CamLayerParams] = []

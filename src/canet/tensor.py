@@ -61,9 +61,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def _wrap(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
@@ -335,10 +332,11 @@ class Softmax(Function):
             if np.all(mask, axis=axis).any():
                 raise DegenerateMaskError("softmax slice is fully masked")
             a = np.where(mask, -np.inf, a)
-        shifted = a - np.max(a, axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        self.out = e / e.sum(axis=axis, keepdims=True)
-        return self.out
+        out = a - np.max(a, axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
+        self.out = out
+        return out
 
     def backward(self, grad):
         inner = np.sum(grad * self.out, axis=self.axis, keepdims=True)

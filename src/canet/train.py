@@ -26,45 +26,64 @@ class ConfigError(ValueError):
     """Bad training-configuration key or value."""
 
 
+def _knob(default, help_text: str, valid=None):
+    """A config field carrying its flag help and its valid range, given as
+    ``(test, description)``; NaN fails every range."""
+    return field(default=default, metadata={"help": help_text, "valid": valid})
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "one of " + ", ".join(choices)
+
+
+_POSITIVE = (lambda v: v >= 1), ">= 1"
+_NON_NEGATIVE = (lambda v: v >= 0), ">= 0"
+_UNIT = (lambda v: 0 <= v <= 1), "in [0, 1]"
+
+
 @dataclass
 class TrainConfig:
-    """Model and training knobs; mirrored 1:1 by the key=value config file."""
+    """Model and training knobs; mirrored 1:1 by the key=value config file
+    and the ``train`` flags.  Values out of range raise :class:`ConfigError`."""
 
-    window: int = 5
-    layers: int = 3
-    heads: int = 8
-    model_dim: int = 32
-    embed_dim: int = 10
-    neighbor_k: int = 10
-    retain: float = 0.8
-    local_dim: int = 0                 # 0 picks model_dim
-    adjacency_norm: str = "row"
-    learned_positions: bool = False
-    ablation: str = "none"
+    window: int = _knob(5, "history length per window", _POSITIVE)
+    layers: int = _knob(3, "encoder/decoder layer count", _POSITIVE)
+    heads: int = _knob(8, "attention heads per layer", _POSITIVE)
+    model_dim: int = _knob(32, "channel width of the model", _POSITIVE)
+    embed_dim: int = _knob(10, "sensor embedding width", _POSITIVE)
+    neighbor_k: int = _knob(10, "neighbour candidates kept per sensor", _POSITIVE)
+    retain: float = _knob(0.8, "share of the original state kept by graph propagation", _UNIT)
+    local_dim: int = _knob(0, "local-graph feature width, 0 for model_dim", _NON_NEGATIVE)
+    adjacency_norm: str = _knob("row", "global adjacency normalization", _one_of("row", "sym"))
+    learned_positions: bool = _knob(False, "learn the positional table instead of fixed sinusoids")
+    ablation: str = _knob("none", "model variant", _one_of(*ABLATIONS))
 
-    batch_size: int = 32
-    lr: float = 1e-4
-    lr_decay: float = 0.95
-    max_epochs: int = 100
-    patience: int = 5
-    val_fraction: float = 0.1
-    phi_start: float = 0.2             # prediction weight for early epochs
-    phi_late: float = 0.8              # prediction weight after the switch
-    switch_epoch: int = 4              # last epoch on the early weights
-    seed: int = 0
+    batch_size: int = _knob(32, "windows per optimizer step", _POSITIVE)
+    lr: float = _knob(1e-4, "Adam learning rate", _NON_NEGATIVE)
+    lr_decay: float = _knob(0.95, "per-epoch learning-rate factor", _NON_NEGATIVE)
+    max_epochs: int = _knob(100, "training epoch cap", _POSITIVE)
+    patience: int = _knob(5, "epochs without validation improvement before stopping", _POSITIVE)
+    val_fraction: float = _knob(0.1, "series tail held out for validation",
+                                ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"))
+    phi_start: float = _knob(0.2, "prediction-loss weight up to the switch epoch", _UNIT)
+    phi_late: float = _knob(0.8, "prediction-loss weight after the switch epoch", _UNIT)
+    switch_epoch: int = _knob(4, "last epoch on the early loss weights", _NON_NEGATIVE)
+    seed: int = _knob(0, "run seed (required for train)", _NON_NEGATIVE)
 
-    score_sensors: int = 2             # deviations aggregated per timestamp
-    calibration: str = "self"
-    can_plus: bool = False
-    downsample: int = 1
+    score_sensors: int = _knob(2, "deviations aggregated per timestamp", _POSITIVE)
+    calibration: str = _knob("self", "deviation calibration source", _one_of("self", "train"))
+    can_plus: bool = _knob(False, "fuse reconstruction deviation into the score")
+    downsample: int = _knob(1, "median-downsampling factor applied to input series", _POSITIVE)
 
     def __post_init__(self):
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}; choose from {ABLATIONS}")
-        if not 0.0 <= self.phi_start <= 1.0 or not 0.0 <= self.phi_late <= 1.0:
-            raise ConfigError("loss weights must lie in [0, 1]")
-        if self.calibration not in ("self", "train"):
-            raise ConfigError(f"calibration must be 'self' or 'train', got {self.calibration!r}")
+        for f in fields(self):
+            value, valid = getattr(self, f.name), f.metadata["valid"]
+            if valid and not valid[0](value):
+                raise ConfigError(f"config key {f.name!r} must be {valid[1]}, got {value!r}")
+        if self.model_dim % self.heads != 0:
+            raise ConfigError(
+                f"config key 'model_dim' ({self.model_dim}) must be divisible by "
+                f"'heads' ({self.heads})")
 
     def loss_weights(self, epoch: int) -> Tuple[float, float]:
         """(phi, psi) for a 1-based epoch; phi + psi = 1 always."""
@@ -72,20 +91,10 @@ class TrainConfig:
         return phi, 1.0 - phi
 
     def model_config(self, n_sensors: int) -> ModelConfig:
-        return ModelConfig(
-            n_sensors=n_sensors,
-            window=self.window,
-            layers=self.layers,
-            heads=self.heads,
-            model_dim=self.model_dim,
-            embed_dim=self.embed_dim,
-            neighbor_k=self.neighbor_k,
-            retain=self.retain,
-            local_dim=self.local_dim or None,
-            adjacency_norm=self.adjacency_norm,
-            learned_positions=self.learned_positions,
-            ablation=self.ablation,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                  if f.name != "n_sensors"}
+        shared["local_dim"] = self.local_dim or None
+        return ModelConfig(n_sensors=n_sensors, **shared)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,42 +1,62 @@
 import numpy as np
 import pytest
 
+import canet.tensor
 from canet import ShapeError, Tensor
 from canet.attention import (AttentionParams, PositionalTable, causal_mask,
-                             multi_head_attention, positional_encoding,
-                             project_qkv, scaled_dot_attention)
+                             multi_head_attention, scaled_dot_attention, sinusoid_table)
 from conftest import assert_grads_match
 
 
-def identity_params(width: int) -> AttentionParams:
+def identity_params(width: int, heads: int = 1) -> AttentionParams:
     eye = np.eye(width)
-    return AttentionParams(
-        w_query=[Tensor(eye)], w_key=[Tensor(eye)], w_value=[Tensor(eye)],
-        w_out=Tensor(eye))
+    return AttentionParams(w_query=Tensor(eye), w_key=Tensor(eye), w_value=Tensor(eye),
+                           w_out=Tensor(eye), heads=heads)
+
+
+def per_head_reference(seq: np.ndarray, params: AttentionParams, causal: bool) -> np.ndarray:
+    """Per-head attention assembled by hand from the column blocks, in numpy."""
+    head_dim = params.w_query.shape[1] // params.heads
+    outputs = []
+    for i in range(params.heads):
+        block = slice(i * head_dim, (i + 1) * head_dim)
+        q, k, v = (seq @ w.data[:, block] for w in (params.w_query, params.w_key, params.w_value))
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
+        if causal:
+            scores = np.where(causal_mask(seq.shape[-2]), -np.inf, scores)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        outputs.append(weights @ v)
+    return np.concatenate(outputs, axis=-1) @ params.w_out.data
 
 
 class TestProjectQkv:
-    def test_identity_projection(self, rng):
-        seq = Tensor(rng.standard_normal((5, 3)))
-        q, k, v = project_qkv(seq, identity_params(3), head=0)
-        for out in (q, k, v):
-            np.testing.assert_array_equal(out.data, seq.data)
+    """Head i projects through column block i of the fused weights."""
 
-    def test_zero_input(self):
-        q, k, v = project_qkv(Tensor(np.zeros((4, 3))), identity_params(3), head=0)
-        for out in (q, k, v):
-            np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+    def test_identity_projection(self, rng):
+        seq = Tensor(rng.standard_normal((5, 4)))
+        out = multi_head_attention(seq, identity_params(4, heads=2))
+        blocks = [Tensor(seq.data[:, :2]), Tensor(seq.data[:, 2:])]
+        expected = np.concatenate([scaled_dot_attention(b, b, b).data for b in blocks], axis=-1)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+
+    def test_zero_input(self, rng):
+        params = AttentionParams.create(6, 3, rng)
+        out = multi_head_attention(Tensor(np.zeros((3, 4, 6), dtype=np.float32)), params)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 6)))
 
     def test_hand_projection(self):
+        # one position attends only to itself, so each head returns its value block
         params = AttentionParams(
-            w_query=[Tensor([[2.0], [3.0]])], w_key=[Tensor([[1.0], [0.0]])],
-            w_value=[Tensor([[0.0], [1.0]])], w_out=Tensor([[1.0, 0.0]]))
-        q, _, _ = project_qkv(Tensor([[1.0, 0.0]]), params, head=0)
-        np.testing.assert_allclose(q.data, [[2.0]])
+            w_query=Tensor(np.eye(2)), w_key=Tensor(np.eye(2)),
+            w_value=Tensor([[2.0, 1.0], [3.0, -1.0]]), w_out=Tensor([[1.0, 0.0], [0.0, 10.0]]),
+            heads=2)
+        out = multi_head_attention(Tensor([[1.0, 2.0]]), params)
+        np.testing.assert_allclose(out.data, [[8.0, -10.0]])
 
-    def test_head_out_of_range(self):
-        with pytest.raises(IndexError):
-            project_qkv(Tensor(np.zeros((2, 3))), identity_params(3), head=1)
+    def test_head_out_of_range(self, rng):
+        with pytest.raises(ValueError):
+            AttentionParams.create(4, 0, rng)
 
 
 class TestScaledDotAttention:
@@ -85,9 +105,42 @@ class TestMultiHead:
         params = AttentionParams.create(4, 2, rng)
         seq = Tensor(rng.standard_normal((3, 4)))
         out = multi_head_attention(seq, params)
-        pieces = [scaled_dot_attention(*project_qkv(seq, params, i)).data for i in range(2)]
-        expected = np.concatenate(pieces, axis=-1) @ params.w_out.data
+        expected = per_head_reference(seq.data, params, causal=False)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_float64_oracle_per_head_blocks(self, heads, causal):
+        gen = np.random.default_rng(heads)
+        params = AttentionParams.create(8, heads, gen, dtype=np.float64)
+        seq = gen.standard_normal((3, 6, 8))
+        out = multi_head_attention(Tensor(seq), params, causal=causal).data
+        np.testing.assert_allclose(out, per_head_reference(seq, params, causal),
+                                   rtol=0, atol=1e-13)
+
+    def test_op_count_does_not_depend_on_heads(self, rng, monkeypatch):
+        counts = []
+        apply = canet.tensor.Function.apply.__func__
+
+        def counting(cls, *inputs, **kwargs):
+            counts[-1] += 1
+            return apply(cls, *inputs, **kwargs)
+
+        monkeypatch.setattr(canet.tensor.Function, "apply", classmethod(counting))
+        seq = Tensor(rng.standard_normal((2, 5, 16)), requires_grad=True)
+        for heads in (1, 8):
+            counts.append(0)
+            multi_head_attention(seq, AttentionParams.create(16, heads, rng), causal=True)
+        assert counts[0] == counts[1] > 0
+
+    def test_seeded_init_draws_the_per_head_blocks_in_order(self):
+        params = AttentionParams.create(8, 4, np.random.default_rng(5))
+        gen = np.random.default_rng(5)
+        limit = np.sqrt(6.0 / (8 + 2))
+        for w in (params.w_query, params.w_key, params.w_value):
+            for i in range(4):
+                block = gen.uniform(-limit, limit, size=(8, 2)).astype(np.float32)
+                assert w.data[:, 2 * i:2 * i + 2].tobytes() == block.tobytes()
 
     def test_sensors_processed_independently(self, rng):
         params = AttentionParams.create(4, 2, rng)
@@ -146,28 +199,28 @@ class TestInvariantProperties:
 
 class TestPositionalEncoding:
     def test_position_zero(self):
-        row = positional_encoding(1, 8).data[0]
+        row = sinusoid_table(1, 8)[0]
         np.testing.assert_array_equal(row[0::2], np.zeros(4))
         np.testing.assert_array_equal(row[1::2], np.ones(4))
 
     def test_range(self):
-        table = positional_encoding(64, 10).data
+        table = PositionalTable(64, 10).take(64).data
         assert (table >= -1).all() and (table <= 1).all()
 
     def test_rows_distinct(self):
-        table = positional_encoding(16, 8).data
+        table = sinusoid_table(16, 8)
         for i in range(16):
             for j in range(i + 1, 16):
                 assert np.linalg.norm(table[i] - table[j]) > 0
 
     def test_table_overflow(self):
-        table = PositionalTable.create(4, 8)
+        table = PositionalTable(4, 8)
         with pytest.raises(ShapeError):
             table.take(5)
 
     def test_learned_table_is_parameter(self, rng):
-        table = PositionalTable.create(4, 8, learned=True, rng=rng)
+        table = PositionalTable(4, 8, learned=True, rng=rng)
         assert table.values.requires_grad
         assert dict(table.named("positions"))
-        fixed = PositionalTable.create(4, 8)
+        fixed = PositionalTable(4, 8)
         assert not dict(fixed.named("positions"))

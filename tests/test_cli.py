@@ -106,6 +106,35 @@ class TestTrainCommand:
         assert code == 4
         assert "loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, key", [
+        ({"heads": 0}, "heads"),
+        ({"heads": 3, "model_dim": 16}, "model_dim"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"val_fraction": 1.5}, "val_fraction"),
+        ({"lr": -1}, "lr"),
+        ({"max_epochs": 0}, "max_epochs"),
+        ({"score_sensors": 0}, "score_sensors"),
+    ])
+    def test_out_of_range_config_exits_2(self, tmp_path, capsys, flags, key):
+        run(*synth_args(tmp_path))
+        out = tmp_path / "o"
+        code = run(*train_args(tmp_path / "train.csv", out, **flags))
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_training_cell_exits_3(self, tmp_path, capsys):
+        run(*synth_args(tmp_path))
+        lines = (tmp_path / "train.csv").read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[2] = "nan"
+        lines[10] = ",".join(cells)
+        (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+        code = run(*train_args(tmp_path / "train.csv", tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 10" in err and repr(lines[0].split(",")[2]) in err
+
     def test_downsample_applies_to_train_and_evaluate(self, tmp_path):
         run(*synth_args(tmp_path, length=600, spikes=2))
         out = tmp_path / "run-ds"
@@ -207,6 +236,47 @@ class TestEvaluateCommand:
             "--out", str(out_b))
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "scores.csv").read_bytes() == (out_b / "scores.csv").read_bytes()
+
+
+    def swapped_copy(self, path, tmp_path):
+        """``path`` with its first two sensor columns exchanged."""
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows:
+            row[0], row[1] = row[1], row[0]
+        swapped = tmp_path / ("swapped-" + path.name)
+        swapped.write_text("".join(",".join(row) + "\n" for row in rows))
+        return swapped
+
+    @pytest.mark.parametrize("calibration", ["self", "train"])
+    def test_swapped_columns_are_matched_by_name(self, trained, calibration):
+        base, ckpt = trained
+        outputs = []
+        for swap in (False, True):
+            data, train_data = base / "test.csv", base / "train.csv"
+            if swap:
+                data = self.swapped_copy(data, base)
+                train_data = self.swapped_copy(train_data, base)
+            out = base / f"eval-{calibration}-{swap}"
+            code = run("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                       "--out", str(out), "--calibration", calibration,
+                       "--train-data", str(train_data))
+            assert code == 0
+            outputs.append([(out / n).read_bytes() for n in ("report.json", "scores.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["--data", "--train-data"])
+    def test_unknown_sensor_name_exits_3(self, trained, capsys, flag):
+        base, ckpt = trained
+        paths = {"--data": base / "test.csv", "--train-data": base / "train.csv"}
+        renamed = base / "renamed.csv"
+        renamed.write_text(paths[flag].read_text().replace("sensor_1", "sensor_9", 1))
+        paths[flag] = renamed
+        code = run("evaluate", "--data", str(paths["--data"]), "--checkpoint", str(ckpt),
+                   "--out", str(base / "e"), "--calibration", "train",
+                   "--train-data", str(paths["--train-data"]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "['sensor_1']" in err and "['sensor_9']" in err
 
 
 class TestExportCommand:

@@ -36,6 +36,13 @@ class TestLoadCsv:
             load_csv(path)
         assert "row 2" in str(err.value) and "FIT101" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_text(tmp_path / "d.csv", f"a,LIT301\n1,2\n3,{cell}\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert "row 2" in str(err.value) and "LIT301" in str(err.value)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,b\n1,2\n3\n")
         with pytest.raises(DataError):
@@ -130,7 +137,7 @@ class TestWindows:
         ds = make_windows(RawSeries(["a", "b"], values), 4)
         np.testing.assert_allclose(ds.target(0), values[:, 4], rtol=1e-6)
         np.testing.assert_allclose(ds.history(2), values[:, 2:6], rtol=1e-6)
-        assert ds.target_index(3) == 7
+        np.testing.assert_allclose(ds.target(3), values[:, 7], rtol=1e-6)
 
     def test_too_short_series(self, rng):
         with pytest.raises(DataError):

@@ -94,9 +94,9 @@ class TestEncoder:
         model.input_weight.data = w_in.copy()
         model.input_bias.data = b_in.copy()
         layer = model.encoder[0]
-        layer.attention.w_query[0].data = w_q.copy()
-        layer.attention.w_key[0].data = w_k.copy()
-        layer.attention.w_value[0].data = w_v.copy()
+        layer.attention.w_query.data = w_q.copy()
+        layer.attention.w_key.data = w_k.copy()
+        layer.attention.w_value.data = w_v.copy()
         layer.attention.w_out.data = w_o.copy()
         layer.graph.feature_map.data = w_local.copy()
         layer.graph.attn_vector.data = c_vec.copy()
