@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from canet.model import CanModel, ModelConfig
+from canet.model import CanModel, ConfigError, ModelConfig
 
 FORMAT_VERSION = 2
 
@@ -57,6 +57,8 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
 
+    if not isinstance(header, dict) or not isinstance(header.get("extra", {}), dict):
+        raise CheckpointError(f"checkpoint header or its 'extra' in {path} is not a JSON object")
     version = header.get("version")
     if version not in (1, FORMAT_VERSION):
         raise CheckpointError(
@@ -66,16 +68,19 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
             f"truncated checkpoint {path}: {len(blob)} data bytes, "
             f"header declares {header.get('total_bytes')}")
 
-    model = CanModel(ModelConfig(**header["config"]), seed=0)
-    arrays = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        raw = blob[start:start + 4 * count]
-        if len(raw) != 4 * count:
-            raise CheckpointError(f"truncated parameter data for {entry['name']} in {path}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    try:
+        model = CanModel(ModelConfig(**header["config"]), seed=0)
+        arrays = {}
+        for entry in header["params"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            start = entry["offset"]
+            raw = blob[start:start + 4 * count]
+            if len(raw) != 4 * count:
+                raise CheckpointError(f"truncated parameter data for {entry['name']} in {path}")
+            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"bad checkpoint header in {path}: {exc!r}") from exc
     if version == 1:
         arrays = _merge_v1_heads(arrays, model.config.heads, path)
     params = dict(model.named_parameters())

@@ -101,16 +101,13 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_train_config(args) -> TrainConfig:
-    """Config file first, then command-line flags on top."""
+    """Config file first, then command-line flags on top; the merged
+    mapping is checked once."""
     mapping = parse_config_file(args.config) if args.config else {}
+    mapping.update({f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+                    if getattr(args, f.name, None) is not None})
     cfg = TrainConfig.from_mapping(mapping)
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
-                 if getattr(args, f.name, None) is not None}
-    if overrides:
-        merged = cfg.to_dict()
-        merged.update(overrides)
-        cfg = TrainConfig(**merged)
-    if getattr(args, "seed", None) is None and "seed" not in mapping:
+    if "seed" not in mapping:
         raise ConfigError("a seed is required: pass --seed or set seed= in the config file")
     return cfg
 
@@ -202,11 +199,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     model, extra = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    train_cfg = extra.get("train_config", {})
-    factor = int(train_cfg.get("downsample", 1))
-    stats = NormStats(minimum=np.asarray(extra["norm_min"], dtype=np.float64),
-                      maximum=np.asarray(extra["norm_max"], dtype=np.float64))
+    try:
+        stored = TrainConfig(**extra["train_config"])
+        stats = NormStats(minimum=np.asarray(extra["norm_min"], dtype=np.float64),
+                          maximum=np.asarray(extra["norm_max"], dtype=np.float64))
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"bad run metadata in {args.checkpoint}: {exc!r}") from exc
+    flags = {"score_sensors": args.k_s, "calibration": args.calibration,
+             "can_plus": args.can_plus}
+    cfg = dataclasses.replace(stored, **{k: v for k, v in flags.items() if v is not None})
 
     names = extra.get("sensor_names")
     series = _match_sensors(load_csv(_require_file(args.data, "data file")), names, args.data)
@@ -214,29 +218,25 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"data has {series.n_sensors} sensors but the checkpoint expects "
             f"{model.config.n_sensors}")
-    series = downsample_median(series, factor)
+    series = downsample_median(series, cfg.downsample)
     if series.labels is None:
         raise DataError(f"{args.data} has no label column; evaluation needs ground truth")
     normalized = minmax_apply(series, stats)
     dataset = make_windows(normalized, model.config.window)
 
-    k_s = args.k_s if args.k_s is not None else int(train_cfg.get("score_sensors", 2))
-    calibration = args.calibration or str(train_cfg.get("calibration", "self"))
-    can_plus = bool(train_cfg.get("can_plus", False)) if args.can_plus is None else args.can_plus
-
     calibration_errors = None
-    if calibration == "train":
+    if cfg.calibration == "train":
         if not args.train_data:
             raise ConfigError("--calibration train needs --train-data")
-        train_norm, _ = _load_normalized(args.train_data, factor, stats, names)
+        train_norm, _ = _load_normalized(args.train_data, cfg.downsample, stats, names)
         train_windows = make_windows(train_norm, model.config.window)
         preds, _ = predict_series(model, train_windows, batch_size=args.batch_size)
         calibration_errors = prediction_errors(
             preds, train_windows.values[:, model.config.window:].astype(np.float64))
 
-    report = evaluate(model, dataset, series.labels, score_sensors=k_s,
-                      calibration=calibration, calibration_errors=calibration_errors,
-                      can_plus=can_plus, batch_size=args.batch_size)
+    report = evaluate(model, dataset, series.labels, score_sensors=cfg.score_sensors,
+                      calibration_errors=calibration_errors,
+                      can_plus=cfg.can_plus, batch_size=args.batch_size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -133,17 +133,21 @@ def confusion_metrics(pred: np.ndarray, truth: np.ndarray) -> DetectionReport:
                            f1=f1, tp=tp, fp=fp, fn=fn)
 
 
-def threshold_grid_search(scores, truth: np.ndarray):
+def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
     """Exhaustively try every separating threshold and keep the best
     point-adjusted F1; ties resolve toward the higher threshold.
 
     Candidates are the midpoints between consecutive distinct score values
-    plus a sentinel below the minimum (predict everything).
+    plus a sentinel below the minimum (predict everything).  Scores must be
+    finite.
     """
-    values = scores.values if isinstance(scores, ScoreSeries) else np.asarray(scores, dtype=np.float64)
+    values = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
     if values.shape != truth.shape:
         raise ValueError(f"length mismatch: {values.shape} vs {truth.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"score {values[bad[0]]} at index {bad[0]} is not finite")
     if not truth.any():
         raise ValueError("threshold search needs at least one true anomaly")
 
@@ -178,6 +182,8 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     reconstruction of the window's last history column.  Batches are
     independent, so thread count never changes the numbers.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n_windows = len(dataset)
     n = dataset.n_sensors
     predictions = np.empty((n, n_windows), dtype=np.float64)
@@ -207,18 +213,17 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
 
 
 def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
-             score_sensors: int = 2, calibration: str = "self",
-             calibration_errors: Optional[np.ndarray] = None,
+             score_sensors: int = 2, calibration_errors: Optional[np.ndarray] = None,
              can_plus: bool = False, batch_size: int = 256,
              threads: int = 0) -> DetectionReport:
     """Score a labelled test series and search the best threshold.
 
     ``truth`` is the full-length label vector; the first ``window``
-    timestamps have no prediction and are excluded.  With
-    ``calibration='train'`` the caller supplies held-out prediction errors
-    via ``calibration_errors``; the default calibrates on the evaluated
-    stream itself.  ``can_plus`` fuses the reconstruction deviation into the
-    score at a fixed small weight.
+    timestamps have no prediction and are excluded.  Deviations calibrate
+    on ``calibration_errors`` when given (held-out prediction errors,
+    reported as calibration ``'train'``), else on the evaluated stream
+    itself (``'self'``).  ``can_plus`` fuses the reconstruction deviation
+    into the score at a fixed small weight.
     """
     truth = np.asarray(truth).astype(bool)
     k = dataset.window
@@ -232,13 +237,9 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
     actual = dataset.values[:, k:].astype(np.float64)
     errors = prediction_errors(predictions, actual)
 
-    if calibration == "train":
-        if calibration_errors is None:
-            raise ValueError("calibration='train' needs calibration_errors")
-        calib = calibration_errors
-    else:
-        calib = errors
-    normalized = normalize_errors(errors, calib)
+    calibration = "self" if calibration_errors is None else "train"
+    normalized = normalize_errors(errors, errors if calibration_errors is None
+                                  else calibration_errors)
     scored = anomaly_scores(normalized, score_sensors)
     score_values = scored.values
 

@@ -8,7 +8,7 @@ matching layer of both causal decoders: one predicts the next step, the
 other reconstructs the window.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from typing import List, Optional
 
 import numpy as np
@@ -24,36 +24,67 @@ BOTTLENECK_DIMS = (8, 4, 8)
 ABLATIONS = ("none", "no-local-graph", "no-graph-conv", "no-ae", "no-rec-decoder")
 
 
-@dataclass
-class ModelConfig:
-    """Everything that determines the parameter set."""
+class ConfigError(ValueError):
+    """Bad configuration key or value."""
 
-    n_sensors: int
-    window: int                    # history length; sequences run window+1 slots
-    layers: int = 3
-    heads: int = 8
-    model_dim: int = 32
-    embed_dim: int = 10
-    neighbor_k: int = 10
-    retain: float = 0.8
-    local_dim: Optional[int] = None
-    adjacency_norm: str = "row"
-    learned_positions: bool = False
-    ablation: str = "none"
+
+def _knob(default, help_text: str, valid=None, **kwargs):
+    """A config field carrying its flag help and its valid range, given as
+    ``(test, description)``; NaN fails every range."""
+    return field(default=default, metadata={"help": help_text, "valid": valid}, **kwargs)
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "one of " + ", ".join(choices)
+
+
+_POSITIVE = (lambda v: v >= 1), ">= 1"
+_NON_NEGATIVE = (lambda v: v >= 0), ">= 0"
+_UNIT = (lambda v: 0 <= v <= 1), "in [0, 1]"
+
+
+@dataclass
+class ModelKnobs:
+    """The knobs that fix the parameter set, each declared once with its
+    default, help text and valid range.  Values out of range raise
+    :class:`ConfigError` naming the key."""
+
+    window: int = _knob(5, "history length per window", _POSITIVE)
+    layers: int = _knob(3, "encoder/decoder layer count", _POSITIVE)
+    heads: int = _knob(8, "attention heads per layer", _POSITIVE)
+    model_dim: int = _knob(32, "channel width of the model", _POSITIVE)
+    embed_dim: int = _knob(10, "sensor embedding width", _POSITIVE)
+    neighbor_k: int = _knob(10, "neighbour candidates kept per sensor", _POSITIVE)
+    retain: float = _knob(0.8, "share of the original state kept by graph propagation", _UNIT)
+    local_dim: int = _knob(0, "local-graph feature width, 0 for model_dim", _NON_NEGATIVE)
+    adjacency_norm: str = _knob("row", "global adjacency normalization", _one_of("row", "sym"))
+    learned_positions: bool = _knob(False, "learn the positional table instead of fixed sinusoids")
+    ablation: str = _knob("none", "model variant", _one_of(*ABLATIONS))
 
     def __post_init__(self):
-        if min(self.n_sensors, self.window, self.layers, self.heads) < 1:
-            raise ValueError("n_sensors, window, layers and heads must all be >= 1")
+        for f in fields(self):
+            value, valid = getattr(self, f.name), f.metadata["valid"]
+            if valid and not valid[0](value):
+                raise ConfigError(f"config key {f.name!r} must be {valid[1]}, got {value!r}")
         if self.model_dim % self.heads != 0:
-            raise ValueError(
-                f"model_dim {self.model_dim} is not divisible by heads {self.heads}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}; choose from {ABLATIONS}")
-        if self.local_dim is None:
-            self.local_dim = self.model_dim
+            raise ConfigError(
+                f"config key 'model_dim' ({self.model_dim}) must be divisible by "
+                f"'heads' ({self.heads})")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class ModelConfig(ModelKnobs):
+    """Everything that determines the parameter set; ``local_dim`` 0 is
+    resolved to ``model_dim``."""
+
+    n_sensors: int = _knob(MISSING, "sensors per window", _POSITIVE, kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.local_dim = self.local_dim or self.model_dim
 
 
 @dataclass

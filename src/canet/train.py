@@ -7,13 +7,14 @@ per epoch; training stops when the validation loss has not improved for
 restored before returning.
 """
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from canet.data import WindowedDataset
-from canet.model import ABLATIONS, CanModel, ModelConfig, can_forward
+from canet.model import (_NON_NEGATIVE, _POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig,
+                         ModelKnobs, _knob, _one_of, can_forward)
 from canet.optim import Adam
 from canet.tensor import Tensor, backward, sqrt
 
@@ -22,41 +23,11 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-class ConfigError(ValueError):
-    """Bad training-configuration key or value."""
-
-
-def _knob(default, help_text: str, valid=None):
-    """A config field carrying its flag help and its valid range, given as
-    ``(test, description)``; NaN fails every range."""
-    return field(default=default, metadata={"help": help_text, "valid": valid})
-
-
-def _one_of(*choices):
-    return (lambda v: v in choices), "one of " + ", ".join(choices)
-
-
-_POSITIVE = (lambda v: v >= 1), ">= 1"
-_NON_NEGATIVE = (lambda v: v >= 0), ">= 0"
-_UNIT = (lambda v: 0 <= v <= 1), "in [0, 1]"
-
-
 @dataclass
-class TrainConfig:
-    """Model and training knobs; mirrored 1:1 by the key=value config file
-    and the ``train`` flags.  Values out of range raise :class:`ConfigError`."""
-
-    window: int = _knob(5, "history length per window", _POSITIVE)
-    layers: int = _knob(3, "encoder/decoder layer count", _POSITIVE)
-    heads: int = _knob(8, "attention heads per layer", _POSITIVE)
-    model_dim: int = _knob(32, "channel width of the model", _POSITIVE)
-    embed_dim: int = _knob(10, "sensor embedding width", _POSITIVE)
-    neighbor_k: int = _knob(10, "neighbour candidates kept per sensor", _POSITIVE)
-    retain: float = _knob(0.8, "share of the original state kept by graph propagation", _UNIT)
-    local_dim: int = _knob(0, "local-graph feature width, 0 for model_dim", _NON_NEGATIVE)
-    adjacency_norm: str = _knob("row", "global adjacency normalization", _one_of("row", "sym"))
-    learned_positions: bool = _knob(False, "learn the positional table instead of fixed sinusoids")
-    ablation: str = _knob("none", "model variant", _one_of(*ABLATIONS))
+class TrainConfig(ModelKnobs):
+    """Model, training and scoring knobs; mirrored 1:1 by the key=value
+    config file and the ``train`` flags.  Values out of range raise
+    :class:`ConfigError`."""
 
     batch_size: int = _knob(32, "windows per optimizer step", _POSITIVE)
     lr: float = _knob(1e-4, "Adam learning rate", _NON_NEGATIVE)
@@ -75,29 +46,14 @@ class TrainConfig:
     can_plus: bool = _knob(False, "fuse reconstruction deviation into the score")
     downsample: int = _knob(1, "median-downsampling factor applied to input series", _POSITIVE)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value, valid = getattr(self, f.name), f.metadata["valid"]
-            if valid and not valid[0](value):
-                raise ConfigError(f"config key {f.name!r} must be {valid[1]}, got {value!r}")
-        if self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"config key 'model_dim' ({self.model_dim}) must be divisible by "
-                f"'heads' ({self.heads})")
-
     def loss_weights(self, epoch: int) -> Tuple[float, float]:
         """(phi, psi) for a 1-based epoch; phi + psi = 1 always."""
         phi = self.phi_start if epoch <= self.switch_epoch else self.phi_late
         return phi, 1.0 - phi
 
     def model_config(self, n_sensors: int) -> ModelConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                  if f.name != "n_sensors"}
-        shared["local_dim"] = self.local_dim or None
-        return ModelConfig(n_sensors=n_sensors, **shared)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return ModelConfig(n_sensors=n_sensors,
+                           **{f.name: getattr(self, f.name) for f in fields(ModelKnobs)})
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":

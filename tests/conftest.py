@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,28 @@ def assert_grads_match(build_loss, params, rtol: float = GRAD_RTOL, step: float 
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         err = max_rel_err(analytic, fd)
         assert err < rtol, f"gradient mismatch {err:.3e} on shape {p.shape}"
+
+
+def rewrite_header(path, edit, out) -> None:
+    """Copy the checkpoint at ``path`` to ``out`` with its JSON header line
+    replaced by ``edit(header)``; the parameter data is kept."""
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline())
+        blob = handle.read()
+    with open(out, "wb") as handle:
+        handle.write(json.dumps(edit(header), sort_keys=True).encode() + b"\n" + blob)
+
+
+# Header edits that no checkpoint loader may accept, by test id.
+BAD_HEADERS = {
+    "not-an-object": lambda h: 3,
+    "params-not-a-list": lambda h: {**h, "params": 5},
+    "extra-not-an-object": lambda h: {**h, "extra": [1]},
+    "no-config": lambda h: {k: v for k, v in h.items() if k != "config"},
+    "unknown-config-key": lambda h: {**h, "config": {**h["config"], "bogus": 1}},
+    "neighbor-k-0": lambda h: {**h, "config": {**h["config"], "neighbor_k": 0}},
+    "adjacency-norm-xx": lambda h: {**h, "config": {**h["config"], "adjacency_norm": "xx"}},
+}
 
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:

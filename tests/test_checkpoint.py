@@ -5,6 +5,7 @@ import pytest
 
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from canet.model import CanModel, ModelConfig, can_forward
+from conftest import BAD_HEADERS, rewrite_header
 
 
 def random_model(seed=3, **overrides) -> CanModel:
@@ -142,3 +143,11 @@ class TestCorruption:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(random_model(), path, {"note": "x"})
+        rewrite_header(path, edit, path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

@@ -5,6 +5,7 @@ import pytest
 
 from canet.cli import main, parse_config_file
 from canet.data import load_csv
+from conftest import BAD_HEADERS, rewrite_header
 
 
 def run(*argv) -> int:
@@ -89,6 +90,18 @@ class TestTrainCommand:
         assert code == 0
         text = (out / "config.txt").read_text()
         assert "window=4" in text
+
+    def test_flags_are_checked_after_merging_over_config_file(self, tmp_path):
+        # heads=3 alone does not divide the default model_dim of 32
+        run(*synth_args(tmp_path))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("heads=3\n")
+        argv = train_args(tmp_path / "train.csv", tmp_path / "run")
+        del argv[argv.index("--heads"):argv.index("--heads") + 2]
+        argv[argv.index("--model-dim") + 1] = "12"
+        assert run(*argv, "--config", str(cfg)) == 0
+        text = (tmp_path / "run" / "config.txt").read_text()
+        assert "heads=3\n" in text and "model_dim=12\n" in text
 
     def test_ablation_variant_trains(self, tmp_path):
         run(*synth_args(tmp_path))
@@ -277,6 +290,62 @@ class TestEvaluateCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "['sensor_1']" in err and "['sensor_9']" in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A one-epoch CLI checkpoint and its synth data directory."""
+    base = tmp_path_factory.mktemp("ckpt")
+    run(*synth_args(base))
+    run(*train_args(base / "train.csv", base / "run", max_epochs=1))
+    return base, base / "run" / "model.ckpt"
+
+
+class TestCheckpointAndFlagChecks:
+    def evaluate(self, base, ckpt, *flags):
+        return run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
+                   "--out", str(base / "e"), *flags)
+
+    def test_k_s_below_one_exits_2(self, checkpoint, capsys):
+        assert self.evaluate(*checkpoint, "--k-s", "0") == 2
+        assert "'score_sensors'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_batch_size_below_one_exits_2(self, checkpoint, capsys, value):
+        assert self.evaluate(*checkpoint, "--batch-size", value) == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+    def test_bad_header_exits_3(self, checkpoint, tmp_path, command, edit):
+        base, ckpt = checkpoint
+        bad = tmp_path / "bad.ckpt"
+        rewrite_header(ckpt, edit, bad)
+        if command == "evaluate":
+            assert self.evaluate(base, bad) == 3
+        else:
+            assert run(command, "--checkpoint", str(bad),
+                       "--out", str(tmp_path / "e.csv")) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda extra: extra.pop("norm_min"),
+        lambda extra: extra.pop("norm_max"),
+        lambda extra: extra.pop("train_config"),
+        lambda extra: extra["train_config"].update(score_sensors=0),
+        lambda extra: extra["train_config"].update(bogus=1),
+    ], ids=["no-norm-min", "no-norm-max", "no-train-config", "score-sensors-0",
+            "unknown-train-key"])
+    def test_bad_run_metadata_exits_3(self, checkpoint, tmp_path, capsys, edit):
+        base, ckpt = checkpoint
+        bad = tmp_path / "bad.ckpt"
+
+        def edit_extra(header):
+            edit(header["extra"])
+            return header
+
+        rewrite_header(ckpt, edit_extra, bad)
+        assert self.evaluate(base, bad) == 3
+        assert "run metadata" in capsys.readouterr().err
 
 
 class TestExportCommand:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canet.data import RawSeries, make_windows
-from canet.detection import (ScoreSeries, anomaly_scores, confusion_metrics,
+from canet.detection import (anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
                              prediction_errors, predict_series,
                              threshold_grid_search)
@@ -219,10 +219,12 @@ class TestThresholdSearch:
         assert rep.f1 == 1.0
         np.testing.assert_allclose(theta, 0.5)      # highest candidate with F1=1
 
-    def test_accepts_score_series(self):
-        scores = ScoreSeries(values=np.array([0.1, 0.8]), top_sensors=np.zeros((2, 1), int), k=1)
-        theta, rep = threshold_grid_search(scores, np.array([0, 1]))
-        assert rep.f1 == 1.0
+    @pytest.mark.parametrize("bad,index", [(np.nan, 1), (np.inf, 1), (-np.inf, 4)])
+    def test_non_finite_score_rejected(self, bad, index):
+        scores = np.array([0.1, 0.5, 0.3, 0.9, 0.2])
+        scores[index] = bad
+        with pytest.raises(ValueError, match=f"index {index} is not finite"):
+            threshold_grid_search(scores, np.array([0, 0, 0, 1, 0]))
 
 
 class TestEvaluate:
@@ -272,14 +274,13 @@ class TestEvaluate:
         fused = evaluate(model, dataset, labels, can_plus=True)
         assert not np.allclose(base.scores, fused.scores)
 
-    def test_train_calibration_needs_errors(self):
+    def test_calibration_errors_select_train_calibration(self):
         model, dataset, labels = self.tiny_setup()
-        with pytest.raises(ValueError):
-            evaluate(model, dataset, labels, calibration="train")
+        assert evaluate(model, dataset, labels).extras["calibration"] == "self"
         calib = np.abs(np.random.default_rng(0).standard_normal((3, 20)))
-        report = evaluate(model, dataset, labels, calibration="train",
-                          calibration_errors=calib)
+        report = evaluate(model, dataset, labels, calibration_errors=calib)
         assert np.isfinite(report.scores).all()
+        assert report.extras["calibration"] == "train"
 
     def test_truth_length_validated(self):
         model, dataset, _ = self.tiny_setup()
@@ -292,6 +293,12 @@ class TestEvaluate:
         threaded = evaluate(model, dataset, labels, batch_size=7, threads=4)
         assert serial.scores.tobytes() == threaded.scores.tobytes()
         assert serial.threshold == threaded.threshold
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_predict_series_rejects_batch_size_below_one(self, batch_size):
+        model, dataset, _ = self.tiny_setup()
+        with pytest.raises(ValueError, match="batch_size"):
+            predict_series(model, dataset, batch_size=batch_size)
 
     def test_predict_series_columns_align_with_targets(self):
         model, dataset, _ = self.tiny_setup(seed=5)
