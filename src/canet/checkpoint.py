@@ -43,8 +43,9 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
     """Rebuild the model and return ``(model, extra)``.
 
     Round-trips every parameter bit-exactly; rejects unknown versions and
-    truncated files.  Version 1 files, with per-head attention projections,
-    still load.
+    truncated files, and ``extra["sensor_names"]``, when present, unless it
+    is ``n_sensors`` distinct strings.  Version 1 files, with per-head
+    attention projections, still load.
     """
     try:
         with open(path, "rb") as handle:
@@ -91,7 +92,14 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
             raise CheckpointError(
                 f"parameter {name} has shape {value.shape}, model expects {params[name].shape}")
         params[name].data = value.astype(np.float32)
-    return model, header.get("extra", {})
+    extra = header.get("extra", {})
+    names = extra.get("sensor_names")
+    if "sensor_names" in extra and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names) == model.config.n_sensors):
+        raise CheckpointError(f"sensor_names in {path} must be {model.config.n_sensors} "
+                              f"distinct strings, got {names!r}")
+    return model, extra
 
 
 def _merge_v1_heads(arrays: dict, n_heads: int, path) -> dict:

@@ -8,7 +8,6 @@ seed, and identical inputs produce byte-identical outputs.  Exit codes:
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from canet.data import (DataError, downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
-from canet.detection import evaluate, prediction_errors, predict_series, write_scores_csv
+from canet.detection import evaluate, write_scores_csv
 from canet.graph import write_embeddings_csv
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
@@ -112,13 +111,6 @@ def resolve_train_config(args) -> TrainConfig:
     return cfg
 
 
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"{what} not found: {p}")
-    return p
-
-
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,8 +140,6 @@ def cmd_synth(args) -> int:
 
 def _match_sensors(series: RawSeries, names, path) -> RawSeries:
     """Reorder sensor rows into the checkpoint's order, matched by name."""
-    if names is None:
-        return series
     if sorted(series.sensor_names) != sorted(names):
         missing = sorted(set(names) - set(series.sensor_names))
         unexpected = sorted(set(series.sensor_names) - set(names))
@@ -160,12 +150,18 @@ def _match_sensors(series: RawSeries, names, path) -> RawSeries:
     return RawSeries(list(names), series.values[order], series.timestamps, series.labels)
 
 
-def _load_normalized(path, cfg_downsample: int, stats: "NormStats | None", names=None):
-    series = _match_sensors(load_csv(_require_file(path, "data file")), names, path)
-    series = downsample_median(series, cfg_downsample)
+def _load_windows(path, window: int, downsample: int, stats: "NormStats | None" = None,
+                  names=None):
+    """CSV to windows: match columns to ``names`` when given, downsample,
+    then min-max scale with ``stats`` (fitted here when not given).
+    Returns ``(dataset, stats)``."""
+    series = load_csv(path)
+    if names is not None:
+        series = _match_sensors(series, names, path)
+    series = downsample_median(series, downsample)
     if stats is None:
         stats = minmax_fit(series)
-    return minmax_apply(series, stats), stats
+    return make_windows(minmax_apply(series, stats), window), stats
 
 
 def cmd_train(args) -> int:
@@ -173,8 +169,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    normalized, stats = _load_normalized(args.data, cfg.downsample, None)
-    dataset = make_windows(normalized, cfg.window)
+    dataset, stats = _load_windows(args.data, cfg.window, cfg.downsample)
     resolved = cfg.to_dict()
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
     (out / "config.txt").write_text(
@@ -183,7 +178,7 @@ def cmd_train(args) -> int:
     model, log = train(dataset, cfg)
 
     extra = {
-        "sensor_names": normalized.sensor_names,
+        "sensor_names": dataset.sensor_names,
         "norm_min": [float(v) for v in stats.minimum],
         "norm_max": [float(v) for v in stats.maximum],
         "train_config": resolved,
@@ -201,55 +196,44 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
-    model, extra = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    model, extra = load_checkpoint(args.checkpoint)
     try:
         stored = TrainConfig(**extra["train_config"])
         stats = NormStats(minimum=np.asarray(extra["norm_min"], dtype=np.float64),
                           maximum=np.asarray(extra["norm_max"], dtype=np.float64))
+        names = extra["sensor_names"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad run metadata in {args.checkpoint}: {exc!r}") from exc
     flags = {"score_sensors": args.k_s, "calibration": args.calibration,
              "can_plus": args.can_plus}
     cfg = dataclasses.replace(stored, **{k: v for k, v in flags.items() if v is not None})
 
-    names = extra.get("sensor_names")
-    series = _match_sensors(load_csv(_require_file(args.data, "data file")), names, args.data)
-    if series.n_sensors != model.config.n_sensors:
-        raise DataError(
-            f"data has {series.n_sensors} sensors but the checkpoint expects "
-            f"{model.config.n_sensors}")
-    series = downsample_median(series, cfg.downsample)
-    if series.labels is None:
+    window = model.config.window
+    dataset, _ = _load_windows(args.data, window, cfg.downsample, stats, names)
+    if dataset.labels is None:
         raise DataError(f"{args.data} has no label column; evaluation needs ground truth")
-    normalized = minmax_apply(series, stats)
-    dataset = make_windows(normalized, model.config.window)
-
-    calibration_errors = None
+    calibration = None
     if cfg.calibration == "train":
         if not args.train_data:
             raise ConfigError("--calibration train needs --train-data")
-        train_norm, _ = _load_normalized(args.train_data, cfg.downsample, stats, names)
-        train_windows = make_windows(train_norm, model.config.window)
-        preds, _ = predict_series(model, train_windows, batch_size=args.batch_size)
-        calibration_errors = prediction_errors(
-            preds, train_windows.values[:, model.config.window:].astype(np.float64))
+        calibration, _ = _load_windows(args.train_data, window, cfg.downsample, stats, names)
 
-    report = evaluate(model, dataset, series.labels, score_sensors=cfg.score_sensors,
-                      calibration_errors=calibration_errors,
-                      can_plus=cfg.can_plus, batch_size=args.batch_size)
+    report = evaluate(model, dataset, dataset.labels, score_sensors=cfg.score_sensors,
+                      calibration=calibration, can_plus=cfg.can_plus,
+                      batch_size=args.batch_size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
-    write_scores_csv(out / "scores.csv", report, series.labels)
+    write_scores_csv(out / "scores.csv", report, dataset.labels)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f} "
           f"threshold={report.threshold:.6g}")
     return 0
 
 
 def cmd_export_embeddings(args) -> int:
-    model, extra = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    model, extra = load_checkpoint(args.checkpoint)
     names = extra.get("sensor_names") or [str(i) for i in range(model.config.n_sensors)]
     write_embeddings_csv(args.out, names, model.embedding.data)
     print(f"wrote {args.out}")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from canet.data import WindowedDataset
-from canet.model import CanModel, can_forward
+from canet.model import CanModel, ConfigError, can_forward
 from canet.tensor import Tensor
 
 IQR_FLOOR = 1e-6
@@ -96,7 +96,6 @@ class DetectionReport:
     scores: Optional[np.ndarray] = None
     raw_pred: Optional[np.ndarray] = None
     adjusted_pred: Optional[np.ndarray] = None
-    top_sensors: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -173,17 +172,22 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
 
 
 def predict_series(model: CanModel, dataset: WindowedDataset,
-                   batch_size: int = 256, threads: int = 0,
-                   with_reconstruction: bool = False):
+                   batch_size: int = 256, with_reconstruction: bool = False):
     """Run the prediction decoder over every window.
 
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
-    reconstruction of the window's last history column.  Batches are
-    independent, so thread count never changes the numbers.
+    reconstruction of the window's last history column.  Batches run on
+    ``CAN_THREADS`` threads (default 1); they are independent, so the
+    thread count never changes the numbers.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    try:
+        threads = max(1, int(os.environ.get("CAN_THREADS", "1")))
+    except ValueError:
+        raise ConfigError(f"CAN_THREADS must be an integer, "
+                          f"got {os.environ['CAN_THREADS']!r}") from None
     n_windows = len(dataset)
     n = dataset.n_sensors
     predictions = np.empty((n, n_windows), dtype=np.float64)
@@ -201,8 +205,6 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
         if rec_last is not None:
             rec_last[:, start:end] = out.y_rec.data[:, :, -1].T
 
-    if threads <= 0:
-        threads = max(1, int(os.environ.get("CAN_THREADS", "1")))
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, spans))
@@ -213,17 +215,16 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
 
 
 def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
-             score_sensors: int = 2, calibration_errors: Optional[np.ndarray] = None,
-             can_plus: bool = False, batch_size: int = 256,
-             threads: int = 0) -> DetectionReport:
+             score_sensors: int = 2, calibration: Optional[WindowedDataset] = None,
+             can_plus: bool = False, batch_size: int = 256) -> DetectionReport:
     """Score a labelled test series and search the best threshold.
 
     ``truth`` is the full-length label vector; the first ``window``
     timestamps have no prediction and are excluded.  Deviations calibrate
-    on ``calibration_errors`` when given (held-out prediction errors,
-    reported as calibration ``'train'``), else on the evaluated stream
-    itself (``'self'``).  ``can_plus`` fuses the reconstruction deviation
-    into the score at a fixed small weight.
+    on the prediction errors of the ``calibration`` windows when given
+    (training data, reported as calibration ``'train'``), else on the
+    evaluated stream itself (``'self'``).  ``can_plus`` fuses the
+    reconstruction deviation into the score at a fixed small weight.
     """
     truth = np.asarray(truth).astype(bool)
     k = dataset.window
@@ -231,15 +232,13 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
     if truth.shape[0] != length:
         raise ValueError(f"truth length {truth.shape[0]} does not match series length {length}")
 
-    predictions, rec_last = predict_series(
-        model, dataset, batch_size=batch_size, threads=threads,
-        with_reconstruction=can_plus)
-    actual = dataset.values[:, k:].astype(np.float64)
-    errors = prediction_errors(predictions, actual)
+    def errors_of(windows: WindowedDataset, with_reconstruction: bool = False):
+        predictions, rec_last = predict_series(model, windows, batch_size, with_reconstruction)
+        return prediction_errors(predictions, windows.values[:, windows.window:]), rec_last
 
-    calibration = "self" if calibration_errors is None else "train"
-    normalized = normalize_errors(errors, errors if calibration_errors is None
-                                  else calibration_errors)
+    errors, rec_last = errors_of(dataset, can_plus)
+    reference = errors if calibration is None else errors_of(calibration)[0]
+    normalized = normalize_errors(errors, reference)
     scored = anomaly_scores(normalized, score_sensors)
     score_values = scored.values
 
@@ -248,8 +247,7 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         # timestamps (shift one window) and edge-pad the final slot.
         # Reconstruction deviations always self-calibrate: the train-mode
         # calibration stream carries prediction errors, not these.
-        rec_actual = dataset.values[:, k - 1:length - 1].astype(np.float64)
-        rec_errors = prediction_errors(rec_last, rec_actual)
+        rec_errors = prediction_errors(rec_last, dataset.values[:, k - 1:length - 1])
         rec_norm = normalize_errors(rec_errors, rec_errors)
         rec_scores = anomaly_scores(rec_norm, score_sensors).values
         aligned = np.concatenate([rec_scores[1:], rec_scores[-1:]])
@@ -259,9 +257,9 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
     threshold, report = threshold_grid_search(score_values, scored_truth)
     report.timestamps = np.arange(k, length)
     report.scores = score_values
-    report.top_sensors = scored.top_sensors
     report.extras = {"scored_from": int(k), "score_sensors": int(scored.k),
-                     "calibration": calibration, "can_plus": bool(can_plus)}
+                     "calibration": "self" if calibration is None else "train",
+                     "can_plus": bool(can_plus)}
     return report
 
 

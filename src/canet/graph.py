@@ -153,5 +153,5 @@ def write_embeddings_csv(path, sensor_names, embedding: np.ndarray) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sensor_id"] + [f"e_{i}" for i in range(values.shape[1])])
-        for name, row in zip(sensor_names, values):
+        for name, row in zip(sensor_names, values, strict=True):
             writer.writerow([name] + [repr(float(v)) for v in row])

@@ -50,6 +50,10 @@ BAD_HEADERS = {
     "unknown-config-key": lambda h: {**h, "config": {**h["config"], "bogus": 1}},
     "neighbor-k-0": lambda h: {**h, "config": {**h["config"], "neighbor_k": 0}},
     "adjacency-norm-xx": lambda h: {**h, "config": {**h["config"], "adjacency_norm": "xx"}},
+    "sensor-names-int": lambda h: {**h, "extra": {**h["extra"], "sensor_names": 3}},
+    "sensor-names-too-few": lambda h: {**h, "extra": {**h["extra"], "sensor_names": ["a"]}},
+    "sensor-names-repeated": lambda h: {
+        **h, "extra": {**h["extra"], "sensor_names": ["a"] * h["config"]["n_sensors"]}},
 }
 
 

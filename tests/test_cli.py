@@ -315,6 +315,11 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(*checkpoint, "--batch-size", value) == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    def test_non_integer_thread_env_var_exits_2(self, checkpoint, monkeypatch, capsys):
+        monkeypatch.setenv("CAN_THREADS", "abc")
+        assert self.evaluate(*checkpoint) == 2
+        assert "CAN_THREADS" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
     @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
     def test_bad_header_exits_3(self, checkpoint, tmp_path, command, edit):
@@ -330,11 +335,12 @@ class TestCheckpointAndFlagChecks:
     @pytest.mark.parametrize("edit", [
         lambda extra: extra.pop("norm_min"),
         lambda extra: extra.pop("norm_max"),
+        lambda extra: extra.pop("sensor_names"),
         lambda extra: extra.pop("train_config"),
         lambda extra: extra["train_config"].update(score_sensors=0),
         lambda extra: extra["train_config"].update(bogus=1),
-    ], ids=["no-norm-min", "no-norm-max", "no-train-config", "score-sensors-0",
-            "unknown-train-key"])
+    ], ids=["no-norm-min", "no-norm-max", "no-sensor-names", "no-train-config",
+            "score-sensors-0", "unknown-train-key"])
     def test_bad_run_metadata_exits_3(self, checkpoint, tmp_path, capsys, edit):
         base, ckpt = checkpoint
         bad = tmp_path / "bad.ckpt"

@@ -241,6 +241,11 @@ class TestEvaluate:
                                      model_dim=8, embed_dim=4, neighbor_k=2), seed=seed)
         return model, dataset, labels
 
+    @staticmethod
+    def calibration_windows():
+        values = np.random.default_rng(9).random((3, 24))
+        return make_windows(RawSeries(["a", "b", "c"], values), 4)
+
     def test_zero_weight_model_yields_finite_report(self):
         model, dataset, labels = self.tiny_setup()
         for _, p in model.named_parameters():
@@ -274,23 +279,38 @@ class TestEvaluate:
         fused = evaluate(model, dataset, labels, can_plus=True)
         assert not np.allclose(base.scores, fused.scores)
 
-    def test_calibration_errors_select_train_calibration(self):
+    def test_calibration_windows_select_train_calibration(self):
         model, dataset, labels = self.tiny_setup()
         assert evaluate(model, dataset, labels).extras["calibration"] == "self"
-        calib = np.abs(np.random.default_rng(0).standard_normal((3, 20)))
-        report = evaluate(model, dataset, labels, calibration_errors=calib)
+        calib = self.calibration_windows()
+        report = evaluate(model, dataset, labels, calibration=calib)
         assert np.isfinite(report.scores).all()
         assert report.extras["calibration"] == "train"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_train_calibration_scores_match_oracle(self, k):
+        model, dataset, labels = self.tiny_setup(seed=4)
+        calib = self.calibration_windows()
+        report = evaluate(model, dataset, labels, score_sensors=k, calibration=calib,
+                          batch_size=5)
+        e_test = prediction_errors(predict_series(model, dataset, 5)[0], dataset.values[:, 4:])
+        e_cal = prediction_errors(predict_series(model, calib, 5)[0], calib.values[:, 4:])
+        expected = anomaly_scores(normalize_errors(e_test, e_cal), k).values
+        np.testing.assert_array_equal(report.scores, expected)
+        assert not np.array_equal(report.scores, evaluate(model, dataset, labels,
+                                                          score_sensors=k).scores)
 
     def test_truth_length_validated(self):
         model, dataset, _ = self.tiny_setup()
         with pytest.raises(ValueError):
             evaluate(model, dataset, np.zeros(10))
 
-    def test_thread_count_never_changes_results(self):
+    def test_thread_count_never_changes_results(self, monkeypatch):
         model, dataset, labels = self.tiny_setup(seed=3)
-        serial = evaluate(model, dataset, labels, batch_size=7, threads=1)
-        threaded = evaluate(model, dataset, labels, batch_size=7, threads=4)
+        monkeypatch.setenv("CAN_THREADS", "1")
+        serial = evaluate(model, dataset, labels, batch_size=7)
+        monkeypatch.setenv("CAN_THREADS", "4")
+        threaded = evaluate(model, dataset, labels, batch_size=7)
         assert serial.scores.tobytes() == threaded.scores.tobytes()
         assert serial.threshold == threaded.threshold
 

@@ -225,3 +225,8 @@ class TestEmbeddingExport:
         assert lines[0] == "sensor_id,e_0,e_1"
         assert lines[1].startswith("a,1.0,2.0")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_name_count_must_match_rows(self, tmp_path, names):
+        with pytest.raises(ValueError):
+            write_embeddings_csv(tmp_path / "emb.csv", names, np.ones((2, 2)))
