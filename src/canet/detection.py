@@ -133,12 +133,15 @@ def confusion_metrics(pred: np.ndarray, truth: np.ndarray) -> DetectionReport:
 
 
 def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
-    """Exhaustively try every separating threshold and keep the best
+    """Sort-and-sweep search for the separating threshold with the best
     point-adjusted F1; ties resolve toward the higher threshold.
 
     Candidates are the midpoints between consecutive distinct score values
-    plus a sentinel below the minimum (predict everything).  Scores must be
-    finite.
+    plus a sentinel below the minimum (predict everything).  Under point
+    adjustment a true segment is detected exactly when its maximum score is
+    above the threshold, so every candidate's counts come from binary
+    searches over the sorted segment maxima and the sorted normal-point
+    scores: O(T log T) for T scores.  Scores must be finite.
     """
     values = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
@@ -151,23 +154,33 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
         raise ValueError("threshold search needs at least one true anomaly")
 
     distinct = np.unique(values)
-    candidates = [distinct[0] - 1.0]
-    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
+    candidates = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0])
 
-    best = None
-    best_threshold = None
-    for theta in candidates:
-        pred = values > theta
-        adjusted = point_adjust(pred, truth)
-        report = confusion_metrics(adjusted, truth)
-        if best is None or report.f1 > best.f1 or (report.f1 == best.f1 and theta > best_threshold):
-            best = report
-            best_threshold = theta
-            best_raw = pred.astype(np.int64)
-            best_adjusted = adjusted
+    edges = np.flatnonzero(np.diff(truth.astype(np.int8), prepend=0, append=0))
+    starts, ends = edges[0::2], edges[1::2]
+    seg_max = np.maximum.reduceat(np.where(truth, values, -np.inf), starts)
+    order = np.argsort(seg_max)
+    covered = np.concatenate([[0], np.cumsum((ends - starts)[order])])
+    detected = np.searchsorted(seg_max[order], candidates, side="right")
+    tp = covered[-1] - covered[detected]
+    fn = covered[-1] - tp
+    normal = np.sort(values[~truth])
+    fp = normal.size - np.searchsorted(normal, candidates, side="right")
+
+    # the formulas and zero conventions of confusion_metrics, elementwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(precision + recall > 0,
+                      2 * precision * recall / (precision + recall), 0.0)
+    best_threshold = candidates[np.flatnonzero(f1 == f1.max())[-1]]
+
+    pred = values > best_threshold
+    adjusted = point_adjust(pred, truth)
+    best = confusion_metrics(adjusted, truth)
     best.threshold = float(best_threshold)
-    best.raw_pred = best_raw
-    best.adjusted_pred = best_adjusted
+    best.raw_pred = pred.astype(np.int64)
+    best.adjusted_pred = adjusted
     return best_threshold, best
 
 
@@ -177,7 +190,8 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
 
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
-    reconstruction of the window's last history column.  Batches run on
+    reconstruction of the window's last history column.  The reconstruction
+    decoder runs only when requested.  Batches run on
     ``CAN_THREADS`` threads (default 1); they are independent, so the
     thread count never changes the numbers.
     """
@@ -200,7 +214,7 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     def run(span):
         start, end = span
         hist, _ = dataset.batch(range(start, end))
-        out = can_forward(Tensor(hist), model)
+        out = can_forward(Tensor(hist), model, reconstruct=with_reconstruction)
         predictions[:, start:end] = out.y_pred.data.T
         if rec_last is not None:
             rec_last[:, start:end] = out.y_rec.data[:, :, -1].T

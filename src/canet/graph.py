@@ -150,8 +150,10 @@ def global_local_conv(features: Tensor, graph: SensorGraph,
 def write_embeddings_csv(path, sensor_names, embedding: np.ndarray) -> None:
     """Write one row per sensor: sensor_id, e_0 .. e_{d-1}."""
     values = np.asarray(getattr(embedding, "data", embedding))
+    if len(sensor_names) != values.shape[0]:
+        raise ValueError(f"{len(sensor_names)} sensor names for {values.shape[0]} embedding rows")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sensor_id"] + [f"e_{i}" for i in range(values.shape[1])])
-        for name, row in zip(sensor_names, values, strict=True):
+        for name, row in zip(sensor_names, values):
             writer.writerow([name] + [repr(float(v)) for v in row])

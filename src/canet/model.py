@@ -320,8 +320,11 @@ def decoder_forward(seed: Tensor, layer_embeddings: List[Tensor],
     return running[..., -crop_len:, :]
 
 
-def can_forward(x, model: CanModel) -> ForwardOutput:
-    """Full forward pass: next-step prediction and window reconstruction."""
+def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
+    """Full forward pass: next-step prediction and window reconstruction.
+
+    ``reconstruct=False`` skips the reconstruction decoder (``y_rec`` is
+    None); the prediction does not depend on it."""
     x = model._as_input(x)
     lead = x.shape[:-2]
     n, k = x.shape[-2], x.shape[-1]
@@ -338,7 +341,7 @@ def can_forward(x, model: CanModel) -> ForwardOutput:
     y_pred = (matmul(pre_out, model.pred_weight) + model.pred_bias).reshape(lead + (n,))
 
     y_rec = None
-    if model.rec_decoder is not None:
+    if reconstruct and model.rec_decoder is not None:
         if k > 1:
             history = x[..., : k - 1].reshape(lead + (n, k - 1, 1))
             rec_cols = concat([zero_slot, history], axis=-2)

@@ -46,6 +46,12 @@ class TrainConfig(ModelKnobs):
     can_plus: bool = _knob(False, "fuse reconstruction deviation into the score")
     downsample: int = _knob(1, "median-downsampling factor applied to input series", _POSITIVE)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.can_plus and self.ablation == "no-rec-decoder":
+            raise ConfigError("config key 'can_plus' needs the reconstruction decoder, "
+                              "which config key 'ablation' = 'no-rec-decoder' removes")
+
     def loss_weights(self, epoch: int) -> Tuple[float, float]:
         """(phi, psi) for a 1-based epoch; phi + psi = 1 always."""
         phi = self.phi_start if epoch <= self.switch_epoch else self.phi_late

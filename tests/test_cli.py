@@ -354,6 +354,57 @@ class TestCheckpointAndFlagChecks:
         assert "run metadata" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def no_rec_checkpoint(tmp_path_factory):
+    """A one-epoch checkpoint of the no-rec-decoder ablation."""
+    base = tmp_path_factory.mktemp("norec")
+    run(*synth_args(base))
+    run(*train_args(base / "train.csv", base / "run", max_epochs=1,
+                    ablation="no-rec-decoder"))
+    return base, base / "run" / "model.ckpt"
+
+
+class TestCanPlusNeedsRecDecoder:
+    def test_train_exits_2_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = train_args(tmp_path / "absent.csv", out, ablation="no-rec-decoder")
+        assert run(*argv, "--can-plus") == 2
+        err = capsys.readouterr().err
+        assert "'can_plus'" in err and "'ablation'" in err
+        assert not out.exists()
+
+    def test_evaluate_can_plus_exits_2_before_reading_data(self, no_rec_checkpoint,
+                                                           tmp_path, capsys):
+        _, ckpt = no_rec_checkpoint
+        code = run("evaluate", "--data", str(tmp_path / "absent.csv"),
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"), "--can-plus")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'can_plus'" in err and "'ablation'" in err
+
+    def test_stored_combination_exits_3(self, no_rec_checkpoint, tmp_path, capsys):
+        base, ckpt = no_rec_checkpoint
+        bad = tmp_path / "bad.ckpt"
+
+        def store_can_plus(header):
+            header["extra"]["train_config"]["can_plus"] = True
+            return header
+
+        rewrite_header(ckpt, store_can_plus, bad)
+        code = run("evaluate", "--data", str(base / "test.csv"),
+                   "--checkpoint", str(bad), "--out", str(tmp_path / "e"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "run metadata" in err and "'can_plus'" in err
+
+    def test_plain_evaluate_scores_the_ablation(self, no_rec_checkpoint, tmp_path):
+        base, ckpt = no_rec_checkpoint
+        out = tmp_path / "e"
+        assert run("evaluate", "--data", str(base / "test.csv"),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["can_plus"] is False
+
+
 class TestExportCommand:
     def test_csv_has_embedding_columns(self, tmp_path):
         run(*synth_args(tmp_path))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canet.detection
+import canet.model
 from canet.data import RawSeries, make_windows
 from canet.detection import (anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
@@ -40,6 +42,64 @@ def brute_force_best_f1(scores, truth):
             rep = confusion_metrics(adjusted, truth)
             best = max(best, rep.f1)
     return best
+
+
+def loop_threshold_search(scores, truth):
+    """Reference search: one point_adjust pass per candidate, O(T * U)."""
+    values = np.asarray(scores, dtype=np.float64)
+    truth = np.asarray(truth).astype(bool)
+    distinct = np.unique(values)
+    candidates = [distinct[0] - 1.0]
+    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
+    best = None
+    best_threshold = None
+    for theta in candidates:
+        pred = values > theta
+        adjusted = point_adjust(pred, truth)
+        report = confusion_metrics(adjusted, truth)
+        if best is None or report.f1 > best.f1 or (report.f1 == best.f1 and theta > best_threshold):
+            best = report
+            best_threshold = theta
+            best_raw = pred.astype(np.int64)
+            best_adjusted = adjusted
+    best.threshold = float(best_threshold)
+    best.raw_pred = best_raw
+    best.adjusted_pred = best_adjusted
+    return best_threshold, best
+
+
+@st.composite
+def scores_and_truth(draw):
+    """Scores of one kind (any finite float, integer-valued with many ties,
+    or a few values one ulp apart) and labels that are random, all
+    anomalous, or hold a segment touching either end."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["float", "integer", "ulp"]))
+    if kind == "float":
+        scores = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))
+    elif kind == "integer":
+        scores = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        base = draw(st.sampled_from([0.0, 1e-300, 1.0, -7.5, 1e17]))
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        ladder = [base]
+        for _ in range(3):
+            ladder.append(np.nextafter(ladder[-1], np.inf))
+        scores = [ladder[i] for i in steps]
+    labels = draw(st.sampled_from(["random", "all", "start", "end"]))
+    if labels == "all":
+        truth = [True] * n
+    else:
+        truth = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        width = draw(st.integers(1, n))
+        if labels == "start":
+            truth[:width] = [True] * width
+        elif labels == "end":
+            truth[n - width:] = [True] * width
+    if not any(truth):
+        truth[draw(st.integers(0, n - 1))] = True
+    return np.array(scores, dtype=np.float64), np.array(truth, dtype=int)
 
 
 class TestPredictionErrors:
@@ -219,6 +279,38 @@ class TestThresholdSearch:
         assert rep.f1 == 1.0
         np.testing.assert_allclose(theta, 0.5)      # highest candidate with F1=1
 
+    @given(scores_and_truth())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_equals_loop_oracle(self, case):
+        scores, truth = case
+        theta, rep = threshold_grid_search(scores, truth)
+        expected_theta, expected = loop_threshold_search(scores, truth)
+        assert type(theta) is type(expected_theta) and theta == expected_theta
+        for name in ("threshold", "f1", "precision", "recall", "tp", "fp", "fn"):
+            assert getattr(rep, name) == getattr(expected, name), name
+        assert rep.raw_pred.dtype == expected.raw_pred.dtype
+        np.testing.assert_array_equal(rep.raw_pred, expected.raw_pred)
+        assert rep.adjusted_pred.dtype == expected.adjusted_pred.dtype
+        np.testing.assert_array_equal(rep.adjusted_pred, expected.adjusted_pred)
+
+    def test_point_adjust_runs_once_at_scale(self, rng, monkeypatch):
+        # a per-candidate loop would call it once per distinct score
+        calls = []
+
+        def counted(pred, truth):
+            calls.append(pred)
+            assert len(calls) == 1, "point_adjust ran once per candidate"
+            return point_adjust(pred, truth)
+
+        monkeypatch.setattr(canet.detection, "point_adjust", counted)
+        scores = rng.standard_normal(10**5)
+        truth = np.zeros(10**5, dtype=int)
+        for start in range(500, 10**5, 1000):
+            truth[start:start + 10] = 1
+        _, rep = threshold_grid_search(scores, truth)
+        assert len(calls) == 1
+        assert rep.tp + rep.fn == truth.sum()
+
     @pytest.mark.parametrize("bad,index", [(np.nan, 1), (np.inf, 1), (-np.inf, 4)])
     def test_non_finite_score_rejected(self, bad, index):
         scores = np.array([0.1, 0.5, 0.3, 0.9, 0.2])
@@ -319,6 +411,29 @@ class TestEvaluate:
         model, dataset, _ = self.tiny_setup()
         with pytest.raises(ValueError, match="batch_size"):
             predict_series(model, dataset, batch_size=batch_size)
+
+    @pytest.mark.parametrize("with_reconstruction, per_batch", [(False, 1), (True, 2)])
+    def test_reconstruction_decoder_runs_only_when_asked(self, monkeypatch,
+                                                         with_reconstruction, per_batch):
+        model, dataset, _ = self.tiny_setup(seed=2)
+        calls = []
+        decoder_forward = canet.model.decoder_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decoder_forward(*args, **kwargs)
+
+        monkeypatch.setenv("CAN_THREADS", "1")
+        monkeypatch.setattr(canet.model, "decoder_forward", counted)
+        predict_series(model, dataset, batch_size=10, with_reconstruction=with_reconstruction)
+        assert len(calls) == per_batch * 4          # 36 windows in batches of 10
+
+    def test_skipping_reconstruction_keeps_predictions_bit_identical(self):
+        model, dataset, _ = self.tiny_setup(seed=8)
+        plain, no_rec = predict_series(model, dataset, batch_size=16)
+        full, rec = predict_series(model, dataset, batch_size=16, with_reconstruction=True)
+        assert no_rec is None and rec is not None
+        assert plain.tobytes() == full.tobytes()
 
     def test_predict_series_columns_align_with_targets(self):
         model, dataset, _ = self.tiny_setup(seed=5)

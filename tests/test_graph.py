@@ -228,5 +228,10 @@ class TestEmbeddingExport:
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
     def test_name_count_must_match_rows(self, tmp_path, names):
-        with pytest.raises(ValueError):
-            write_embeddings_csv(tmp_path / "emb.csv", names, np.ones((2, 2)))
+        fresh, existing = tmp_path / "emb.csv", tmp_path / "old.csv"
+        existing.write_text("kept\n")
+        for path in (fresh, existing):
+            with pytest.raises(ValueError, match="sensor names"):
+                write_embeddings_csv(path, names, np.ones((2, 2)))
+        assert not fresh.exists()
+        assert existing.read_text() == "kept\n"

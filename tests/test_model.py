@@ -292,6 +292,16 @@ class TestAblations:
             small_config(ablation="no-everything")
 
 
+class TestSkipReconstruction:
+    def test_prediction_unchanged_without_reconstruction(self, rng):
+        model = CanModel(small_config(), seed=6)
+        x = rng.standard_normal((5, 3, 4))
+        full = can_forward(x, model)
+        skipped = can_forward(x, model, reconstruct=False)
+        assert skipped.y_rec is None and full.y_rec is not None
+        np.testing.assert_array_equal(skipped.y_pred.data, full.y_pred.data)
+
+
 class TestParameterAccounting:
     def test_count_is_config_function(self):
         a = CanModel(small_config(), seed=0).num_parameters()

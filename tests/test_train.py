@@ -116,6 +116,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             TrainConfig(ablation="nothing")
 
+    def test_can_plus_needs_rec_decoder(self):
+        with pytest.raises(ConfigError, match="'can_plus'.*'ablation'"):
+            TrainConfig(can_plus=True, ablation="no-rec-decoder")
+        assert TrainConfig(can_plus=True, ablation="no-ae").can_plus
+
 
 class TestTrainLoop:
     def test_loss_decreases_and_log_is_complete(self):
