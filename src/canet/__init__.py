@@ -2,9 +2,9 @@
 temporal attention and adaptive global-local sensor graphs."""
 
 from canet.tensor import (Tensor, ShapeError, DegenerateMaskError, backward,
-                          concat, layer_norm, leaky_relu, matmul, relu,
-                          row_normalize, softmax, sqrt)
-from canet.optim import Adam, finite_difference_gradient
+                          concat, layer_norm, leaky_relu, matmul, no_grad,
+                          relu, row_normalize, softmax, sqrt)
+from canet.optim import Adam
 from canet.attention import (AttentionParams, PositionalTable, causal_mask,
                              multi_head_attention, scaled_dot_attention)
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,

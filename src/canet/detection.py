@@ -15,7 +15,7 @@ import numpy as np
 
 from canet.data import WindowedDataset
 from canet.model import CanModel, ConfigError, can_forward
-from canet.tensor import Tensor
+from canet.tensor import Tensor, no_grad
 
 IQR_FLOOR = 1e-6
 REC_FUSE_WEIGHT = 0.1
@@ -137,7 +137,8 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
     point-adjusted F1; ties resolve toward the higher threshold.
 
     Candidates are the midpoints between consecutive distinct score values
-    plus a sentinel below the minimum (predict everything).  Under point
+    plus a sentinel below the minimum (predict everything), at any
+    magnitude: no midpoint overflows.  Under point
     adjustment a true segment is detected exactly when its maximum score is
     above the threshold, so every candidate's counts come from binary
     searches over the sorted segment maxima and the sorted normal-point
@@ -154,7 +155,13 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
         raise ValueError("threshold search needs at least one true anomaly")
 
     distinct = np.unique(values)
-    candidates = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0])
+    below = distinct[0] - 1.0
+    with np.errstate(over="ignore"):
+        if not below < distinct[0]:     # |minimum| >= 2**53 drops the 1.0
+            below = np.nextafter(distinct[0], -np.inf)     # -inf below -float max
+        sums = distinct[:-1] + distinct[1:]
+    halves = np.where(np.isfinite(sums), sums / 2.0, distinct[:-1] / 2.0 + distinct[1:] / 2.0)
+    candidates = np.concatenate([[below], halves])
 
     edges = np.flatnonzero(np.diff(truth.astype(np.int8), prepend=0, append=0))
     starts, ends = edges[0::2], edges[1::2]
@@ -191,7 +198,8 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
     reconstruction of the window's last history column.  The reconstruction
-    decoder runs only when requested.  Batches run on
+    decoder runs only when requested.  Batches run without an autodiff
+    tape, so memory grows with ``batch_size``, not with the series, on
     ``CAN_THREADS`` threads (default 1); they are independent, so the
     thread count never changes the numbers.
     """
@@ -214,7 +222,8 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     def run(span):
         start, end = span
         hist, _ = dataset.batch(range(start, end))
-        out = can_forward(Tensor(hist), model, reconstruct=with_reconstruction)
+        with no_grad():     # per thread: the tape state is thread-local
+            out = can_forward(Tensor(hist), model, reconstruct=with_reconstruction)
         predictions[:, start:end] = out.y_pred.data.T
         if rec_last is not None:
             rec_last[:, start:end] = out.y_rec.data[:, :, -1].T

@@ -1,6 +1,6 @@
-"""Adam optimizer and the finite-difference gradient oracle."""
+"""Adam optimizer."""
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -45,30 +45,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-
-def finite_difference_gradient(f: Callable[[Tensor], object], x: Tensor,
-                               step: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar ``f`` at ``x``, one coordinate
-    at a time.
-
-    ``x.data`` is perturbed in place and restored; run it on float64 tensors,
-    32-bit differencing is too noisy to act as an oracle.
-    """
-    data = x.data
-    out = np.zeros(data.shape, dtype=np.float64)
-    for idx in np.ndindex(data.shape):
-        original = data[idx]
-        data[idx] = original + step
-        upper = _scalar(f(x))
-        data[idx] = original - step
-        lower = _scalar(f(x))
-        data[idx] = original
-        out[idx] = (upper - lower) / (2.0 * step)
-    return Tensor(out)
-
-
-def _scalar(value) -> float:
-    if isinstance(value, Tensor):
-        return value.item()
-    return float(value)

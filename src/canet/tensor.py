@@ -6,6 +6,8 @@ gradient checks use.  Every differentiable operation is a ``Function`` node
 recording its inputs; :func:`backward` walks the recorded graph in reverse
 topological order and accumulates gradients into every ``requires_grad``
 tensor.  Gradients accumulate across calls until the caller clears them.
+Inside a :class:`no_grad` block ops record nothing, so a forward-only pass
+keeps no intermediate arrays alive.
 
 Tensors are value-like: no op mutates its operands, and one forward/backward
 pass belongs to a single thread.
@@ -13,6 +15,7 @@ pass belongs to a single thread.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,6 +112,31 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
+class _TapeState(threading.local):
+    paused = 0          # open no_grad blocks on this thread
+
+
+_TAPE = _TapeState()
+
+
+class no_grad:
+    """Context in which ops record no autodiff tape.
+
+    Every op still computes its value, but returns a tensor with no
+    creator and ``requires_grad`` False, so the op and the arrays it saved
+    die with the call.  Blocks nest, an exception leaves the previous state
+    restored, and the state is per thread: a block opened on one thread
+    does not pause recording on another.
+    """
+
+    def __enter__(self):
+        _TAPE.paused += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        _TAPE.paused -= 1
+
+
 class Function:
     """One differentiable operation; remembers what backward needs."""
 
@@ -126,6 +154,8 @@ class Function:
         tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
         op = cls(*tensors)
         out = op.forward(*(t.data for t in tensors), **kwargs)
+        if _TAPE.paused:
+            return Tensor(out)
         requires = any(t.requires_grad for t in tensors)
         return Tensor(out, requires_grad=requires, creator=op if requires else None)
 
@@ -328,7 +358,12 @@ class Softmax(Function):
     def forward(self, a, axis=-1, mask=None):
         self.axis = axis
         if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+            # check the mask at its own size; np.where broadcasts it
+            given = np.asarray(mask, dtype=bool)
+            mask = given.reshape((1,) * (a.ndim - given.ndim) + given.shape)
+            if mask.ndim != a.ndim or any(m not in (1, n) for m, n in zip(mask.shape, a.shape)):
+                raise ShapeError(f"mask of shape {given.shape} does not broadcast to "
+                                 f"scores of shape {a.shape}")
             if np.all(mask, axis=axis).any():
                 raise DegenerateMaskError("softmax slice is fully masked")
             a = np.where(mask, -np.inf, a)

@@ -4,7 +4,8 @@ Each mini-batch runs the full forward pass, combines the two RMSE losses by
 the scheduled weights, and takes one Adam step.  The learning rate decays
 per epoch; training stops when the validation loss has not improved for
 ``patience`` consecutive epochs, and the best-validation parameters are
-restored before returning.
+restored before returning.  The validation loss runs without an autodiff
+tape, one batch of windows at a time.
 """
 
 from dataclasses import dataclass, field, fields
@@ -16,7 +17,7 @@ from canet.data import WindowedDataset
 from canet.model import (_NON_NEGATIVE, _POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig,
                          ModelKnobs, _knob, _one_of, can_forward)
 from canet.optim import Adam
-from canet.tensor import Tensor, backward, sqrt
+from canet.tensor import Tensor, backward, no_grad, sqrt
 
 
 class DivergenceError(RuntimeError):
@@ -99,18 +100,19 @@ def _coerce(raw, annotation, key):
     return text
 
 
+def _window_rmse(estimate: Tensor, actual: Tensor, axis) -> Tensor:
+    diff = estimate - actual
+    return sqrt((diff * diff).mean(axis=axis))
+
+
 def prediction_loss(y_pred: Tensor, target: Tensor) -> Tensor:
     """RMSE over sensors; extra leading axes average their per-window RMSEs."""
-    diff = y_pred - target
-    per_window = sqrt((diff * diff).mean(axis=-1))
-    return per_window.mean()
+    return _window_rmse(y_pred, target, -1).mean()
 
 
 def reconstruction_loss(y_rec: Tensor, history: Tensor) -> Tensor:
     """RMSE over all sensor/timestamp cells of the window."""
-    diff = y_rec - history
-    per_window = sqrt((diff * diff).mean(axis=(-2, -1)))
-    return per_window.mean()
+    return _window_rmse(y_rec, history, (-2, -1)).mean()
 
 
 def joint_loss(l_pre: Tensor, l_rec: Tensor, phi: float, psi: float) -> Tensor:
@@ -191,7 +193,7 @@ def train(dataset: WindowedDataset, cfg: TrainConfig) -> Tuple[CanModel, TrainLo
             total += value * len(batch)
         train_loss = total / n_train
 
-        val_loss = _batch_loss(model, dataset, val_indices, phi, psi).item()
+        val_loss = _validation_loss(model, dataset, val_indices, phi, psi, cfg.batch_size)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
 
@@ -223,3 +225,25 @@ def _batch_loss(model: CanModel, dataset: WindowedDataset, indices,
         return l_pre
     l_rec = reconstruction_loss(out.y_rec, Tensor(hist))
     return joint_loss(l_pre, l_rec, phi, psi)
+
+
+def _validation_loss(model: CanModel, dataset: WindowedDataset, indices,
+                     phi: float, psi: float, chunk: int) -> float:
+    """``_batch_loss(...).item()`` over ``indices``, computed tape-free in
+    chunks of ``chunk`` windows.
+
+    Each mean is taken once over the per-window RMSEs of every chunk, so
+    the value is bit-identical to one pass over all windows.
+    """
+    pre, rec = [], []
+    with no_grad():
+        for start in range(0, len(indices), chunk):
+            hist, targets = dataset.batch(indices[start:start + chunk])
+            out = can_forward(Tensor(hist), model)
+            pre.append(_window_rmse(out.y_pred, Tensor(targets), -1).data)
+            if out.y_rec is not None:
+                rec.append(_window_rmse(out.y_rec, Tensor(hist), (-2, -1)).data)
+    l_pre = Tensor(np.concatenate(pre)).mean()
+    if not rec:
+        return l_pre.item()
+    return joint_loss(l_pre, Tensor(np.concatenate(rec)).mean(), phi, psi).item()

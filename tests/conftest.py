@@ -3,10 +3,36 @@ import json
 import numpy as np
 import pytest
 
+import canet.tensor
 from canet import Tensor, backward
-from canet.optim import finite_difference_gradient
 
 GRAD_RTOL = 1e-4
+
+
+def finite_difference_gradient(f, x: Tensor, step: float = 1e-5) -> Tensor:
+    """Central-difference gradient of scalar ``f`` at ``x``, one coordinate
+    at a time.
+
+    ``x.data`` is perturbed in place and restored; run it on float64 tensors,
+    32-bit differencing is too noisy to act as an oracle.
+    """
+    data = x.data
+    out = np.zeros(data.shape, dtype=np.float64)
+    for idx in np.ndindex(data.shape):
+        original = data[idx]
+        data[idx] = original + step
+        upper = _scalar(f(x))
+        data[idx] = original - step
+        lower = _scalar(f(x))
+        data[idx] = original
+        out[idx] = (upper - lower) / (2.0 * step)
+    return Tensor(out)
+
+
+def _scalar(value) -> float:
+    if isinstance(value, Tensor):
+        return value.item()
+    return float(value)
 
 
 def max_rel_err(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-6) -> float:
@@ -64,3 +90,18 @@ def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def recorded_creators(monkeypatch):
+    """One entry per op call from here on: whether the op recorded a creator."""
+    apply = canet.tensor.Function.apply.__func__
+    recorded = []
+
+    def counted(cls, *args, **kwargs):
+        out = apply(cls, *args, **kwargs)
+        recorded.append(out.creator is not None)
+        return out
+
+    monkeypatch.setattr(canet.tensor.Function, "apply", classmethod(counted))
+    return recorded

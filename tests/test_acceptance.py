@@ -22,11 +22,10 @@ from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv,
                          init_sensor_embedding, local_adjacency, topk_mask)
 from canet.model import CanModel, ModelConfig, can_forward, decoder_forward, encoder_forward
-from canet.optim import finite_difference_gradient
 from canet.synth import place_segments, synth_generate
 from canet.train import (TrainConfig, joint_loss, prediction_loss,
                          reconstruction_loss, train)
-from conftest import max_rel_err
+from conftest import finite_difference_gradient, max_rel_err
 from test_detection import brute_force_best_f1, brute_force_point_adjust
 
 DESK_TRAIN_FLAGS = [

@@ -9,7 +9,9 @@ from canet.detection import (anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
                              prediction_errors, predict_series,
                              threshold_grid_search)
-from canet.model import CanModel, ModelConfig
+from canet.model import CanModel, ModelConfig, can_forward
+from canet.tensor import Tensor, backward
+from canet.train import _batch_loss
 
 
 def brute_force_point_adjust(pred, truth):
@@ -49,8 +51,11 @@ def loop_threshold_search(scores, truth):
     values = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
     distinct = np.unique(values)
-    candidates = [distinct[0] - 1.0]
-    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
+    below = distinct[0] - 1.0
+    with np.errstate(over="ignore"):
+        candidates = [below if below < distinct[0] else np.nextafter(distinct[0], -np.inf)]
+        for a, b in zip(distinct[:-1], distinct[1:]):
+            candidates.append((a + b) / 2.0 if np.isfinite(a + b) else a / 2.0 + b / 2.0)
     best = None
     best_threshold = None
     for theta in candidates:
@@ -279,6 +284,7 @@ class TestThresholdSearch:
         assert rep.f1 == 1.0
         np.testing.assert_allclose(theta, 0.5)      # highest candidate with F1=1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(scores_and_truth())
     @settings(max_examples=300, deadline=None)
     def test_sweep_equals_loop_oracle(self, case):
@@ -292,6 +298,39 @@ class TestThresholdSearch:
         np.testing.assert_array_equal(rep.raw_pred, expected.raw_pred)
         assert rep.adjusted_pred.dtype == expected.adjusted_pred.dtype
         np.testing.assert_array_equal(rep.adjusted_pred, expected.adjusted_pred)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scores", [[1e17, 2e17], [-2e17, -1e17], [1.0, 2.0],
+                                        [-np.finfo(np.float64).max, 0.0]])
+    def test_sentinel_predicts_everything_at_any_magnitude(self, scores):
+        # anomaly at the minimum: only the sentinel below it detects it
+        theta, rep = threshold_grid_search(np.array(scores), np.array([1, 0]))
+        assert theta < scores[0]
+        assert rep.f1 == pytest.approx(2 / 3)
+        assert rep.raw_pred.tolist() == [1, 1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_midpoints_near_float_max_stay_finite(self):
+        scores = np.array([1.7e308, 1.79e308])
+        theta, rep = threshold_grid_search(scores, np.array([0, 1]))
+        assert theta == 1.7e308 / 2 + 1.79e308 / 2
+        assert 1.7e308 < theta < 1.79e308
+        assert rep.f1 == 1.0
+        theta, rep = threshold_grid_search(-scores, np.array([1, 0]))
+        assert -1.79e308 < theta < -1.7e308
+        assert rep.f1 == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ordinary_candidates_keep_their_bytes(self, rng):
+        # the parent definition, for scores far from 2**53 and the float max
+        for _ in range(20):
+            scores = rng.standard_normal(50) * 10.0 ** rng.integers(-5, 6)
+            truth = (rng.random(50) < 0.2).astype(int)
+            truth[0] = 1
+            distinct = np.unique(scores)
+            old = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0])
+            theta, _ = threshold_grid_search(scores, truth)
+            assert theta.tobytes() in {c.tobytes() for c in old}
 
     def test_point_adjust_runs_once_at_scale(self, rng, monkeypatch):
         # a per-candidate loop would call it once per distinct score
@@ -434,6 +473,25 @@ class TestEvaluate:
         full, rec = predict_series(model, dataset, batch_size=16, with_reconstruction=True)
         assert no_rec is None and rec is not None
         assert plain.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_predict_series_records_no_tape(self, monkeypatch, recorded_creators, threads):
+        model, dataset, _ = self.tiny_setup(seed=6)
+        can_forward(Tensor(dataset.batch(range(4))[0]), model)
+        assert any(recorded_creators)           # the counter sees a taped pass
+        recorded_creators.clear()
+        monkeypatch.setenv("CAN_THREADS", threads)
+        predict_series(model, dataset, batch_size=10, with_reconstruction=True)
+        assert recorded_creators and not any(recorded_creators)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_training_after_evaluate_gets_gradients(self, monkeypatch, threads):
+        model, dataset, labels = self.tiny_setup(seed=7)
+        monkeypatch.setenv("CAN_THREADS", threads)
+        evaluate(model, dataset, labels, batch_size=10, can_plus=True)
+        backward(_batch_loss(model, dataset, np.arange(8), 0.5, 0.5))
+        for name, p in model.named_parameters():
+            assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
     def test_predict_series_columns_align_with_targets(self):
         model, dataset, _ = self.tiny_setup(seed=5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from canet import ShapeError, Tensor
-from canet.optim import Adam, finite_difference_gradient
+from canet.optim import Adam
+from conftest import finite_difference_gradient
 
 
 class TestAdam:

@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from canet import (DegenerateMaskError, ShapeError, Tensor, backward, concat,
-                   layer_norm, leaky_relu, matmul, relu, row_normalize,
+                   layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
                    softmax, sqrt)
 from conftest import assert_grads_match, param64
 
@@ -66,6 +67,70 @@ class TestSoftmax:
         out = softmax(Tensor(values), mask=mask).data
         assert (out[mask] == 0.0).all()
         assert abs(out.sum() - 1.0) < 1e-6
+
+
+    def test_lower_rank_mask_matches_full_mask(self, rng):
+        scores = rng.standard_normal((3, 5, 2, 4, 4)).astype(np.float32)
+        causal = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        sparse = rng.random((5, 1, 1, 4)) < 0.5
+        sparse[..., 0] = False
+        for mask in (causal, causal[None, None], causal[0], sparse):
+            full = np.broadcast_to(mask, scores.shape).copy()
+            small = softmax(Tensor(scores), mask=mask).data
+            assert small.tobytes() == softmax(Tensor(scores), mask=full).data.tobytes()
+
+    def test_lower_rank_fully_masked_slice_raises(self):
+        with pytest.raises(DegenerateMaskError):
+            softmax(Tensor(np.zeros((3, 2, 2))), mask=np.array([[False, True], [True, True]]))
+
+    @pytest.mark.parametrize("scores_shape, mask_shape", [
+        ((2, 4), (3,)),            # last axis differs
+        ((1, 4), (2, 4)),          # mask would grow the scores
+        ((4,), (1, 4)),            # more axes than the scores
+    ])
+    def test_non_broadcastable_mask_rejected(self, scores_shape, mask_shape):
+        with pytest.raises(ValueError, match="does not broadcast"):
+            softmax(Tensor(np.zeros(scores_shape)), mask=np.zeros(mask_shape, dtype=bool))
+
+
+class TestNoGrad:
+    @staticmethod
+    def taped(x):
+        return (relu(x) * x).sum()
+
+    def test_records_nothing_and_keeps_values(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        with no_grad():
+            out = self.taped(x)
+        assert out.creator is None and not out.requires_grad
+        assert out.data.tobytes() == self.taped(x).data.tobytes()
+
+    def test_nesting_restores_recording(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert (x * x).creator is None
+            assert (x * x).creator is None
+        assert (x * x).creator is not None
+
+    def test_exception_restores_recording(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        out = (x * x).sum()
+        backward(out)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_state_is_per_thread(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        seen = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append((x * x).creator))
+            worker.start()
+            worker.join()
+            assert (x * x).creator is None
+        assert seen[0] is not None
 
 
 class TestLayerNorm:

@@ -1,12 +1,16 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
 from canet import Tensor
 from canet.data import make_windows, minmax_apply, minmax_fit
 from canet.synth import synth_generate
+from canet.model import CanModel
 from canet.train import (ConfigError, DivergenceError, EarlyStopper,
-                         TrainConfig, joint_loss, prediction_loss,
-                         reconstruction_loss, train)
+                         TrainConfig, _batch_loss, _validation_loss, joint_loss,
+                         prediction_loss, reconstruction_loss, train)
 
 
 def tiny_dataset(n_sensors=3, length=120, seed=0, window=4):
@@ -145,7 +149,6 @@ class TestTrainLoop:
     def test_returns_best_validation_parameters(self):
         dataset = tiny_dataset()
         model, log = train(dataset, tiny_config(max_epochs=5))
-        from canet.train import _batch_loss
         n_val = max(1, int(round(0.1 * len(dataset))))
         val_idx = np.arange(len(dataset) - n_val, len(dataset))
         phi, psi = tiny_config().loss_weights(log.best_epoch)
@@ -210,3 +213,42 @@ class TestTrainLoop:
         assert log.stopped_early
         assert len(log.epochs) == 3
         assert log.best_epoch == 1
+
+
+class TestValidation:
+    def test_runs_in_batch_size_chunks(self, monkeypatch):
+        dataset = tiny_dataset()                    # 116 windows
+        cfg = tiny_config(max_epochs=1, val_fraction=0.3, batch_size=16)
+        n_val = round(0.3 * len(dataset))
+        n_train = len(dataset) - n_val
+        sizes = []
+        module = importlib.import_module("canet.train")    # canet.train is the function
+        forward = module.can_forward
+
+        def counted(x, model, **kwargs):
+            sizes.append(x.shape[0])
+            return forward(x, model, **kwargs)
+
+        monkeypatch.setattr(module, "can_forward", counted)
+        train(dataset, cfg)
+        n_steps = math.ceil(n_train / cfg.batch_size)
+        assert len(sizes) == n_steps + math.ceil(n_val / cfg.batch_size)
+        assert sizes[n_steps:] == [16, 16, 3]       # 35 validation windows
+
+    @pytest.mark.parametrize("ablation", ["none", "no-rec-decoder"])
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 35, 64])
+    def test_chunked_loss_equals_one_taped_batch(self, ablation, chunk):
+        dataset = tiny_dataset()
+        cfg = tiny_config(ablation=ablation)
+        model = CanModel(cfg.model_config(dataset.n_sensors), seed=3)
+        val = np.arange(len(dataset) - 35, len(dataset))
+        expected = _batch_loss(model, dataset, val, 0.2, 0.8).item()
+        assert _validation_loss(model, dataset, val, 0.2, 0.8, chunk) == expected
+
+    def test_records_no_tape(self, recorded_creators):
+        dataset = tiny_dataset()
+        cfg = tiny_config()
+        model = CanModel(cfg.model_config(dataset.n_sensors), seed=3)
+        val = np.arange(len(dataset) - 35, len(dataset))
+        _validation_loss(model, dataset, val, 0.2, 0.8, 16)
+        assert recorded_creators and not any(recorded_creators)
