@@ -166,10 +166,9 @@ def _load_windows(path, window: int, downsample: int, stats: "NormStats | None" 
 
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
+    dataset, stats = _load_windows(args.data, cfg.window, cfg.downsample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    dataset, stats = _load_windows(args.data, cfg.window, cfg.downsample)
     resolved = cfg.to_dict()
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
     (out / "config.txt").write_text(

@@ -40,7 +40,7 @@ class NormStats:
 def load_csv(path) -> RawSeries:
     """Read a series from CSV: header row of sensor names, one data row per
     timestamp.  Columns named ``timestamp`` and ``label`` are split out;
-    sensor column order is preserved."""
+    sensor column order is preserved.  Every header name must be distinct."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -50,6 +50,9 @@ def load_csv(path) -> RawSeries:
     if not rows or not rows[0]:
         raise DataError(f"{path} is empty")
     header = rows[0]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     data_rows = rows[1:]
     if not data_rows:
         raise DataError(f"{path} has a header but no data rows")

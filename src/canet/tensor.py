@@ -224,9 +224,15 @@ class MatMul(Function):
             raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} @ {b.shape}") from exc
 
     def backward(self, grad):
-        ga = grad @ np.swapaxes(self.b, -1, -2)
-        gb = np.swapaxes(self.a, -1, -2) @ grad
-        return _unbroadcast(ga, self.a.shape), _unbroadcast(gb, self.b.shape)
+        a, b = self.a, self.b
+        if b.ndim == 2:
+            # a weight: fold every leading axis into one GEMM per gradient
+            k, n = b.shape
+            flat = grad.reshape(-1, n)
+            return (flat @ b.T).reshape(a.shape), a.reshape(-1, k).T @ flat
+        ga = grad @ np.swapaxes(b, -1, -2)
+        gb = np.swapaxes(a, -1, -2) @ grad
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
 class Transpose(Function):
@@ -367,15 +373,53 @@ class Softmax(Function):
             if np.all(mask, axis=axis).any():
                 raise DegenerateMaskError("softmax slice is fully masked")
             a = np.where(mask, -np.inf, a)
-        out = a - np.max(a, axis=axis, keepdims=True)
+        out = a - _reduce_keepdims(np.maximum, a, axis)
         np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
+        out /= _reduce_keepdims(np.add, out, axis)
         self.out = out
         return out
 
     def backward(self, grad):
-        inner = np.sum(grad * self.out, axis=self.axis, keepdims=True)
+        inner = _reduce_keepdims(np.add, grad * self.out, self.axis)
         return ((grad - inner) * self.out,)
+
+
+def _reduce_keepdims(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
+    """``ufunc.reduce`` over ``axis``, kept as a length-1 axis.
+
+    The axis is first moved to the front of a contiguous copy, so the
+    reduction runs as whole-array elementwise passes, one per position,
+    rather than as many short strided reductions; numpy is slow at the
+    latter on the short axes attention uses.  The sum accumulates
+    sequentially, the order numpy's own sum uses on axes shorter than 8.
+    """
+    return np.expand_dims(ufunc.reduce(np.moveaxis(a, axis, 0).copy(), axis=0), axis)
+
+
+class LayerNorm(Function):
+    """Layer normalization over the last axis (Ba et al., 2016), one node.
+
+    The backward is the closed form: with ``g = grad * gain`` and the
+    normalized input ``x̂``, the input gradient is
+    ``inv * (g - mean(g) - x̂ * mean(g * x̂))``.
+    """
+
+    def forward(self, x, gain, bias, eps):
+        # the composed ops' arithmetic in their order, so outputs keep their bytes
+        centered = x - x.mean(axis=-1, keepdims=True)
+        self.inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+        self.normed = centered * self.inv
+        self.shapes = (x.shape, gain.shape, bias.shape)
+        self.gain = gain
+        return self.normed * gain + bias
+
+    def backward(self, grad):
+        sx, sg, sb = self.shapes
+        g = grad * self.gain
+        gx = self.inv * (g - g.mean(axis=-1, keepdims=True)
+                         - self.normed * (g * self.normed).mean(axis=-1, keepdims=True))
+        return (_unbroadcast(gx, sx), _unbroadcast(grad * self.normed, sg),
+                _unbroadcast(grad, sb))
 
 
 class RowNormalize(Function):
@@ -423,11 +467,7 @@ def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = Pow.apply(var + eps, exponent=-0.5)
-    return centered * inv * gain + bias
+    return LayerNorm.apply(x, gain, bias, eps=eps)
 
 
 def row_normalize(x: Tensor) -> Tensor:

@@ -148,6 +148,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "row 10" in err and repr(lines[0].split(",")[2]) in err
 
+    def test_repeated_sensor_name_exits_3(self, tmp_path, capsys):
+        run(*synth_args(tmp_path))
+        text = (tmp_path / "train.csv").read_text()
+        (tmp_path / "train.csv").write_text(text.replace("sensor_1", "sensor_0", 1))
+        out = tmp_path / "o"
+        code = run(*train_args(tmp_path / "train.csv", out))
+        assert code == 3
+        assert "'sensor_0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_downsample_applies_to_train_and_evaluate(self, tmp_path):
         run(*synth_args(tmp_path, length=600, spikes=2))
         out = tmp_path / "run-ds"
@@ -209,6 +219,16 @@ class TestEvaluateCommand:
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "e"))
         assert code == 3
         assert "sensors" in capsys.readouterr().err
+
+    def test_repeated_sensor_name_exits_3(self, trained, capsys):
+        base, ckpt = trained
+        repeated = base / "repeated.csv"
+        repeated.write_text((base / "test.csv").read_text().replace("sensor_1", "sensor_0", 1))
+        code = run("evaluate", "--data", str(repeated), "--checkpoint", str(ckpt),
+                   "--out", str(base / "e"))
+        assert code == 3
+        assert "'sensor_0'" in capsys.readouterr().err
+        assert not (base / "e").exists()
 
     def test_unlabeled_data_exits_3(self, trained):
         base, ckpt = trained

@@ -43,6 +43,14 @@ class TestLoadCsv:
             load_csv(path)
         assert "row 2" in str(err.value) and "LIT301" in str(err.value)
 
+    @pytest.mark.parametrize("header", ["a,b,a", "a,label,label", "timestamp,a,timestamp"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        repeated = header.split(",")[-1]
+        path = write_text(tmp_path / "d.csv", f"{header}\n1,0,1\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert repr(repeated) in str(err.value)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,b\n1,2\n3\n")
         with pytest.raises(DataError):

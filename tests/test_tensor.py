@@ -8,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 from canet import (DegenerateMaskError, ShapeError, Tensor, backward, concat,
                    layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
                    softmax, sqrt)
+from canet.tensor import Pow, _reduce_keepdims
 from conftest import assert_grads_match, param64
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm as nine primitive ops: the oracle for the fused node."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = Pow.apply(var + eps, exponent=-0.5)
+    return centered * inv * gain + bias
 
 
 class TestMatmul:
@@ -93,6 +103,32 @@ class TestSoftmax:
             softmax(Tensor(np.zeros(scores_shape)), mask=np.zeros(mask_shape, dtype=bool))
 
 
+class TestLeadingAxisReduce:
+    """``_reduce_keepdims`` against numpy's max and a sequential sum."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_max_equals_numpy(self, rng, axis):
+        a = rng.standard_normal((3, 4, 11, 6)).astype(np.float32)
+        np.testing.assert_array_equal(_reduce_keepdims(np.maximum, a, axis),
+                                      np.max(a, axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_sum_equals_sequential_loop(self, rng, axis):
+        # the last axis is long enough for numpy's own sum to go pairwise
+        a = rng.standard_normal((3, 4, 6, 11)).astype(np.float32)
+        acc = np.take(a, 0, axis=axis)
+        for i in range(1, a.shape[axis]):
+            acc = acc + np.take(a, i, axis=axis)
+        np.testing.assert_array_equal(_reduce_keepdims(np.add, a, axis),
+                                      np.expand_dims(acc, axis))
+
+    def test_sum_equals_numpy_on_short_axes(self, rng):
+        a = rng.standard_normal((2, 5, 3, 7)).astype(np.float32)
+        for axis in range(a.ndim):
+            np.testing.assert_array_equal(_reduce_keepdims(np.add, a, axis),
+                                          np.sum(a, axis=axis, keepdims=True))
+
+
 class TestNoGrad:
     @staticmethod
     def taped(x):
@@ -153,6 +189,20 @@ class TestLayerNorm:
         out = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_to_composition(self, rng, dtype):
+        x = Tensor((rng.standard_normal((3, 5, 6, 32)) * 2 + 0.5).astype(dtype))
+        gain = Tensor(rng.standard_normal(32).astype(dtype))
+        bias = Tensor(rng.standard_normal(32).astype(dtype))
+        fused = layer_norm(x, gain, bias).data
+        assert fused.dtype == dtype
+        assert fused.tobytes() == composed_layer_norm(x, gain, bias).data.tobytes()
+
+    def test_records_one_op(self, rng, recorded_creators):
+        x, gain, bias = (param64(rng, s) for s in [(2, 3, 4), (4,), (4,)])
+        layer_norm(x, gain, bias)
+        assert recorded_creators == [True]
 
 
 class TestActivations:
@@ -228,6 +278,20 @@ class TestPrimitiveGradients:
         b = param64(rng, (4, 5))
         assert_grads_match(lambda: matmul(a, b).sum(), [a, b])
 
+    def test_matmul_two_dimensional(self, rng):
+        a = param64(rng, (3, 4))
+        w = param64(rng, (4, 5))
+        weights = Tensor(rng.standard_normal((3, 5)))
+        assert_grads_match(lambda: (matmul(a, w) * weights).sum(), [a, w])
+
+    def test_matmul_weight_with_strided_upstream_gradient(self, rng):
+        # the transpose hands MatMul.backward a non-contiguous gradient
+        a = param64(rng, (2, 3, 4, 5))
+        w = param64(rng, (5, 6))
+        weights = Tensor(rng.standard_normal((2, 4, 3, 6)))
+        assert_grads_match(
+            lambda: (matmul(a, w).transpose((0, 2, 1, 3)) * weights).sum(), [a, w])
+
     def test_transpose_reshape_slice(self, rng):
         a = param64(rng, (3, 4, 5))
 
@@ -263,6 +327,19 @@ class TestPrimitiveGradients:
         weights = rng.standard_normal((3, 5))
         assert_grads_match(lambda: (softmax(a, axis=-1, mask=mask) * Tensor(weights)).sum(), [a])
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_softmax_leading_axis_gradient(self, rng, axis):
+        a = param64(rng, (4, 3, 5))
+        weights = Tensor(rng.standard_normal((4, 3, 5)))
+        assert_grads_match(lambda: (softmax(a, axis=axis) * weights).sum(), [a])
+
+    def test_softmax_causal_attention_gradient(self, rng):
+        scores = param64(rng, (2, 3, 2, 4, 4))
+        causal = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        weights = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
+        assert_grads_match(
+            lambda: (softmax(scores, axis=-1, mask=causal) * weights).sum(), [scores])
+
     def test_row_normalize_gradient(self, rng):
         a = Tensor(rng.uniform(0.1, 2.0, (4, 4)), requires_grad=True)
         weights = rng.standard_normal((4, 4))
@@ -274,6 +351,14 @@ class TestPrimitiveGradients:
         bias = Tensor(rng.standard_normal(6), requires_grad=True)
         weights = rng.standard_normal((2, 6))
         assert_grads_match(lambda: (layer_norm(x, gain, bias) * Tensor(weights)).sum(),
+                           [x, gain, bias])
+
+    def test_layer_norm_gradient_four_dimensional(self, rng):
+        x = param64(rng, (2, 3, 4, 6))
+        gain = param64(rng, (6,))
+        bias = param64(rng, (6,))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
+        assert_grads_match(lambda: (layer_norm(x, gain, bias) * weights).sum(),
                            [x, gain, bias])
 
     def test_leaky_relu_gradient(self, rng):
