@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from canet.initializers import glorot_uniform
-from canet.tensor import ShapeError, Tensor, matmul, softmax
+from canet.tensor import Attention, ShapeError, Tensor, matmul
 
 
 @dataclass
@@ -56,14 +56,10 @@ def causal_mask(length: int) -> np.ndarray:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis."""
+    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis, as one autodiff op."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    # scaling q rather than the (seq, seq) scores keeps the big temporaries to one
-    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
-    mask = causal_mask(scores.shape[-1]) if causal else None
-    weights = softmax(scores, axis=-1, mask=mask)
-    return matmul(weights, v)
+    return Attention.apply(q, k, v, mask=causal_mask(k.shape[-2]) if causal else None)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False) -> Tensor:

@@ -205,11 +205,13 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    raw = os.environ.get("CAN_THREADS", "1")
     try:
-        threads = max(1, int(os.environ.get("CAN_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        raise ConfigError(f"CAN_THREADS must be an integer, "
-                          f"got {os.environ['CAN_THREADS']!r}") from None
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"CAN_THREADS must be an integer >= 1, got {raw!r}")
     n_windows = len(dataset)
     n = dataset.n_sensors
     predictions = np.empty((n, n_windows), dtype=np.float64)

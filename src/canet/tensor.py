@@ -364,15 +364,7 @@ class Softmax(Function):
     def forward(self, a, axis=-1, mask=None):
         self.axis = axis
         if mask is not None:
-            # check the mask at its own size; np.where broadcasts it
-            given = np.asarray(mask, dtype=bool)
-            mask = given.reshape((1,) * (a.ndim - given.ndim) + given.shape)
-            if mask.ndim != a.ndim or any(m not in (1, n) for m, n in zip(mask.shape, a.shape)):
-                raise ShapeError(f"mask of shape {given.shape} does not broadcast to "
-                                 f"scores of shape {a.shape}")
-            if np.all(mask, axis=axis).any():
-                raise DegenerateMaskError("softmax slice is fully masked")
-            a = np.where(mask, -np.inf, a)
+            a = np.where(_checked_mask(mask, a.shape, axis), -np.inf, a)
         out = a - _reduce_keepdims(np.maximum, a, axis)
         np.exp(out, out=out)
         out /= _reduce_keepdims(np.add, out, axis)
@@ -382,6 +374,70 @@ class Softmax(Function):
     def backward(self, grad):
         inner = _reduce_keepdims(np.add, grad * self.out, self.axis)
         return ((grad - inner) * self.out,)
+
+
+class Attention(Function):
+    """Scaled dot-product attention ``softmax(q kᵀ s) v`` with
+    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) as one node; key positions
+    where ``mask`` is True are excluded.
+
+    The forward keeps the arithmetic and order of the composed ops (scale
+    q, multiply by kᵀ, masked softmax, multiply by v), so outputs keep
+    their bytes.  Only the probabilities ``p`` and the operands are saved.
+    The backward is the closed form: with the upstream gradient ``g``,
+    ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
+    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``.
+    """
+
+    def forward(self, q, k, v, mask=None):
+        if min(q.ndim, k.ndim, v.ndim) < 2:
+            raise ShapeError(f"attention needs rank >= 2 operands, got "
+                             f"q {q.shape}, k {k.shape}, v {v.shape}")
+        if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+            raise ShapeError(f"attention operands do not fit: q {q.shape}, k {k.shape}, v {v.shape}")
+        try:
+            np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        except ValueError as exc:
+            raise ShapeError(f"attention batch dimensions incompatible: "
+                             f"q {q.shape}, k {k.shape}, v {v.shape}") from exc
+        self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+        # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
+        # small matrices given as transposed strided views several times slower
+        scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
+        if mask is not None:
+            np.copyto(scores, -np.inf, where=_checked_mask(mask, scores.shape, -1))
+        scores -= _reduce_keepdims(np.maximum, scores, -1)
+        np.exp(scores, out=scores)
+        scores /= _reduce_keepdims(np.add, scores, -1)
+        self.q, self.k, self.v, self.p = q, k, v, scores
+        return scores @ v
+
+    def backward(self, grad):
+        q, k, v, p = self.q, self.k, self.v, self.p
+        ds = grad @ np.swapaxes(v, -1, -2).copy()
+        ds -= _reduce_keepdims(np.add, ds * p, -1)
+        ds *= p
+        gq = (ds @ k) * self.scale
+        gk = np.swapaxes(ds, -1, -2) @ (q * self.scale)
+        gv = np.swapaxes(p, -1, -2) @ grad
+        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
+
+
+def _checked_mask(mask, shape: tuple, axis: int) -> np.ndarray:
+    """``mask`` with as many axes as ``shape``, checked at its own size.
+
+    It must broadcast to ``shape`` (:class:`ShapeError` otherwise) and keep
+    at least one live position in every slice along ``axis``
+    (:class:`DegenerateMaskError` otherwise); callers let numpy broadcast it.
+    """
+    given = np.asarray(mask, dtype=bool)
+    mask = given.reshape((1,) * (len(shape) - given.ndim) + given.shape)
+    if mask.ndim != len(shape) or any(m not in (1, n) for m, n in zip(mask.shape, shape)):
+        raise ShapeError(f"mask of shape {given.shape} does not broadcast to "
+                         f"scores of shape {shape}")
+    if np.all(mask, axis=axis).any():
+        raise DegenerateMaskError("softmax slice is fully masked")
+    return mask
 
 
 def _reduce_keepdims(ufunc, a: np.ndarray, axis: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import canet.tensor
-from canet import ShapeError, Tensor
+from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, PositionalTable, causal_mask,
                              multi_head_attention, scaled_dot_attention, sinusoid_table)
 from conftest import assert_grads_match
@@ -86,6 +86,27 @@ class TestScaledDotAttention:
         with pytest.raises(ShapeError):
             scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
                                  Tensor(np.zeros((2, 4))))
+
+    def test_key_and_value_lengths_differ(self):
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))),
+                                 Tensor(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_batch_axes_do_not_broadcast(self, causal):
+        with pytest.raises(ShapeError):
+            scaled_dot_attention(*(Tensor(np.zeros((n, 4, 3))) for n in (2, 3, 2)),
+                                 causal=causal)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_records_one_op_and_none_without_tape(self, rng, recorded_creators, causal):
+        q, k, v = (Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True) for _ in range(3))
+        scaled_dot_attention(q, k, v, causal=causal)
+        assert recorded_creators == [True]
+        recorded_creators.clear()
+        with no_grad():
+            scaled_dot_attention(q, k, v, causal=causal)
+        assert recorded_creators == [False]
 
 
 class TestMultiHead:

@@ -335,6 +335,12 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(*checkpoint, "--batch-size", value) == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_thread_env_var_below_one_exits_2(self, checkpoint, monkeypatch, capsys, value):
+        monkeypatch.setenv("CAN_THREADS", value)
+        assert self.evaluate(*checkpoint) == 2
+        assert "CAN_THREADS" in capsys.readouterr().err
+
     def test_non_integer_thread_env_var_exits_2(self, checkpoint, monkeypatch, capsys):
         monkeypatch.setenv("CAN_THREADS", "abc")
         assert self.evaluate(*checkpoint) == 2

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from canet import (DegenerateMaskError, ShapeError, Tensor, backward, concat,
                    layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
                    softmax, sqrt)
-from canet.tensor import Pow, _reduce_keepdims
+from canet.attention import causal_mask
+from canet.tensor import Attention, Pow, _reduce_keepdims
 from conftest import assert_grads_match, param64
 
 
@@ -19,6 +20,13 @@ def composed_layer_norm(x, gain, bias, eps=1e-5):
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = Pow.apply(var + eps, exponent=-0.5)
     return centered * inv * gain + bias
+
+
+def composed_attention(q, k, v, mask=None):
+    """Attention as five primitive ops (scale q, transpose k, two matmuls and
+    a masked softmax): the oracle for the fused node."""
+    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
+    return matmul(softmax(scores, axis=-1, mask=mask), v)
 
 
 class TestMatmul:
@@ -203,6 +211,59 @@ class TestLayerNorm:
         x, gain, bias = (param64(rng, s) for s in [(2, 3, 4), (4,), (4,)])
         layer_norm(x, gain, bias)
         assert recorded_creators == [True]
+
+
+class TestAttention:
+    # no batch axes (2-D operands), and (batch, sensors, heads) as multi-head attention runs it
+    @pytest.mark.parametrize("batch", [(), (2, 3, 2)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, masked):
+        q, k = (param64(rng, (*batch, 4, 3)) for _ in range(2))
+        v = param64(rng, (*batch, 4, 2))
+        weights = Tensor(rng.standard_normal((*batch, 4, 2)))
+        mask = causal_mask(4) if masked else None
+        assert_grads_match(lambda: (Attention.apply(q, k, v, mask=mask) * weights).sum(),
+                           [q, k, v])
+
+    def test_gradients_of_broadcast_operands(self, rng):
+        q = param64(rng, (2, 1, 4, 3))
+        k = param64(rng, (4, 3))
+        v = param64(rng, (3, 4, 2))
+
+        def loss():
+            out = Attention.apply(q, k, v, mask=causal_mask(4))
+            return (out * out).sum()
+
+        assert_grads_match(loss, [q, k, v])
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_identical_to_composition(self, rng, d, masked):
+        # strided (batch, sensors, heads, seq, d) views, as the head split hands them over
+        split = rng.standard_normal((3, 4, 5, 6, 2, d)).astype(np.float32)
+        arrays = split.transpose(0, 1, 2, 4, 3, 5)
+        mask = causal_mask(6) if masked else None
+        upstream = Tensor(rng.standard_normal((4, 5, 6, 2, d)).astype(np.float32))
+        results = []
+        for attend in (Attention.apply, composed_attention):
+            operands = [Tensor(a, requires_grad=True) for a in arrays]
+            out = attend(*operands, mask=mask)
+            backward((out.transpose((0, 1, 3, 2, 4)) * upstream).sum())
+            results.append([out.data] + [t.grad for t in operands])
+        fused, composed = results
+        assert fused[0].dtype == np.float32
+        for a, b in zip(fused, composed):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fully_masked_row_raises(self):
+        mask = causal_mask(3)
+        mask[1] = True
+        with pytest.raises(DegenerateMaskError):
+            Attention.apply(*(Tensor(np.zeros((2, 3, 3))) for _ in range(3)), mask=mask)
+
+    def test_mask_not_broadcastable_rejected(self):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            Attention.apply(*(Tensor(np.zeros((2, 3, 3))) for _ in range(3)), mask=causal_mask(4))
 
 
 class TestActivations:
