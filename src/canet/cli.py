@@ -16,7 +16,7 @@ import numpy as np
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from canet.data import (DataError, downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
-from canet.detection import evaluate, write_scores_csv
+from canet.detection import evaluate, write_report_json, write_scores_csv
 from canet.graph import write_embeddings_csv
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
@@ -223,8 +223,7 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    write_report_json(out / "report.json", report)
     write_scores_csv(out / "scores.csv", report, dataset.labels)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f} "
           f"threshold={report.threshold:.6g}")

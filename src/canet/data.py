@@ -1,10 +1,12 @@
 """CSV ingestion, preprocessing, and sliding-window datasets."""
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DataError(ValueError):
@@ -37,68 +39,123 @@ class NormStats:
     maximum: np.ndarray
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def load_csv(path) -> RawSeries:
     """Read a series from CSV: header row of sensor names, one data row per
     timestamp.  Columns named ``timestamp`` and ``label`` are split out;
-    sensor column order is preserved.  Every header name must be distinct."""
+    sensor column order is preserved.  Every header name must be distinct.
+
+    The file is decoded as UTF-8, with or without a leading byte-order mark,
+    and parsed in blocks of ``CSV_BLOCK_ROWS`` rows, column by column, so
+    memory beyond the result is bounded by one block of cells.
+    """
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        rows = list(csv.reader(handle))
-    if not rows or not rows[0]:
-        raise DataError(f"{path} is empty")
-    header = rows[0]
-    repeated = [name for i, name in enumerate(header) if name in header[:i]]
-    if repeated:
-        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-    data_rows = rows[1:]
-    if not data_rows:
-        raise DataError(f"{path} has a header but no data rows")
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if not header:
+            raise DataError(f"{path} is empty")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+        block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
+        if not block:
+            raise DataError(f"{path} has a header but no data rows")
+        layout = _CsvLayout(path, header)
+        parts = []
+        first_bad = None        # (data row, sensor index, cell) of the first non-finite cell
+        start = 0
+        while block:
+            parts.append(layout.parse_block(block, start))
+            if first_bad is None:
+                bad = np.argwhere(~np.isfinite(parts[-1][0].T))
+                if len(bad):
+                    r, s = bad[0]
+                    first_bad = (start + r, s, block[r][layout.sensor_cols[s]])
+            start += len(block)
+            block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
 
-    ts_col = header.index("timestamp") if "timestamp" in header else None
-    label_col = header.index("label") if "label" in header else None
-    sensor_cols = [i for i in range(len(header)) if i not in (ts_col, label_col)]
-    if not sensor_cols:
-        raise DataError(f"{path} has no sensor columns")
-
-    length = len(data_rows)
-    values = np.empty((len(sensor_cols), length), dtype=np.float64)
-    timestamps = np.empty(length, dtype=np.float64) if ts_col is not None else None
-    labels = np.empty(length, dtype=np.int64) if label_col is not None else None
-
-    for r, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
-        for out_idx, c in enumerate(sensor_cols):
-            try:
-                values[out_idx, r] = float(row[c])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell {row[c]!r} at row {r + 1}, "
-                    f"column {header[c]!r}") from None
-        if ts_col is not None:
-            try:
-                timestamps[r] = float(row[ts_col])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric timestamp {row[ts_col]!r} at row {r + 1}") from None
-        if label_col is not None:
-            cell = row[label_col].strip()
-            if cell not in ("0", "1"):
-                raise DataError(
-                    f"{path}: label must be 0 or 1, got {cell!r} at row {r + 1}")
-            labels[r] = int(cell)
-
-    bad = np.argwhere(~np.isfinite(values.T))
-    if len(bad):
-        r, s = bad[0]
-        raise DataError(f"{path}: non-finite cell {data_rows[r][sensor_cols[s]]!r} at row "
-                        f"{r + 1}, column {header[sensor_cols[s]]!r}")
-    names = [header[c] for c in sensor_cols]
+    if first_bad is not None:
+        r, s, cell = first_bad
+        raise DataError(f"{path}: non-finite cell {cell!r} at row "
+                        f"{r + 1}, column {header[layout.sensor_cols[s]]!r}")
+    values = np.concatenate([p[0] for p in parts], axis=1)
+    timestamps = None if layout.ts_col is None else np.concatenate([p[1] for p in parts])
+    labels = None if layout.label_col is None else np.concatenate([p[2] for p in parts])
+    names = [header[c] for c in layout.sensor_cols]
     return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
+
+
+class _CsvLayout:
+    """Which header columns hold sensors, timestamps and labels, and how a
+    block of data rows becomes arrays."""
+
+    def __init__(self, path, header):
+        self.path = path
+        self.header = header
+        self.ts_col = header.index("timestamp") if "timestamp" in header else None
+        self.label_col = header.index("label") if "label" in header else None
+        self.sensor_cols = [i for i in range(len(header))
+                            if i not in (self.ts_col, self.label_col)]
+        if not self.sensor_cols:
+            raise DataError(f"{path} has no sensor columns")
+
+    def parse_block(self, rows, first_row: int):
+        """``(values, timestamps, labels)`` of one block of rows, where
+        ``first_row`` is the 0-based index of ``rows[0]`` among the data rows.
+        Cells convert column by column; on a fault, :meth:`name_fault`
+        rescans the block to name the first bad cell."""
+        n = len(rows)
+        try:
+            if any(len(row) != len(self.header) for row in rows):
+                raise ValueError("ragged row")
+            columns = list(zip(*rows))
+            cells = itertools.chain.from_iterable(columns[c] for c in self.sensor_cols)
+            values = np.fromiter(map(float, cells), np.float64,
+                                 len(self.sensor_cols) * n).reshape(-1, n)
+            timestamps = labels = None
+            if self.ts_col is not None:
+                timestamps = np.fromiter(map(float, columns[self.ts_col]), np.float64, n)
+            if self.label_col is not None:
+                cells = list(map(str.strip, columns[self.label_col]))
+                if not set(cells) <= {"0", "1"}:
+                    raise ValueError("bad label")
+                labels = np.fromiter(map(int, cells), np.int64, n)
+        except ValueError:
+            self.name_fault(rows, first_row)
+            raise
+        return values, timestamps, labels
+
+    def name_fault(self, rows, first_row: int) -> None:
+        """Check the rows one by one, in file order, and raise
+        :class:`DataError` naming the first bad cell."""
+        path, header = self.path, self.header
+        for r, row in enumerate(rows, start=first_row + 1):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            for c in self.sensor_cols:
+                try:
+                    float(row[c])
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric cell {row[c]!r} at row {r}, "
+                        f"column {header[c]!r}") from None
+            if self.ts_col is not None:
+                try:
+                    float(row[self.ts_col])
+                except ValueError:
+                    raise DataError(f"{path}: non-numeric timestamp {row[self.ts_col]!r} "
+                                    f"at row {r}") from None
+            if self.label_col is not None:
+                cell = row[self.label_col].strip()
+                if cell not in ("0", "1"):
+                    raise DataError(f"{path}: label must be 0 or 1, got {cell!r} at row {r}")
 
 
 def write_csv(path, series: RawSeries) -> None:
@@ -134,16 +191,19 @@ def downsample_median(series: RawSeries, factor: int) -> RawSeries:
         raise ValueError(f"downsample factor must be >= 1, got {factor}")
     if factor == 1:
         return series
-    starts = range(0, series.length, factor)
-    values = np.stack(
-        [np.median(series.values[:, s:s + factor], axis=1) for s in starts], axis=1)
+    n_full, rest = divmod(series.length, factor)
+    full = series.values[:, :n_full * factor]
+    parts = [np.median(full.reshape(series.n_sensors, n_full, factor), axis=2)]
+    if rest:
+        parts.append(np.median(series.values[:, n_full * factor:], axis=1)[:, None])
+    values = np.concatenate(parts, axis=1)
+    starts = np.arange(0, series.length, factor)
     labels = None
     if series.labels is not None:
-        labels = np.array(
-            [series.labels[s:s + factor].max() for s in starts], dtype=np.int64)
+        labels = np.maximum.reduceat(series.labels, starts).astype(np.int64)
     timestamps = None
     if series.timestamps is not None:
-        timestamps = np.array([series.timestamps[s] for s in starts])
+        timestamps = series.timestamps[::factor].copy()
     return RawSeries(series.sensor_names, values, timestamps, labels)
 
 
@@ -185,10 +245,12 @@ class WindowedDataset:
         return self.values[:, j + self.window]
 
     def batch(self, indices) -> tuple:
-        """Stack histories (b, n, window) and targets (b, n) for the given
-        window indices."""
-        hist = np.stack([self.history(j) for j in indices])
-        targets = np.stack([self.target(j) for j in indices])
+        """Histories (b, n, window) and targets (b, n), both C-contiguous, for
+        the given window indices in [0, len(self))."""
+        indices = np.asarray(indices, dtype=np.intp)
+        windows = sliding_window_view(self.values, self.window, axis=1)   # (n, L-w+1, w)
+        hist = windows.transpose(1, 0, 2)[indices]
+        targets = self.values.T[indices + self.window]
         return hist, targets
 
 

@@ -6,9 +6,11 @@ threshold is grid-searched for the best point-adjusted F1, and the report
 carries the per-timestamp trail.
 """
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -97,23 +99,6 @@ class DetectionReport:
     raw_pred: Optional[np.ndarray] = None
     adjusted_pred: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "threshold": float(self.threshold),
-            "precision": float(self.precision),
-            "recall": float(self.recall),
-            "f1": float(self.f1),
-            "counts": {"tp": int(self.tp), "fp": int(self.fp), "fn": int(self.fn)},
-        }
-        if self.scores is not None:
-            out["per_timestamp"] = [
-                {"t": int(t), "score": float(s), "raw_pred": int(r), "adjusted_pred": int(a)}
-                for t, s, r, a in zip(self.timestamps, self.scores,
-                                      self.raw_pred, self.adjusted_pred)
-            ]
-        out.update(self.extras)
-        return out
 
 
 def confusion_metrics(pred: np.ndarray, truth: np.ndarray) -> DetectionReport:
@@ -288,10 +273,51 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
     return report
 
 
+def _trail_columns(report: DetectionReport):
+    """The report's t and score columns as Python ints and floats."""
+    return (np.asarray(report.timestamps).astype(np.int64).tolist(),
+            np.asarray(report.scores, dtype=np.float64).tolist())
+
+
+def write_report_json(path, report: DetectionReport) -> None:
+    """``report.json``: the bytes of ``json.dumps(d, sort_keys=True,
+    indent=2) + "\n"`` for a dict ``d`` of the report's threshold,
+    precision, recall, f1, counts and extras, plus, when the report has
+    scores, a ``per_timestamp`` list of ``{t, score, raw_pred,
+    adjusted_pred}`` objects.  That list is formatted column-wise and
+    spliced in, so no per-timestamp dict is built."""
+    summary = {
+        "threshold": float(report.threshold),
+        "precision": float(report.precision),
+        "recall": float(report.recall),
+        "f1": float(report.f1),
+        "counts": {"tp": int(report.tp), "fp": int(report.fp), "fn": int(report.fn)},
+    }
+    if report.scores is not None:
+        summary["per_timestamp"] = None      # placeholder, replaced below
+    summary.update(report.extras)
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    if report.scores is not None:
+        times, scores = _trail_columns(report)
+        # json writes a float as float.__repr__ does, except the non-finite ones
+        number = float.__repr__ if np.isfinite(report.scores).all() else json.dumps
+        raw = np.asarray(report.raw_pred).astype(np.int64).tolist()
+        adjusted = np.asarray(report.adjusted_pred).astype(np.int64).tolist()
+        items = ",\n".join(
+            f'    {{\n      "adjusted_pred": {a},\n      "raw_pred": {r},\n'
+            f'      "score": {s},\n      "t": {t}\n    }}'
+            for t, s, r, a in zip(times, map(number, scores), raw, adjusted))
+        trail = f"[\n{items}\n  ]" if items else "[]"
+        # top-level keys are the only ones indented by exactly two spaces
+        head, tail = text.split('\n  "per_timestamp": null', 1)
+        text = f'{head}\n  "per_timestamp": {trail}{tail}'
+    Path(path).write_text(text)
+
+
 def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
     """(t, score, label) rows for external plotting."""
-    truth = np.asarray(truth).astype(int)
+    times, scores = _trail_columns(report)
+    labels = np.asarray(truth).astype(int)[times].tolist()
     with open(path, "w", newline="") as handle:
-        handle.write("t,score,label\n")
-        for t, s in zip(report.timestamps, report.scores):
-            handle.write(f"{int(t)},{float(s)!r},{truth[int(t)]}\n")
+        handle.write("t,score,label\n" + "".join(
+            f"{t},{s!r},{label}\n" for t, s, label in zip(times, scores, labels)))

@@ -108,7 +108,8 @@ class TestTrainCommand:
         out = tmp_path / "run-ablate"
         code = run(*train_args(tmp_path / "train.csv", out, ablation="no-local-graph"))
         assert code == 0
-        header = json.loads(open(out / "model.ckpt", "rb").readline())
+        with open(out / "model.ckpt", "rb") as handle:
+            header = json.loads(handle.readline())
         assert header["config"]["ablation"] == "no-local-graph"
 
     def test_divergence_exits_4(self, tmp_path, capsys):

@@ -1,12 +1,113 @@
+import csv
+
 import numpy as np
 import pytest
 
-from canet.data import (DataError, RawSeries, downsample_median, load_csv,
+from canet.data import (CSV_BLOCK_ROWS, DataError, RawSeries, downsample_median, load_csv,
                         make_windows, minmax_apply, minmax_fit, write_csv)
 
 
 def write_text(path, text):
     path.write_text(text)
+    return path
+
+
+def reference_load_csv(path) -> RawSeries:
+    """Whole-file, row-by-row reader: the loader before block-wise parsing."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = list(csv.reader(handle))
+    if not rows or not rows[0]:
+        raise DataError(f"{path} is empty")
+    header = rows[0]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+    data_rows = rows[1:]
+    if not data_rows:
+        raise DataError(f"{path} has a header but no data rows")
+    ts_col = header.index("timestamp") if "timestamp" in header else None
+    label_col = header.index("label") if "label" in header else None
+    sensor_cols = [i for i in range(len(header)) if i not in (ts_col, label_col)]
+    if not sensor_cols:
+        raise DataError(f"{path} has no sensor columns")
+    length = len(data_rows)
+    values = np.empty((len(sensor_cols), length), dtype=np.float64)
+    timestamps = np.empty(length, dtype=np.float64) if ts_col is not None else None
+    labels = np.empty(length, dtype=np.int64) if label_col is not None else None
+    for r, row in enumerate(data_rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
+        for out_idx, c in enumerate(sensor_cols):
+            try:
+                values[out_idx, r] = float(row[c])
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell {row[c]!r} at row {r + 1}, "
+                    f"column {header[c]!r}") from None
+        if ts_col is not None:
+            try:
+                timestamps[r] = float(row[ts_col])
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric timestamp {row[ts_col]!r} at row {r + 1}") from None
+        if label_col is not None:
+            cell = row[label_col].strip()
+            if cell not in ("0", "1"):
+                raise DataError(
+                    f"{path}: label must be 0 or 1, got {cell!r} at row {r + 1}")
+            labels[r] = int(cell)
+    bad = np.argwhere(~np.isfinite(values.T))
+    if len(bad):
+        r, s = bad[0]
+        raise DataError(f"{path}: non-finite cell {data_rows[r][sensor_cols[s]]!r} at row "
+                        f"{r + 1}, column {header[sensor_cols[s]]!r}")
+    names = [header[c] for c in sensor_cols]
+    return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
+
+
+def reference_downsample_median(series: RawSeries, factor: int) -> RawSeries:
+    """One np.median call per block: the downsampler before reshaping."""
+    if factor == 1:
+        return series
+    starts = range(0, series.length, factor)
+    values = np.stack(
+        [np.median(series.values[:, s:s + factor], axis=1) for s in starts], axis=1)
+    labels = None
+    if series.labels is not None:
+        labels = np.array(
+            [series.labels[s:s + factor].max() for s in starts], dtype=np.int64)
+    timestamps = None
+    if series.timestamps is not None:
+        timestamps = np.array([series.timestamps[s] for s in starts])
+    return RawSeries(series.sensor_names, values, timestamps, labels)
+
+
+def assert_same_series(got: RawSeries, want: RawSeries):
+    assert got.sensor_names == want.sensor_names
+    for name in ("values", "timestamps", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.flags["C_CONTIGUOUS"], name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def block_csv(path, rows, edit=None):
+    """A timestamp, three-sensor, label CSV of ``rows`` data rows; ``edit``
+    maps a 0-based data-row index to a replacement line."""
+    gen = np.random.default_rng(rows)
+    values = gen.standard_normal((rows, 3))
+    labels = gen.integers(0, 2, rows)
+    lines = ["timestamp,FIT101,LIT301,P102,label"]
+    for r in range(rows):
+        cells = [repr(10.0 * r)] + [repr(float(v)) for v in values[r]] + [str(labels[r])]
+        lines.append(",".join(cells))
+    for r, line in (edit or {}).items():
+        lines[r + 1] = line
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -71,6 +172,58 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(path)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "timestamp,a,b,label\n1,0.5,2,0\n2,-1.5,3,1\n"
+        plain = load_csv(write_text(tmp_path / "plain.csv", text))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = load_csv(tmp_path / "bom.csv")
+        assert marked.sensor_names == ["a", "b"]
+        assert_same_series(marked, plain)
+
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3])
+    def test_blocks_match_whole_file_reader(self, tmp_path, rows):
+        path = block_csv(tmp_path / "d.csv", rows)
+        series = load_csv(path)
+        assert series.length == rows
+        assert_same_series(series, reference_load_csv(path))
+
+    @pytest.mark.parametrize("line, message", [
+        ("10,1,oops,3,0", "non-numeric cell 'oops' at row {row}, column 'LIT301'"),
+        ("10,1,2,3,2", "label must be 0 or 1, got '2' at row {row}"),
+        ("10,1,2,3", "row {row} has 4 cells, expected 5"),
+        ("10,1,2,3,0,9", "row {row} has 6 cells, expected 5"),
+        ("ten,1,2,3,0", "non-numeric timestamp 'ten' at row {row}"),
+        ("10,1,2,nan,0", "non-finite cell 'nan' at row {row}, column 'P102'"),
+    ])
+    def test_fault_in_second_block_names_its_row(self, tmp_path, line, message):
+        row = CSV_BLOCK_ROWS + 7        # 0-based data row, inside the second block
+        path = block_csv(tmp_path / "d.csv", CSV_BLOCK_ROWS + 20, {row: line})
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: " + message.format(row=row + 1)
+        with pytest.raises(DataError) as want:
+            reference_load_csv(path)
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("late", ["10,1,x,3,0", "10,1,2,3"])
+    def test_parse_fault_outranks_an_earlier_non_finite_cell(self, tmp_path, late):
+        # non-finite cells are reported only once every row has parsed
+        path = block_csv(tmp_path / "d.csv", CSV_BLOCK_ROWS + 20,
+                         {3: "10,inf,2,3,0", CSV_BLOCK_ROWS + 5: late})
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert f"row {CSV_BLOCK_ROWS + 6}" in str(err.value)
+        with pytest.raises(DataError) as want:
+            reference_load_csv(path)
+        assert str(err.value) == str(want.value)
+
+    def test_first_fault_in_a_block_wins(self, tmp_path):
+        path = block_csv(tmp_path / "d.csv", 30, {4: "10,1,2,3,7", 9: "10,1,2"})
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: label must be 0 or 1, got '7' at row 5"
+
     def test_roundtrip_bytes(self, tmp_path):
         series = RawSeries(["x", "y"], np.array([[0.1, 0.2], [3.0, -4.5]]),
                            labels=np.array([0, 1]))
@@ -100,6 +253,20 @@ class TestDownsample:
         series = RawSeries(["s"], np.array([[1.0, 2.0, 3.0, 10.0, 20.0]]))
         out = downsample_median(series, 3)
         np.testing.assert_array_equal(out.values, [[2.0, 15.0]])
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 10])
+    @pytest.mark.parametrize("length", [1, 2, 9, 10, 30, 31, 47])
+    @pytest.mark.parametrize("extras", [False, True])
+    def test_matches_per_block_oracle(self, rng, factor, length, extras):
+        values = rng.standard_normal((4, length))
+        values[1] = rng.integers(0, 3, length)        # ties inside blocks
+        labels = rng.integers(0, 2, length) if extras else None
+        timestamps = np.arange(length) * 2.5 + 100.0 if extras else None
+        series = RawSeries(["a", "b", "c", "d"], values, timestamps, labels)
+        got = downsample_median(series, factor)
+        want = reference_downsample_median(series, factor)
+        assert got.values.shape == (4, -(-length // factor))
+        assert_same_series(got, want)
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
@@ -156,6 +323,26 @@ class TestWindows:
         ds = make_windows(RawSeries(["a", "b", "c"], values), 4)
         rebuilt = np.stack([ds.target(j) for j in range(len(ds))], axis=1)
         np.testing.assert_array_equal(rebuilt, values[:, 4:])
+
+    @pytest.mark.parametrize("indices", [
+        [5, 0, 3, 1], [2, 2, 0, 2], np.array([6, 1, 4], dtype=np.int64), range(7),
+        range(2, 5), [6]])
+    def test_batch_matches_stacked_windows(self, rng, indices):
+        ds = make_windows(RawSeries(["a", "b", "c"], rng.standard_normal((3, 10))), 3)
+        hist, targets = ds.batch(indices)
+        want_hist = np.stack([ds.values[:, j:j + 3] for j in indices])
+        want_targets = np.stack([ds.values[:, j + 3] for j in indices])
+        for got, want in ((hist, want_hist), (targets, want_targets)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, want)
+
+    def test_batch_copies(self, rng):
+        ds = make_windows(RawSeries(["a"], rng.standard_normal((1, 6))), 2)
+        hist, targets = ds.batch([0, 1])
+        hist[:] = 7.0
+        targets[:] = 7.0
+        assert not (ds.values == 7.0).any()
 
     def test_batch_stacks(self, rng):
         ds = make_windows(RawSeries(["a"], rng.standard_normal((1, 10))), 3)

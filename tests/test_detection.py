@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import canet.detection
 import canet.model
 from canet.data import RawSeries, make_windows
-from canet.detection import (anomaly_scores, confusion_metrics,
+from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
                              prediction_errors, predict_series,
-                             threshold_grid_search)
+                             threshold_grid_search, write_report_json, write_scores_csv)
 from canet.model import CanModel, ModelConfig, can_forward
 from canet.tensor import Tensor, backward
 from canet.train import _batch_loss
@@ -32,6 +34,34 @@ def brute_force_point_adjust(pred, truth):
         else:
             i += 1
     return np.array(out)
+
+
+def reference_report_json(report) -> str:
+    """report.json as one json.dumps over a dict with one dict per timestamp."""
+    out = {
+        "threshold": float(report.threshold),
+        "precision": float(report.precision),
+        "recall": float(report.recall),
+        "f1": float(report.f1),
+        "counts": {"tp": int(report.tp), "fp": int(report.fp), "fn": int(report.fn)},
+    }
+    if report.scores is not None:
+        out["per_timestamp"] = [
+            {"t": int(t), "score": float(s), "raw_pred": int(r), "adjusted_pred": int(a)}
+            for t, s, r, a in zip(report.timestamps, report.scores,
+                                  report.raw_pred, report.adjusted_pred)
+        ]
+    out.update(report.extras)
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+def reference_scores_csv(report, truth) -> str:
+    """scores.csv written one row per call."""
+    truth = np.asarray(truth).astype(int)
+    lines = ["t,score,label\n"]
+    for t, s in zip(report.timestamps, report.scores):
+        lines.append(f"{int(t)},{float(s)!r},{truth[int(t)]}\n")
+    return "".join(lines)
 
 
 def brute_force_best_f1(scores, truth):
@@ -356,6 +386,58 @@ class TestThresholdSearch:
         scores[index] = bad
         with pytest.raises(ValueError, match=f"index {index} is not finite"):
             threshold_grid_search(scores, np.array([0, 0, 0, 1, 0]))
+
+
+class TestReportFiles:
+    EXTRAS = {"scored_from": 5, "score_sensors": 2, "calibration": "train", "can_plus": True}
+
+    @staticmethod
+    def report(scores, extras=None, threshold=0.5):
+        scores = np.asarray(scores, dtype=np.float64)
+        gen = np.random.default_rng(scores.size)
+        return DetectionReport(
+            threshold=threshold, precision=0.25, recall=1.0, f1=0.4, tp=1, fp=3, fn=0,
+            timestamps=np.arange(5, 5 + scores.size), scores=scores,
+            raw_pred=gen.integers(0, 2, scores.size), adjusted_pred=gen.integers(0, 2, scores.size),
+            extras=dict(extras or {}))
+
+    @pytest.mark.parametrize("scores", [
+        [-0.0, 5e-324, 1e308, 3.0, -2.5, 1 / 3, 0.1, -1e-300, 123456789.0, 1e16],
+        [2.0], [], [np.nan, np.inf, -np.inf, 1.5],
+    ])
+    @pytest.mark.parametrize("extras", [None, EXTRAS,
+                                        {**EXTRAS, "calibration": "self", "can_plus": False}])
+    def test_report_json_matches_dumps_of_dicts(self, tmp_path, scores, extras):
+        report = self.report(scores, extras)
+        write_report_json(tmp_path / "report.json", report)
+        assert (tmp_path / "report.json").read_text() == reference_report_json(report)
+
+    def test_report_json_without_trail(self, tmp_path):
+        report = confusion_metrics(np.array([1, 0, 1]), np.array([1, 1, 0]))
+        write_report_json(tmp_path / "report.json", report)
+        text = (tmp_path / "report.json").read_text()
+        assert text == reference_report_json(report)
+        assert '"threshold": NaN' in text
+
+    def test_evaluated_report_files_match_row_writers(self, tmp_path):
+        model, dataset, labels = TestEvaluate.tiny_setup(can_plus=True)
+        for kwargs in ({}, {"can_plus": True},
+                       {"calibration": TestEvaluate.calibration_windows()}):
+            report = evaluate(model, dataset, labels, **kwargs)
+            write_report_json(tmp_path / "report.json", report)
+            write_scores_csv(tmp_path / "scores.csv", report, labels)
+            assert (tmp_path / "report.json").read_text() == reference_report_json(report)
+            assert (tmp_path / "scores.csv").read_bytes() == \
+                reference_scores_csv(report, labels).encode()
+
+    @pytest.mark.parametrize("scores", [
+        [-0.0, 5e-324, 1e308, 3.0, -2.5, 1 / 3], [7.25], []])
+    def test_scores_csv_matches_row_writer(self, tmp_path, scores):
+        report = self.report(scores)
+        truth = np.random.default_rng(1).integers(0, 2, 5 + len(scores))
+        write_scores_csv(tmp_path / "scores.csv", report, truth)
+        assert (tmp_path / "scores.csv").read_bytes() == \
+            reference_scores_csv(report, truth).encode()
 
 
 class TestEvaluate:
