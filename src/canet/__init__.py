@@ -1,8 +1,8 @@
 """canet: multivariate time-series anomaly detection built on coupled
 temporal attention and adaptive global-local sensor graphs."""
 
-from canet.tensor import (Tensor, ShapeError, DegenerateMaskError, backward,
-                          concat, layer_norm, leaky_relu, matmul, no_grad,
+from canet.tensor import (Tensor, ShapeError, DegenerateMaskError, ConsumedGraphError,
+                          backward, concat, layer_norm, leaky_relu, matmul, no_grad,
                           relu, row_normalize, softmax, sqrt)
 from canet.optim import Adam
 from canet.attention import (AttentionParams, PositionalTable, causal_mask,

@@ -6,6 +6,7 @@ seed, and identical inputs produce byte-identical outputs.  Exit codes:
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -20,6 +21,11 @@ from canet.detection import evaluate, write_report_json, write_scores_csv
 from canet.graph import write_embeddings_csv
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -238,7 +244,28 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process for reuse, where libc has
+    glibc's ``mallopt``; elsewhere do nothing.
+
+    ``backward`` frees each training step's graph and the next step
+    allocates one of the same size.  By default glibc would return the freed
+    top of the heap to the kernel after every step, and serve large arrays
+    by ``mmap``, so each forward pass would fault its pages in again.  Here
+    arrays below 32 MiB come from the heap, and the heap is trimmed only
+    once its free top exceeds 1 GiB.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -56,7 +56,7 @@ def load_csv(path) -> RawSeries:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
+        reader = _checked_rows(path, csv.reader(handle))
         header = next(reader, None)
         if not header:
             raise DataError(f"{path} is empty")
@@ -89,6 +89,25 @@ def load_csv(path) -> RawSeries:
     labels = None if layout.label_col is None else np.concatenate([p[2] for p in parts])
     names = [header[c] for c in layout.sensor_cols]
     return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
+
+
+def _checked_rows(path, reader):
+    """The rows of ``reader``, a ``csv.reader`` over ``path``; a malformed
+    field or a byte that is not UTF-8 raises :class:`DataError` naming the
+    file and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # the text layer decodes ahead of the reader, so find the line itself
+        with open(path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}: line {number} is not UTF-8: {exc}") from None
+        raise
 
 
 class _CsvLayout:
@@ -160,24 +179,25 @@ class _CsvLayout:
 
 def write_csv(path, series: RawSeries) -> None:
     """Inverse of :func:`load_csv`; floats use shortest round-trip repr so
-    identical series produce identical bytes."""
+    identical series produce identical bytes.
+
+    The header goes through ``csv.writer``, which quotes names as needed;
+    the data rows, whose cells never need quoting, are joined column by
+    column and written at once, with the writer's ``\\r\\n`` line ends.
+    """
     header: List[str] = []
+    columns = []
     if series.timestamps is not None:
         header.append("timestamp")
+        columns.append(map(repr, np.asarray(series.timestamps, dtype=np.float64).tolist()))
     header.extend(series.sensor_names)
+    columns.extend(map(repr, row) for row in np.asarray(series.values, dtype=np.float64).tolist())
     if series.labels is not None:
         header.append("label")
+        columns.append(map(str, np.asarray(series.labels).astype(np.int64).tolist()))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for t in range(series.length):
-            row: List[str] = []
-            if series.timestamps is not None:
-                row.append(repr(float(series.timestamps[t])))
-            row.extend(repr(float(v)) for v in series.values[:, t])
-            if series.labels is not None:
-                row.append(str(int(series.labels[t])))
-            writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        handle.write("".join(",".join(cells) + "\r\n" for cells in zip(*columns)))
 
 
 def downsample_median(series: RawSeries, factor: int) -> RawSeries:

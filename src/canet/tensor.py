@@ -3,11 +3,14 @@
 Values live in numpy arrays, float32 by default; building a model from
 float64 arrays switches the whole computation to 64-bit, which is what the
 gradient checks use.  Every differentiable operation is a ``Function`` node
-recording its inputs; :func:`backward` walks the recorded graph in reverse
-topological order and accumulates gradients into every ``requires_grad``
-tensor.  Gradients accumulate across calls until the caller clears them.
-Inside a :class:`no_grad` block ops record nothing, so a forward-only pass
-keeps no intermediate arrays alive.
+that links to the ops (or leaf tensors) it read, never to their values, and
+saves only the arrays its backward reads.  :func:`backward` walks the
+recorded graph in reverse topological order, accumulates gradients into the
+leaves (``requires_grad`` tensors with no creator) and frees each node as it
+passes it, so the graph is gone when it returns.  Gradients accumulate
+across calls until the caller clears them.  Inside a :class:`no_grad` block
+ops record nothing, so a forward-only pass keeps no intermediate arrays
+alive.
 
 Tensors are value-like: no op mutates its operands, and one forward/backward
 pass belongs to a single thread.
@@ -29,6 +32,10 @@ class ShapeError(ValueError):
 
 class DegenerateMaskError(ValueError):
     """A softmax slice has every position masked out."""
+
+
+class ConsumedGraphError(RuntimeError):
+    """``backward`` reached an op that an earlier ``backward`` already freed."""
 
 
 class Tensor:
@@ -138,10 +145,20 @@ class no_grad:
 
 
 class Function:
-    """One differentiable operation; remembers what backward needs."""
+    """One differentiable operation; saves only what its backward reads.
 
-    def __init__(self, *inputs: Tensor):
-        self.inputs = inputs
+    ``needs[i]`` tells whether input ``i`` needs a gradient.  Forward saves
+    no array that only the other inputs' gradients would read, and backward
+    returns None in their place.  A recorded op's ``parents`` hold, per
+    input, the input's creator, the input itself when it is a leaf, or None
+    when it needs no gradient, so an op output that no backward reads dies
+    with its last Python reference.
+    """
+
+    parents = None      # None until recorded, and again once backward consumed the op
+
+    def __init__(self, needs: tuple):
+        self.needs = needs
 
     def forward(self, *arrays, **kwargs) -> np.ndarray:
         raise NotImplementedError
@@ -152,12 +169,14 @@ class Function:
     @classmethod
     def apply(cls, *inputs, **kwargs) -> Tensor:
         tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
-        op = cls(*tensors)
+        taped = not _TAPE.paused
+        op = cls(tuple(taped and t.requires_grad for t in tensors))
         out = op.forward(*(t.data for t in tensors), **kwargs)
-        if _TAPE.paused:
+        if not any(op.needs):
             return Tensor(out)
-        requires = any(t.requires_grad for t in tensors)
-        return Tensor(out, requires_grad=requires, creator=op if requires else None)
+        op.parents = tuple((t.creator or t) if need else None
+                           for t, need in zip(tensors, op.needs))
+        return Tensor(out, requires_grad=True, creator=op)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -173,14 +192,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _save_crosswise(op: Function, a: np.ndarray, b: np.ndarray) -> None:
+    """Save the operand shapes, and each operand of a product only when the
+    other one needs a gradient: ``a`` is read only by ``b``'s and ``b`` by ``a``'s."""
+    need_a, need_b = op.needs
+    op.shapes = (a.shape, b.shape)
+    op.a = a if need_b else None
+    op.b = b if need_a else None
+
+
 class Add(Function):
     def forward(self, a, b):
         self.shapes = (a.shape, b.shape)
         return a + b
 
     def backward(self, grad):
-        sa, sb = self.shapes
-        return _unbroadcast(grad, sa), _unbroadcast(grad, sb)
+        return tuple(_unbroadcast(grad, shape) if need else None
+                     for shape, need in zip(self.shapes, self.needs))
 
 
 class Sub(Function):
@@ -189,18 +217,20 @@ class Sub(Function):
         return a - b
 
     def backward(self, grad):
-        sa, sb = self.shapes
-        return _unbroadcast(grad, sa), _unbroadcast(-grad, sb)
+        (sa, sb), (need_a, need_b) = self.shapes, self.needs
+        return (_unbroadcast(grad, sa) if need_a else None,
+                _unbroadcast(-grad, sb) if need_b else None)
 
 
 class Mul(Function):
     def forward(self, a, b):
-        self.a, self.b = a, b
+        _save_crosswise(self, a, b)
         return a * b
 
     def backward(self, grad):
-        return (_unbroadcast(grad * self.b, self.a.shape),
-                _unbroadcast(grad * self.a, self.b.shape))
+        (sa, sb), (need_a, need_b) = self.shapes, self.needs
+        return (_unbroadcast(grad * self.b, sa) if need_a else None,
+                _unbroadcast(grad * self.a, sb) if need_b else None)
 
 
 class Neg(Function):
@@ -217,22 +247,23 @@ class MatMul(Function):
             raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-        self.a, self.b = a, b
+        _save_crosswise(self, a, b)
         try:
             return a @ b
         except ValueError as exc:
             raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} @ {b.shape}") from exc
 
     def backward(self, grad):
+        (sa, sb), (need_a, need_b) = self.shapes, self.needs
         a, b = self.a, self.b
-        if b.ndim == 2:
+        if len(sb) == 2:
             # a weight: fold every leading axis into one GEMM per gradient
-            k, n = b.shape
+            k, n = sb
             flat = grad.reshape(-1, n)
-            return (flat @ b.T).reshape(a.shape), a.reshape(-1, k).T @ flat
-        ga = grad @ np.swapaxes(b, -1, -2)
-        gb = np.swapaxes(a, -1, -2) @ grad
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+            return ((flat @ b.T).reshape(sa) if need_a else None,
+                    a.reshape(-1, k).T @ flat if need_b else None)
+        return (_unbroadcast(grad @ np.swapaxes(b, -1, -2), sa) if need_a else None,
+                _unbroadcast(np.swapaxes(a, -1, -2) @ grad, sb) if need_b else None)
 
 
 class Transpose(Function):
@@ -383,7 +414,8 @@ class Attention(Function):
 
     The forward keeps the arithmetic and order of the composed ops (scale
     q, multiply by kᵀ, masked softmax, multiply by v), so outputs keep
-    their bytes.  Only the probabilities ``p`` and the operands are saved.
+    their bytes.  Only the probabilities ``p`` and the operands that the
+    needed gradients read are saved.
     The backward is the closed form: with the upstream gradient ``g``,
     ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
     ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``.
@@ -409,18 +441,30 @@ class Attention(Function):
         scores -= _reduce_keepdims(np.maximum, scores, -1)
         np.exp(scores, out=scores)
         scores /= _reduce_keepdims(np.add, scores, -1)
-        self.q, self.k, self.v, self.p = q, k, v, scores
+        need_q, need_k, _ = self.needs
+        self.shapes = (q.shape, k.shape, v.shape)
+        # ds (read by gq and gk) needs v; gq reads k and gk reads q
+        self.q = q if need_k else None
+        self.k = k if need_q else None
+        self.v = v if need_q or need_k else None
+        self.p = scores
         return scores @ v
 
     def backward(self, grad):
-        q, k, v, p = self.q, self.k, self.v, self.p
-        ds = grad @ np.swapaxes(v, -1, -2).copy()
-        ds -= _reduce_keepdims(np.add, ds * p, -1)
-        ds *= p
-        gq = (ds @ k) * self.scale
-        gk = np.swapaxes(ds, -1, -2) @ (q * self.scale)
-        gv = np.swapaxes(p, -1, -2) @ grad
-        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape), _unbroadcast(gv, v.shape)
+        (sq, sk, sv), (need_q, need_k, need_v) = self.shapes, self.needs
+        p = self.p
+        gq = gk = gv = None
+        if need_q or need_k:
+            ds = grad @ np.swapaxes(self.v, -1, -2).copy()
+            ds -= _reduce_keepdims(np.add, ds * p, -1)
+            ds *= p
+            if need_q:
+                gq = _unbroadcast((ds @ self.k) * self.scale, sq)
+            if need_k:
+                gk = _unbroadcast(np.swapaxes(ds, -1, -2) @ (self.q * self.scale), sk)
+        if need_v:
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ grad, sv)
+        return gq, gk, gv
 
 
 def _checked_mask(mask, shape: tuple, axis: int) -> np.ndarray:
@@ -463,19 +507,25 @@ class LayerNorm(Function):
     def forward(self, x, gain, bias, eps):
         # the composed ops' arithmetic in their order, so outputs keep their bytes
         centered = x - x.mean(axis=-1, keepdims=True)
-        self.inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-        self.normed = centered * self.inv
+        inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+        normed = centered * inv
+        need_x, need_gain, _ = self.needs
         self.shapes = (x.shape, gain.shape, bias.shape)
-        self.gain = gain
-        return self.normed * gain + bias
+        # x's gradient reads inv, normed and gain; gain's reads normed
+        self.inv, self.gain = (inv, gain) if need_x else (None, None)
+        self.normed = normed if need_x or need_gain else None
+        return normed * gain + bias
 
     def backward(self, grad):
-        sx, sg, sb = self.shapes
-        g = grad * self.gain
-        gx = self.inv * (g - g.mean(axis=-1, keepdims=True)
-                         - self.normed * (g * self.normed).mean(axis=-1, keepdims=True))
-        return (_unbroadcast(gx, sx), _unbroadcast(grad * self.normed, sg),
-                _unbroadcast(grad, sb))
+        (sx, sg, sb), (need_x, need_gain, need_bias) = self.shapes, self.needs
+        gx = None
+        if need_x:
+            g = grad * self.gain
+            gx = self.inv * (g - g.mean(axis=-1, keepdims=True)
+                             - self.normed * (g * self.normed).mean(axis=-1, keepdims=True))
+            gx = _unbroadcast(gx, sx)
+        return (gx, _unbroadcast(grad * self.normed, sg) if need_gain else None,
+                _unbroadcast(grad, sb) if need_bias else None)
 
 
 class RowNormalize(Function):
@@ -539,17 +589,29 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Fill ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add the gradient of ``loss`` into ``grad`` of every leaf it depends on.
 
-    ``loss`` must be a scalar (size 1).  Gradients add into existing buffers;
-    clear them (``grad = None``) between steps.
+    A leaf is a ``requires_grad`` tensor with no creator, such as a model
+    parameter; intermediate tensors get no ``grad``.  ``loss`` must be a
+    scalar (size 1).  Gradients add into existing buffers; clear them
+    (``grad = None``) between steps.
+
+    The pass consumes the graph: each op frees its saved arrays and parent
+    links once it has passed its gradient on, so the tape shrinks as the
+    pass runs and is gone when it returns, even while ``loss`` is held.  A
+    second pass through any of it raises :class:`ConsumedGraphError`; run
+    the forward again instead.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        return
 
-    topo: list[Tensor] = []
+    # nodes are ops and leaf tensors; each op's parents come before it
+    root = loss.creator or loss
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -559,22 +621,27 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if node.creator is not None:
-            for parent in node.creator.inputs:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+        if isinstance(node, Function):
+            if node.parents is None:
+                raise ConsumedGraphError(
+                    f"backward already ran through this graph and freed its "
+                    f"{type(node).__name__} op; run the forward pass again")
+            stack.extend((parent, False) for parent in node.parents
+                         if parent is not None and id(parent) not in seen)
 
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    pending: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
         grad = pending.pop(id(node), None)
-        if grad is None:
+        if not isinstance(node, Function):
+            if grad is not None:
+                node.grad = grad if node.grad is None else node.grad + grad
             continue
-        if node.requires_grad:
-            node.grad = grad if node.grad is None else node.grad + grad
-        if node.creator is None:
-            continue
-        for parent, pgrad in zip(node.creator.inputs, node.creator.backward(grad)):
-            if pgrad is None or not parent.requires_grad:
+        parents = node.parents
+        grads = () if grad is None else node.backward(grad)
+        vars(node).clear()      # saved arrays and parent links
+        for parent, pgrad in zip(parents, grads):
+            if pgrad is None or parent is None:
                 continue
             pid = id(parent)
             if pid in pending:

@@ -359,6 +359,25 @@ class TestCheckpointAndFlagChecks:
             assert run(command, "--checkpoint", str(bad),
                        "--out", str(tmp_path / "e.csv")) == 3
 
+    @pytest.mark.parametrize("cell, reason", [
+        (b"4" * 200_000, "field larger than field limit (131072)"),
+        (b"0.5\xff", "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position"),
+    ], ids=["oversized-field", "undecodable-byte"])
+    def test_unreadable_data_file_names_file_and_line(self, checkpoint, tmp_path, capsys,
+                                                      cell, reason):
+        base, ckpt = checkpoint
+        lines = (base / "test.csv").read_bytes().split(b"\n")
+        cells = lines[5].split(b",")                # data row 5 is line 6 of the file
+        lines[5] = b",".join(cells[:1] + [cell] + cells[2:])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code = run("evaluate", "--data", str(bad), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "e"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 6")
+        assert reason in err
+
     @pytest.mark.parametrize("edit", [
         lambda extra: extra.pop("norm_min"),
         lambda extra: extra.pop("norm_max"),

@@ -66,6 +66,27 @@ def reference_load_csv(path) -> RawSeries:
     return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
 
 
+def reference_write_csv(path, series: RawSeries) -> None:
+    """One ``csv.writer`` row per timestamp: the writer before column joins."""
+    header = []
+    if series.timestamps is not None:
+        header.append("timestamp")
+    header.extend(series.sensor_names)
+    if series.labels is not None:
+        header.append("label")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for t in range(series.length):
+            row = []
+            if series.timestamps is not None:
+                row.append(repr(float(series.timestamps[t])))
+            row.extend(repr(float(v)) for v in series.values[:, t])
+            if series.labels is not None:
+                row.append(str(int(series.labels[t])))
+            writer.writerow(row)
+
+
 def reference_downsample_median(series: RawSeries, factor: int) -> RawSeries:
     """One np.median call per block: the downsampler before reshaping."""
     if factor == 1:
@@ -224,6 +245,22 @@ class TestLoadCsv:
             load_csv(path)
         assert str(err.value) == f"{path}: label must be 0 or 1, got '7' at row 5"
 
+    @pytest.mark.parametrize("row", [2, CSV_BLOCK_ROWS + 7])
+    def test_undecodable_byte_names_its_line(self, tmp_path, row):
+        path = block_csv(tmp_path / "d.csv", CSV_BLOCK_ROWS + 20)
+        lines = path.read_bytes().split(b"\n")
+        lines[row + 1] = lines[row + 1].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"{path}: line {row + 2} is not UTF-8: ")
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        path = block_csv(tmp_path / "d.csv", 30, {9: "10,1," + "2" * 200_000 + ",3,0"})
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 11: field larger than field limit (131072)"
+
     def test_roundtrip_bytes(self, tmp_path):
         series = RawSeries(["x", "y"], np.array([[0.1, 0.2], [3.0, -4.5]]),
                            labels=np.array([0, 1]))
@@ -231,6 +268,42 @@ class TestLoadCsv:
         write_csv(first, series)
         write_csv(second, load_csv(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestWriteCsv:
+    EDGE = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, 123456789.0, 1e-7,
+            float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("extras", ["none", "timestamps", "labels", "both"])
+    @pytest.mark.parametrize("length", [1, 2, 17])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_row_writer(self, tmp_path, rng, extras, length, dtype):
+        names = ["plain", "with,comma", 'with "quote"', "two\nlines", " padded "]
+        values = rng.standard_normal((len(names), length)) * 10.0 ** rng.integers(-8, 8, length)
+        edge = np.resize(np.array(self.EDGE), values.size).reshape(values.shape)
+        with np.errstate(over="ignore"):            # 1e308 is inf in float32
+            values = np.where(rng.random(values.shape) < 0.3, edge, values).astype(dtype)
+        timestamps = labels = None
+        if extras in ("timestamps", "both"):
+            timestamps = np.arange(length, dtype=np.int64) * 60 - 5
+        if extras in ("labels", "both"):
+            labels = rng.integers(0, 2, length)
+        series = RawSeries(names, values, timestamps, labels)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, series)
+        reference_write_csv(want, series)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_float_timestamps_and_edge_values(self, tmp_path):
+        series = RawSeries(["a"], np.array([[-0.0, 5e-324, 1e308]]),
+                           timestamps=np.array([0.5, -0.0, 1e308]),
+                           labels=np.array([1, 0, 1]))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, series)
+        reference_write_csv(want, series)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes() == (b"timestamp,a,label\r\n0.5,-0.0,1\r\n"
+                                    b"-0.0,5e-324,0\r\n1e+308,1e+308,1\r\n")
 
 
 class TestDownsample:

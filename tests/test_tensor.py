@@ -1,15 +1,17 @@
+import itertools
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canet import (DegenerateMaskError, ShapeError, Tensor, backward, concat,
-                   layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
+from canet import (ConsumedGraphError, DegenerateMaskError, ShapeError, Tensor, backward,
+                   concat, layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
                    softmax, sqrt)
 from canet.attention import causal_mask
-from canet.tensor import Attention, Pow, _reduce_keepdims
+from canet.tensor import Attention, Mul, Pow, _reduce_keepdims, _unbroadcast
 from conftest import assert_grads_match, param64
 
 
@@ -324,6 +326,115 @@ class TestBackward:
         x.grad = None
         backward((x * x).sum())
         np.testing.assert_allclose(x.grad, first, rtol=1e-6)
+
+
+class TestTape:
+    """The graph links ops, keeps only what backward reads, and backward frees it."""
+
+    def test_only_leaves_keep_gradients(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = matmul(x, w)
+        r = relu(h)
+        loss = r.sum()
+        backward(loss)
+        assert h.grad is None and r.grad is None and loss.grad is None
+        live = (h.data > 0).astype(h.data.dtype)
+        np.testing.assert_allclose(w.grad, x.data.T @ live, rtol=1e-6)
+        np.testing.assert_allclose(x.grad, live @ w.data.T, rtol=1e-6)
+
+    def test_output_no_backward_reads_dies_with_the_forward(self, rng):
+        x, y = (Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True) for _ in range(2))
+        gain, bias = (Tensor(rng.standard_normal(8), requires_grad=True) for _ in range(2))
+        summed = x + y
+        alive = weakref.ref(summed.data)
+        out = layer_norm(summed, gain, bias)
+        del summed
+        assert alive() is None          # layer norm saves its own arrays, not its input
+        backward(out.sum())
+        assert x.grad is not None and gain.grad is not None
+
+    def test_saved_arrays_die_when_backward_returns(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        hidden = relu(x)
+        saved = weakref.ref(hidden.data)
+        loss = matmul(hidden, w).sum()
+        del hidden
+        assert saved() is not None      # MatMul keeps it for the weight's gradient
+        backward(loss)
+        assert saved() is None
+        assert loss.creator is not None and loss.item() == loss.data.sum()
+
+    def test_second_backward_names_the_consumed_graph(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        loss = (x * x).sum()
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ConsumedGraphError, match="already ran through this graph"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_backward_through_a_consumed_subgraph_raises(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        square = x * x
+        backward(square.sum())
+        with pytest.raises(ConsumedGraphError):
+            backward((square * 2.0).sum())
+
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_mul_by_constant_skips_the_constant(self, rng, constant_first):
+        x = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 1)).astype(np.float32))
+        out = c * x if constant_first else x * c
+        op = out.creator
+        grad = rng.standard_normal(out.shape).astype(np.float32)
+        grads = op.backward(grad)
+        gx, gc = grads[::-1] if constant_first else grads
+        assert gc is None
+        assert (op.b if constant_first else op.a) is None       # x is not saved
+        # the formula of the op that saved and differentiated both operands
+        assert gx.tobytes() == _unbroadcast(grad * c.data, x.shape).tobytes()
+
+    def test_constant_operands_get_no_gradient_work(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        c = Tensor(rng.standard_normal((2, 3)))
+        out = Mul.apply(x, c)
+        assert out.creator.needs == (True, False)
+        assert out.creator.parents == (x, None)
+        with no_grad():
+            assert Mul.apply(x, x).creator is None
+
+    # (name, operand shapes, op): every op with more than one operand
+    MULTI = [
+        ("add", [(2, 3, 4), (4,)], lambda a, b: a + b),
+        ("sub", [(2, 3, 4), (3, 1)], lambda a, b: a - b),
+        ("mul", [(2, 3, 4), (3, 4)], lambda a, b: a * b),
+        ("matmul-weight", [(2, 3, 4), (4, 5)], matmul),
+        ("matmul-batched", [(2, 3, 4), (2, 4, 5)], matmul),
+        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 2)],
+         lambda q, k, v: Attention.apply(q, k, v, mask=causal_mask(4))),
+        ("layer-norm", [(2, 3, 4), (4,), (4,)], layer_norm),
+        ("concat", [(2, 3, 4), (2, 1, 4)], lambda a, b: concat([a, b], axis=-2)),
+    ]
+
+    @pytest.mark.parametrize("name, shapes, op", MULTI, ids=[m[0] for m in MULTI])
+    def test_needed_gradients_bit_identical_whatever_else_needs_one(self, rng, name, shapes, op):
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+
+        def grads(needs):
+            operands = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+            out = op(*operands)
+            upstream = Tensor(np.linspace(-1.0, 1.0, out.size, dtype=np.float32)
+                              .reshape(out.shape))
+            backward((out * upstream).sum())
+            return [t.grad for t in operands]
+
+        full = grads([True] * len(arrays))
+        for needs in itertools.product([False, True], repeat=len(arrays)):
+            if any(needs):
+                for got, want, need in zip(grads(needs), full, needs):
+                    assert (got.tobytes() == want.tobytes()) if need else got is None
 
 
 class TestPrimitiveGradients:
