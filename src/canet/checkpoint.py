@@ -44,8 +44,7 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
 
     Round-trips every parameter bit-exactly; rejects unknown versions and
     truncated files, and ``extra["sensor_names"]``, when present, unless it
-    is ``n_sensors`` distinct strings.  Version 1 files, with per-head
-    attention projections, still load.
+    is ``n_sensors`` distinct strings.
     """
     try:
         with open(path, "rb") as handle:
@@ -61,9 +60,9 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
     if not isinstance(header, dict) or not isinstance(header.get("extra", {}), dict):
         raise CheckpointError(f"checkpoint header or its 'extra' in {path} is not a JSON object")
     version = header.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {version} not supported (expected {FORMAT_VERSION} or 1)")
+            f"checkpoint version {version} not supported (expected {FORMAT_VERSION})")
     if len(blob) != header.get("total_bytes"):
         raise CheckpointError(
             f"truncated checkpoint {path}: {len(blob)} data bytes, "
@@ -82,8 +81,6 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
             arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad checkpoint header in {path}: {exc!r}") from exc
-    if version == 1:
-        arrays = _merge_v1_heads(arrays, model.config.heads, path)
     params = dict(model.named_parameters())
     if set(arrays) != set(params):
         raise CheckpointError(f"checkpoint parameter set does not match model in {path}")
@@ -101,21 +98,3 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
                               f"distinct strings, got {names!r}")
     return model, extra
 
-
-def _merge_v1_heads(arrays: dict, n_heads: int, path) -> dict:
-    """Version 1 stored head i's projection as ``<prefix>.w_query.<i>``
-    (likewise key and value); version 2 keeps the heads as column blocks.
-    Anything else passes through to the parameter-set check."""
-    merged = {}
-    for name, value in arrays.items():
-        stem, _, index = name.rpartition(".")
-        if not (stem.endswith((".w_query", ".w_key", ".w_value")) and index.isdigit()
-                and int(index) < n_heads):
-            merged[name] = value
-        elif index == "0":
-            try:
-                merged[stem] = np.concatenate(
-                    [arrays[f"{stem}.{i}"] for i in range(n_heads)], axis=1)
-            except (KeyError, ValueError) as exc:
-                raise CheckpointError(f"bad head blocks for {stem} in {path}: {exc}") from None
-    return merged

@@ -121,12 +121,16 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    segments = []
-    for kind, count in (("spike", args.spikes), ("drift", args.drifts), ("stuck", args.stucks)):
-        segments.extend(place_segments(count, args.length, args.sensors, rng,
-                                       duration=args.duration, magnitude=args.magnitude,
-                                       kind=kind))
-    result = synth_generate(args.sensors, args.length, args.seed, segments)
+    segments, taken = [], []
+    try:
+        for kind, count in (("spike", args.spikes), ("drift", args.drifts), ("stuck", args.stucks)):
+            segments.extend(place_segments(count, args.length, args.sensors, rng,
+                                           duration=args.duration, magnitude=args.magnitude,
+                                           kind=kind, taken=taken))
+        result = synth_generate(args.sensors, args.length, args.seed, segments)
+    except ValueError as exc:
+        # every value synth rejects comes from a flag
+        raise ConfigError(str(exc)) from exc
     write_csv(out / "train.csv", result.train)
     write_csv(out / "test.csv", result.test)
     graph = {

@@ -56,7 +56,7 @@ def load_csv(path) -> RawSeries:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = _checked_rows(path, csv.reader(handle))
+        reader = _checked_rows(path, csv.reader(handle, strict=True))
         header = next(reader, None)
         if not header:
             raise DataError(f"{path} is empty")
@@ -257,12 +257,6 @@ class WindowedDataset:
     @property
     def n_sensors(self) -> int:
         return self.values.shape[0]
-
-    def history(self, j: int) -> np.ndarray:
-        return self.values[:, j:j + self.window]
-
-    def target(self, j: int) -> np.ndarray:
-        return self.values[:, j + self.window]
 
     def batch(self, indices) -> tuple:
         """Histories (b, n, window) and targets (b, n), both C-contiguous, for

@@ -113,15 +113,17 @@ def synth_generate(n_sensors: int, length: int, seed: int,
 
 def place_segments(count: int, length: int, n_sensors: int, rng: np.random.Generator,
                    duration: int = 10, magnitude: float = 5.0,
-                   kind: str = "spike", sensors_per_segment: int = 2) -> List[AnomalySegment]:
-    """Seeded non-overlapping segment placement for the CLI generator."""
+                   kind: str = "spike", sensors_per_segment: int = 2,
+                   taken: Optional[List[tuple]] = None) -> List[AnomalySegment]:
+    """Seeded non-overlapping segment placement for the CLI generator; the
+    new segments also avoid, and are appended to, the ``taken`` (start, end) spans."""
     if count == 0:
         return []
     margin = min(50, max(1, length // 10))
     if length - duration - margin <= margin:
         raise ValueError(f"series of length {length} is too short for duration-{duration} anomalies")
     segments: List[AnomalySegment] = []
-    taken: List[tuple] = []
+    taken = [] if taken is None else taken
     attempts = 0
     while len(segments) < count:
         attempts += 1

@@ -94,9 +94,6 @@ class Tensor:
     def __rmul__(self, other):
         return Mul.apply(self._wrap(other), self)
 
-    def __neg__(self):
-        return Neg.apply(self)
-
     def __matmul__(self, other):
         return MatMul.apply(self, other)
 
@@ -231,14 +228,6 @@ class Mul(Function):
         (sa, sb), (need_a, need_b) = self.shapes, self.needs
         return (_unbroadcast(grad * self.b, sa) if need_a else None,
                 _unbroadcast(grad * self.a, sb) if need_b else None)
-
-
-class Neg(Function):
-    def forward(self, a):
-        return -a
-
-    def backward(self, grad):
-        return (-grad,)
 
 
 class MatMul(Function):

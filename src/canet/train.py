@@ -80,19 +80,19 @@ def _coerce(raw, annotation, key):
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
-    if annotation in (bool, "bool"):
+    if annotation is bool:
         low = text.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {key!r} expects true/false, got {raw!r}")
-    if annotation in (int, "int"):
+    if annotation is int:
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"config key {key!r} expects an integer, got {raw!r}") from None
-    if annotation in (float, "float"):
+    if annotation is float:
         try:
             return float(text)
         except ValueError:

@@ -83,6 +83,16 @@ BAD_HEADERS = {
 }
 
 
+def window_history(dataset, j: int) -> np.ndarray:
+    """History columns [j, j + window) of window ``j``, read off the series."""
+    return dataset.values[:, j:j + dataset.window]
+
+
+def window_target(dataset, j: int) -> np.ndarray:
+    """Target column j + window of window ``j``, read off the series."""
+    return dataset.values[:, j + dataset.window]
+
+
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:
     return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
 

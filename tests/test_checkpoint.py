@@ -52,57 +52,7 @@ class TestRoundtrip:
         assert loaded.num_parameters() == model.num_parameters()
 
 
-def save_v1(model: CanModel, path) -> None:
-    """Write ``model`` in the version-1 layout: one ``(width, head_dim)``
-    entry ``<prefix>.w_query.<i>`` per head, likewise key and value."""
-    pieces = []
-    for name, param in model.named_parameters():
-        if name.endswith((".w_query", ".w_key", ".w_value")):
-            blocks = np.split(param.data, model.config.heads, axis=1)
-            pieces += [(f"{name}.{i}", block) for i, block in enumerate(blocks)]
-        else:
-            pieces.append((name, param.data))
-    entries, offset = [], 0
-    for name, value in pieces:
-        entries.append({"name": name, "shape": list(value.shape), "offset": offset})
-        offset += 4 * value.size
-    header = {"version": 1, "config": model.config.to_dict(), "params": entries,
-              "total_bytes": offset, "extra": {"note": "v1"}}
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for _, value in pieces:
-            handle.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-
-
 class TestVersion1:
-    def test_v1_checkpoint_loads_and_predicts_the_same(self, tmp_path, rng):
-        model = random_model(seed=11, heads=4)
-        path = tmp_path / "v1.ckpt"
-        save_v1(model, path)
-        with open(path, "rb") as handle:
-            names = {e["name"] for e in json.loads(handle.readline())["params"]}
-        assert "encoder.1.attention.w_query.3" in names
-        loaded, extra = load_checkpoint(path)
-        assert extra == {"note": "v1"}
-        x = rng.standard_normal((5, 3, 4)).astype(np.float32)
-        a, b = can_forward(x, model), can_forward(x, loaded)
-        np.testing.assert_allclose(b.y_pred.data, a.y_pred.data, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(b.y_rec.data, a.y_rec.data, rtol=0, atol=1e-6)
-
-    def test_v1_checkpoint_missing_a_head_rejected(self, tmp_path):
-        model = random_model(heads=2)
-        path = tmp_path / "v1.ckpt"
-        save_v1(model, path)
-        with open(path, "rb") as handle:
-            header = json.loads(handle.readline())
-            blob = handle.read()
-        header["params"] = [e for e in header["params"] if e["name"] != "encoder.1.attention.w_key.1"]
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(header).encode() + b"\n" + blob)
-        with pytest.raises(CheckpointError) as err:
-            load_checkpoint(path)
-        assert "encoder.1.attention.w_key" in str(err.value)
-
     def test_saves_version_2(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(random_model(), path)
@@ -133,12 +83,13 @@ class TestCorruption:
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
             blob = handle.read()
-        header["version"] = 999
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
-        with pytest.raises(CheckpointError) as err:
-            load_checkpoint(path)
-        assert "version" in str(err.value)
+        for version in (999, 1):
+            header["version"] = version
+            with open(path, "wb") as handle:
+                handle.write(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == f"checkpoint version {version} not supported (expected 2)"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):

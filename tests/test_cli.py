@@ -48,6 +48,23 @@ class TestSynthCommand:
         series = load_csv(tmp_path / "test.csv")
         assert series.labels.sum() == 0
 
+    @pytest.mark.parametrize("seed", [1, 6, 7])
+    def test_mixed_kinds_never_overlap(self, tmp_path, seed):
+        argv = synth_args(tmp_path, seed=seed, sensors=6) + ["--drifts", "1", "--stucks", "1"]
+        assert run(*argv) == 0
+        truth = json.loads((tmp_path / "truth-graph.json").read_text())
+        spans = sorted((a["start"], a["start"] + a["duration"]) for a in truth["anomalies"])
+        assert [a["kind"] for a in truth["anomalies"]] == ["spike", "spike", "drift", "stuck"]
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        labels = load_csv(tmp_path / "test.csv").labels
+        assert labels.sum() == sum(end - start for start, end in spans)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sensors", "0"), ("--length", "1"), ("--duration", "0"), ("--spikes", "40")])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value):
+        assert run(*synth_args(tmp_path), flag, value) == 2     # the last flag wins
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, tmp_path):
@@ -377,6 +394,17 @@ class TestCheckpointAndFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 6")
         assert reason in err
+
+    def test_data_file_ending_inside_a_quote_exits_3(self, checkpoint, tmp_path, capsys):
+        base, ckpt = checkpoint
+        head, _, last = (base / "test.csv").read_bytes().rstrip(b"\r\n").rpartition(b",")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(head + b',"' + last + b"\r\n")
+        code = run("evaluate", "--data", str(bad), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "e"))
+        assert code == 3
+        lines = head.count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {bad}: line {lines}: unexpected end of data\n"
 
     @pytest.mark.parametrize("edit", [
         lambda extra: extra.pop("norm_min"),

@@ -5,6 +5,7 @@ import pytest
 
 from canet.data import (CSV_BLOCK_ROWS, DataError, RawSeries, downsample_median, load_csv,
                         make_windows, minmax_apply, minmax_fit, write_csv)
+from conftest import window_history, window_target
 
 
 def write_text(path, text):
@@ -261,6 +262,16 @@ class TestLoadCsv:
             load_csv(path)
         assert str(err.value) == f"{path}: line 11: field larger than field limit (131072)"
 
+    @pytest.mark.parametrize("text, message", [
+        ('a,b\n1,2\n3,"4\n', "line 3: unexpected end of data"),
+        ('a,b\n1,2\n"3"x,4\n', "line 3: ',' expected after '\"'"),
+    ], ids=["ends-inside-a-quote", "text-after-a-quote"])
+    def test_malformed_quoting_names_its_line(self, tmp_path, text, message):
+        path = write_text(tmp_path / "d.csv", text)
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_roundtrip_bytes(self, tmp_path):
         series = RawSeries(["x", "y"], np.array([[0.1, 0.2], [3.0, -4.5]]),
                            labels=np.array([0, 1]))
@@ -383,9 +394,13 @@ class TestWindows:
     def test_indexing_contract(self, rng):
         values = rng.standard_normal((2, 9))
         ds = make_windows(RawSeries(["a", "b"], values), 4)
-        np.testing.assert_allclose(ds.target(0), values[:, 4], rtol=1e-6)
-        np.testing.assert_allclose(ds.history(2), values[:, 2:6], rtol=1e-6)
-        np.testing.assert_allclose(ds.target(3), values[:, 7], rtol=1e-6)
+        hist, targets = ds.batch([0, 2, 3])
+        np.testing.assert_allclose(targets[0], values[:, 4], rtol=1e-6)
+        np.testing.assert_allclose(hist[1], values[:, 2:6], rtol=1e-6)
+        np.testing.assert_allclose(targets[2], values[:, 7], rtol=1e-6)
+        for i, j in enumerate([0, 2, 3]):
+            np.testing.assert_array_equal(hist[i], window_history(ds, j))
+            np.testing.assert_array_equal(targets[i], window_target(ds, j))
 
     def test_too_short_series(self, rng):
         with pytest.raises(DataError):
@@ -394,8 +409,10 @@ class TestWindows:
     def test_targets_reconstruct_series_tail(self, rng):
         values = rng.standard_normal((3, 12)).astype(np.float32)
         ds = make_windows(RawSeries(["a", "b", "c"], values), 4)
-        rebuilt = np.stack([ds.target(j) for j in range(len(ds))], axis=1)
-        np.testing.assert_array_equal(rebuilt, values[:, 4:])
+        _, targets = ds.batch(range(len(ds)))
+        np.testing.assert_array_equal(targets.T, values[:, 4:])
+        np.testing.assert_array_equal(
+            targets.T, np.stack([window_target(ds, j) for j in range(len(ds))], axis=1))
 
     @pytest.mark.parametrize("indices", [
         [5, 0, 3, 1], [2, 2, 0, 2], np.array([6, 1, 4], dtype=np.int64), range(7),
@@ -403,8 +420,8 @@ class TestWindows:
     def test_batch_matches_stacked_windows(self, rng, indices):
         ds = make_windows(RawSeries(["a", "b", "c"], rng.standard_normal((3, 10))), 3)
         hist, targets = ds.batch(indices)
-        want_hist = np.stack([ds.values[:, j:j + 3] for j in indices])
-        want_targets = np.stack([ds.values[:, j + 3] for j in indices])
+        want_hist = np.stack([window_history(ds, j) for j in indices])
+        want_targets = np.stack([window_target(ds, j) for j in indices])
         for got, want in ((hist, want_hist), (targets, want_targets)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags["C_CONTIGUOUS"]

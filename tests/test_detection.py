@@ -582,6 +582,6 @@ class TestEvaluate:
         assert rec.shape == (3, len(dataset))
         from canet.model import can_forward
         from canet.tensor import Tensor
-        single = can_forward(Tensor(dataset.history(6)[None]), model)
+        single = can_forward(Tensor(dataset.batch([6])[0]), model)
         np.testing.assert_allclose(preds[:, 6], single.y_pred.data[0], rtol=1e-6)
         np.testing.assert_allclose(rec[:, 6], single.y_rec.data[0, :, -1], rtol=1e-6)

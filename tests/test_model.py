@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import canet.tensor
 from canet import ShapeError, Tensor, backward
 from canet.attention import sinusoid_table
+from canet.data import RawSeries, make_windows
+from canet.detection import predict_series
 from canet.graph import SensorGraph
-from canet.model import (BottleneckParams, CanModel, ModelConfig, bottleneck_ae,
+from canet.model import (ABLATIONS, BottleneckParams, CanModel, ModelConfig, bottleneck_ae,
                          cam_forward, can_forward, decoder_forward, encoder_forward)
+from canet.train import _batch_loss
 from conftest import assert_grads_match
 
 
@@ -318,3 +324,25 @@ class TestParameterAccounting:
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
         assert names == [n for n, _ in model.named_parameters()]
+
+
+class TestEveryOpIsReachable:
+    def test_train_and_predict_apply_every_op(self, monkeypatch, rng):
+        # an op class that no training step or prediction applies, under any
+        # ablation, adjacency norm or position mode, is dead code
+        apply = canet.tensor.Function.apply.__func__
+        applied = set()
+
+        def recorded(cls, *args, **kwargs):
+            applied.add(cls)
+            return apply(cls, *args, **kwargs)
+
+        monkeypatch.setattr(canet.tensor.Function, "apply", classmethod(recorded))
+        dataset = make_windows(RawSeries(list("abcd"), rng.random((4, 12))), 4)
+        for ablation, norm, learned in itertools.product(ABLATIONS, ("row", "sym"),
+                                                         (False, True)):
+            model = CanModel(small_config(n_sensors=4, ablation=ablation, adjacency_norm=norm,
+                                          learned_positions=learned), seed=0)
+            backward(_batch_loss(model, dataset, np.arange(6), 0.5, 0.5))
+            predict_series(model, dataset, with_reconstruction=model.rec_decoder is not None)
+        assert applied == set(canet.tensor.Function.__subclasses__())

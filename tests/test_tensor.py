@@ -547,7 +547,7 @@ class TestInvariants:
         y = gen.standard_normal((3, 4))
         tx, ty = Tensor(x), Tensor(y)
         outputs = [
-            (tx + ty).data, (tx - ty).data, (tx * ty).data, (-tx).data,
+            (tx + ty).data, (tx - ty).data, (tx * ty).data,
             matmul(tx, ty.transpose()).data,
             relu(tx).data, leaky_relu(tx).data,
             softmax(tx, axis=-1).data,
