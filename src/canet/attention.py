@@ -62,10 +62,17 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) 
     return Attention.apply(q, k, v, mask=causal_mask(k.shape[-2]) if causal else None)
 
 
-def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False) -> Tensor:
+def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
+                         rows: Optional[int] = None) -> Tensor:
     """Attend in every head at once: q, k and v are reshaped to
     ``(..., heads, seq, head_dim)``, and the heads' outputs are laid side by
-    side again before the output projection."""
+    side again before the output projection.
+
+    With ``rows`` set, only the last ``rows`` positions are projected, in
+    one GEMM over all of them, and returned.  The queries are not cut: a
+    one-row matrix stack would send numpy's matmul down its vector-matrix
+    path, which sums in another order.
+    """
     *lead, seq, width = sequence.shape
     n = len(lead)
     swap = tuple(range(n)) + (n + 1, n, n + 2)          # (seq, heads) <-> (heads, seq)
@@ -73,7 +80,10 @@ def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool
     q, k, v = (matmul(sequence, w).reshape(split).transpose(swap)
                for w in (params.w_query, params.w_key, params.w_value))
     attended = scaled_dot_attention(q, k, v, causal=causal).transpose(swap)
-    return matmul(attended.reshape(tuple(lead) + (seq, width)), params.w_out)
+    if rows is None or rows == seq:
+        return matmul(attended.reshape(tuple(lead) + (seq, width)), params.w_out)
+    kept = attended[..., seq - rows:, :, :].reshape((-1, width))
+    return matmul(kept, params.w_out).reshape(tuple(lead) + (rows, width))
 
 
 def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:

@@ -63,7 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--train-data", help="training CSV for calibration='train'")
     p_eval.add_argument("--can-plus", action="store_true", default=None,
                         help="fuse reconstruction deviation into the score")
-    p_eval.add_argument("--batch-size", type=int, default=256)
+    p_eval.add_argument("--batch-size", type=int, default=None,
+                        help="windows per forward pass (default: as many as fit in 1 MiB "
+                             "at one activation of n_sensors x (window + 1) x model_dim "
+                             "floats per window, clamped to 1..256)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_export = sub.add_parser("export-embeddings",
@@ -118,12 +121,20 @@ def resolve_train_config(args) -> TrainConfig:
 
 
 def cmd_synth(args) -> int:
+    counts = {"spike": args.spikes, "drift": args.drifts, "stuck": args.stucks}
+    for kind, count in counts.items():
+        if count < 0:
+            raise ConfigError(f"--{kind}s must be >= 0, got {count}")
+    if args.duration < 1:
+        raise ConfigError(f"--duration must be >= 1, got {args.duration}")
+    if not np.isfinite(args.magnitude):
+        raise ConfigError(f"--magnitude must be finite, got {args.magnitude}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     segments, taken = [], []
     try:
-        for kind, count in (("spike", args.spikes), ("drift", args.drifts), ("stuck", args.stucks)):
+        for kind, count in counts.items():
             segments.extend(place_segments(count, args.length, args.sensors, rng,
                                            duration=args.duration, magnitude=args.magnitude,
                                            kind=kind, taken=taken))
@@ -203,7 +214,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.batch_size < 1:
+    if args.batch_size is not None and args.batch_size < 1:
         raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     model, extra = load_checkpoint(args.checkpoint)
     try:

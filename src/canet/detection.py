@@ -176,18 +176,30 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
     return best_threshold, best
 
 
+def inference_batch_size(model: CanModel) -> int:
+    """Windows per inference batch when none is given: as many as fit one
+    activation, (n_sensors, window + 1, model_dim) per window, in 1 MiB
+    (half of a 2 MiB L2 cache), clamped to 1..256."""
+    cfg = model.config
+    window_bytes = cfg.n_sensors * (cfg.window + 1) * cfg.model_dim * model.dtype.itemsize
+    return min(256, max(1, (1 << 20) // window_bytes))
+
+
 def predict_series(model: CanModel, dataset: WindowedDataset,
-                   batch_size: int = 256, with_reconstruction: bool = False):
+                   batch_size: Optional[int] = None, with_reconstruction: bool = False):
     """Run the prediction decoder over every window.
 
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
     reconstruction of the window's last history column.  The reconstruction
-    decoder runs only when requested.  Batches run without an autodiff
-    tape, so memory grows with ``batch_size``, not with the series, on
-    ``CAN_THREADS`` threads (default 1); they are independent, so the
-    thread count never changes the numbers.
+    decoder runs only when requested.  Batches of ``batch_size`` windows (by
+    default :func:`inference_batch_size`) run without an autodiff tape, so
+    memory grows with the batch, not with the series, on ``CAN_THREADS``
+    threads (default 1); windows are independent, so neither changes the
+    numbers.
     """
+    if batch_size is None:
+        batch_size = inference_batch_size(model)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     raw = os.environ.get("CAN_THREADS", "1")
@@ -226,7 +238,7 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
 
 def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
              score_sensors: int = 2, calibration: Optional[WindowedDataset] = None,
-             can_plus: bool = False, batch_size: int = 256) -> DetectionReport:
+             can_plus: bool = False, batch_size: Optional[int] = None) -> DetectionReport:
     """Score a labelled test series and search the best threshold.
 
     ``truth`` is the full-length label vector; the first ``window``

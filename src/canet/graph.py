@@ -124,22 +124,27 @@ def local_adjacency(features: Tensor, params: GraphConvParams) -> Tensor:
 
 
 def global_local_conv(features: Tensor, graph: SensorGraph,
-                      local: Optional[Tensor], params: GraphConvParams) -> Tensor:
+                      local: Optional[Tensor], params: GraphConvParams,
+                      slots: bool = True) -> Tensor:
     """Mask-filtered propagation mixing the sensor axis, then feature map.
 
     Combines the normalized global graph with the (optional) local graph,
     zeroes non-candidate edges with the binary mask, and blends the
-    propagated state with the original by the retain ratio.
+    propagated state with the original by the retain ratio.  ``features``
+    is (..., n_sensors, seq, width), or (..., n_sensors, width) with
+    ``slots=False``: one slot per sensor.
     """
     combined = graph.normalized if local is None else local + graph.normalized
     gated = combined * Tensor(graph.mask.astype(features.dtype))
 
-    *lead, n, seq, width = features.shape
     if params.retain == 1.0:
         mixed = features
     else:
-        flat = features.reshape(tuple(lead) + (n, seq * width))
-        propagated = matmul(gated, flat).reshape(features.shape)
+        if slots:
+            flat = features.reshape(features.shape[:-2] + (-1,))
+            propagated = matmul(gated, flat).reshape(features.shape)
+        else:
+            propagated = matmul(gated, features)
         if params.retain == 0.0:
             mixed = propagated
         else:

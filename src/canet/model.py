@@ -252,24 +252,33 @@ class CanModel:
         return projected + self.positions.take(seq_len)
 
 
-def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph) -> Tensor:
-    """One coupled attention layer on (..., n_sensors, seq, width)."""
+def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph,
+                last_slot: bool = False) -> Tensor:
+    """One coupled attention layer on (..., n_sensors, seq, width).
+
+    With ``last_slot`` the graph sublayer and its layer norm run on the
+    final slot only, giving (..., n_sensors, width); attention and the
+    local graph still read every slot.
+    """
     attended = multi_head_attention(features, layer.attention, causal=False)
     h1 = layer_norm(features + attended, layer.ln_attn_gain, layer.ln_attn_bias)
+    local = local_adjacency(h1, layer.graph) if layer.dense is None and layer.use_local else None
+    if last_slot:
+        h1 = h1[..., -1, :]
     if layer.dense is not None:
         sub = matmul(h1, layer.dense)
     else:
-        local = local_adjacency(h1, layer.graph) if layer.use_local else None
-        sub = global_local_conv(h1, graph, local, layer.graph)
+        sub = global_local_conv(h1, graph, local, layer.graph, slots=not last_slot)
     return layer_norm(h1 + sub, layer.ln_graph_gain, layer.ln_graph_bias)
 
 
-def encoder_forward(x, model: CanModel):
-    """Run the encoder over a window; returns per-layer states and the
-    per-layer placeholder embeddings.
+def encoder_forward(x, model: CanModel) -> List[Tensor]:
+    """Run the encoder over a window; returns the per-layer placeholder
+    embeddings, (..., n_sensors, width) each.
 
     The window is extended by a zero-valued placeholder occupying the final
-    time slot; each layer's embedding is its state at that slot.
+    time slot; each layer's embedding is its state at that slot, and the
+    last layer computes only that slot.
     """
     x = model._as_input(x)
     lead = x.shape[:-2]
@@ -281,12 +290,12 @@ def encoder_forward(x, model: CanModel):
     needs_graph = any(layer.dense is None for layer in model.encoder)
     graph = build_sensor_graph(model.embedding, model.config.neighbor_k,
                                model.config.adjacency_norm) if needs_graph else None
-    states, embeddings = [], []
-    for layer in model.encoder:
+    embeddings = []
+    for layer in model.encoder[:-1]:
         h = cam_forward(h, layer, graph)
-        states.append(h)
         embeddings.append(h[..., -1, :])
-    return states, embeddings
+    embeddings.append(cam_forward(h, model.encoder[-1], graph, last_slot=True))
+    return embeddings
 
 
 def bottleneck_ae(embedding: Tensor, params: BottleneckParams) -> Tensor:
@@ -303,21 +312,24 @@ def bottleneck_ae(embedding: Tensor, params: BottleneckParams) -> Tensor:
 def decoder_forward(seed: Tensor, layer_embeddings: List[Tensor],
                     layers: List[DecoderLayerParams], crop_len: int) -> Tensor:
     """Causal decoder: each layer prepends its encoder embedding as one time
-    slot, attends with a lower-triangular mask, and the final sequence is
-    cropped to its last ``crop_len`` slots."""
+    slot and attends with a lower-triangular mask; the last layer computes
+    only the final ``crop_len`` slots of the sequence, which it returns."""
     if len(layer_embeddings) != len(layers):
         raise ShapeError(
             f"{len(layer_embeddings)} embeddings for {len(layers)} decoder layers")
+    seq_len = seed.shape[-2] + len(layers)
+    if crop_len > seq_len:
+        raise ShapeError(f"crop length {crop_len} exceeds sequence length {seq_len}")
     running = seed
-    for emb, layer in zip(layer_embeddings, layers):
+    for i, (emb, layer) in enumerate(zip(layer_embeddings, layers)):
         slot = emb.reshape(emb.shape[:-1] + (1, emb.shape[-1]))
         running = concat([slot, running], axis=-2)
-        attended = multi_head_attention(running, layer.attention, causal=True)
+        rows = crop_len if i == len(layers) - 1 else None
+        attended = multi_head_attention(running, layer.attention, causal=True, rows=rows)
+        if rows is not None and rows < running.shape[-2]:
+            running = running[..., -rows:, :]
         running = layer_norm(running + attended, layer.ln_gain, layer.ln_bias)
-    if crop_len > running.shape[-2]:
-        raise ShapeError(
-            f"crop length {crop_len} exceeds sequence length {running.shape[-2]}")
-    return running[..., -crop_len:, :]
+    return running
 
 
 def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
@@ -329,7 +341,7 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
     lead = x.shape[:-2]
     n, k = x.shape[-2], x.shape[-1]
 
-    _, embeddings = encoder_forward(x, model)
+    embeddings = encoder_forward(x, model)
     if model.bottleneck is None:
         squeezed = list(embeddings)
     else:

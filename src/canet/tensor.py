@@ -426,7 +426,9 @@ class Attention(Function):
         # small matrices given as transposed strided views several times slower
         scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
         if mask is not None:
-            np.copyto(scores, -np.inf, where=_checked_mask(mask, scores.shape, -1))
+            # added at the mask's own size: x + 0 keeps the value of x, x + -inf is -inf
+            mask = _checked_mask(mask, scores.shape, -1)
+            scores += np.where(mask, scores.dtype.type(-np.inf), scores.dtype.type(0))
         scores -= _reduce_keepdims(np.maximum, scores, -1)
         np.exp(scores, out=scores)
         scores /= _reduce_keepdims(np.add, scores, -1)

@@ -5,6 +5,10 @@ import pytest
 
 import canet.tensor
 from canet import Tensor, backward
+from canet.attention import multi_head_attention
+from canet.graph import build_sensor_graph, global_local_conv, local_adjacency
+from canet.model import bottleneck_ae
+from canet.tensor import concat, layer_norm, matmul, no_grad
 
 GRAD_RTOL = 1e-4
 
@@ -91,6 +95,54 @@ def window_history(dataset, j: int) -> np.ndarray:
 def window_target(dataset, j: int) -> np.ndarray:
     """Target column j + window of window ``j``, read off the series."""
     return dataset.values[:, j + dataset.window]
+
+
+def full_slot_forward(x: np.ndarray, model):
+    """Oracle for ``can_forward``: every slot passes through every layer,
+    the last ones included, and the outputs are sliced afterwards.
+
+    Returns the arrays ``(y_pred, y_rec, embeddings)``; ``y_rec`` is None
+    without a reconstruction decoder.
+    """
+    cfg = model.config
+    x = Tensor(np.asarray(x, dtype=model.dtype))
+    lead, (n, k) = x.shape[:-2], x.shape[-2:]
+    graph = build_sensor_graph(model.embedding, cfg.neighbor_k, cfg.adjacency_norm)
+
+    def decode(seed, embeddings, layers, crop_len):
+        running = seed
+        for emb, layer in zip(embeddings, layers):
+            running = concat([emb.reshape(emb.shape[:-1] + (1, -1)), running], axis=-2)
+            attended = multi_head_attention(running, layer.attention, causal=True)
+            running = layer_norm(running + attended, layer.ln_gain, layer.ln_bias)
+        return running[..., -crop_len:, :]
+
+    with no_grad():
+        zero_slot = Tensor(np.zeros(lead + (n, 1, 1), dtype=model.dtype))
+        h = model._lift(concat([x.reshape(x.shape + (1,)), zero_slot], axis=-2), k + 1)
+        embeddings = []
+        for layer in model.encoder:
+            attended = multi_head_attention(h, layer.attention)
+            h1 = layer_norm(h + attended, layer.ln_attn_gain, layer.ln_attn_bias)
+            if layer.dense is not None:
+                sub = matmul(h1, layer.dense)
+            else:
+                local = local_adjacency(h1, layer.graph) if layer.use_local else None
+                sub = global_local_conv(h1, graph, local, layer.graph)
+            h = layer_norm(h1 + sub, layer.ln_graph_gain, layer.ln_graph_bias)
+            embeddings.append(h[..., -1, :])
+        squeezed = embeddings if model.bottleneck is None else [
+            bottleneck_ae(e, model.bottleneck) for e in embeddings]
+        pre_out = decode(model._lift(zero_slot, 1), squeezed, model.pre_decoder, 1)
+        y_pred = (matmul(pre_out, model.pred_weight) + model.pred_bias).reshape(lead + (n,))
+        y_rec = None
+        if model.rec_decoder is not None:
+            history = x[..., :k - 1].reshape(lead + (n, k - 1, 1))
+            rec_seed = model._lift(concat([zero_slot, history], axis=-2), k)
+            rec_out = decode(rec_seed, squeezed, model.rec_decoder, k)
+            y_rec = (matmul(rec_out, model.rec_weight) + model.rec_bias).reshape(lead + (n, k))
+    return (y_pred.data, None if y_rec is None else y_rec.data,
+            [e.data for e in embeddings])
 
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:

@@ -214,11 +214,11 @@ class TestCriterion4CausalityBidirectionality:
 
         # encoder placeholder reacts to every input timestamp
         x = gen.random((3, 6)).astype(np.float32)
-        _, base_emb = encoder_forward(x, model)
+        base_emb = encoder_forward(x, model)
         for t in range(6):
             bumped = x.copy()
             bumped[:, t] += 0.25
-            _, moved_emb = encoder_forward(bumped, model)
+            moved_emb = encoder_forward(bumped, model)
             assert not np.allclose(base_emb[-1].data, moved_emb[-1].data)
         announce(4, "decoders are causal bit-exactly; the encoder placeholder "
                     "sees every timestamp")

@@ -65,6 +65,15 @@ class TestSynthCommand:
         assert run(*synth_args(tmp_path), flag, value) == 2     # the last flag wins
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value, spikes", [
+        ("--magnitude", "nan", 2), ("--magnitude", "inf", 2), ("--spikes", "-1", 2),
+        ("--drifts", "-1", 2), ("--stucks", "-1", 2), ("--duration", "0", 0)])
+    def test_flag_that_would_write_bad_data_exits_2(self, tmp_path, capsys, flag, value, spikes):
+        out = tmp_path / "out"
+        assert run(*synth_args(out, spikes=spikes), flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_log(self, tmp_path):

@@ -8,7 +8,7 @@ import canet.detection
 import canet.model
 from canet.data import RawSeries, make_windows
 from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
-                             evaluate, normalize_errors, point_adjust,
+                             evaluate, inference_batch_size, normalize_errors, point_adjust,
                              prediction_errors, predict_series,
                              threshold_grid_search, write_report_json, write_scores_csv)
 from canet.model import CanModel, ModelConfig, can_forward
@@ -585,3 +585,30 @@ class TestEvaluate:
         single = can_forward(Tensor(dataset.batch([6])[0]), model)
         np.testing.assert_allclose(preds[:, 6], single.y_pred.data[0], rtol=1e-6)
         np.testing.assert_allclose(rec[:, 6], single.y_rec.data[0, :, -1], rtol=1e-6)
+
+
+PAPER_KNOBS = dict(window=5, layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10)
+DESK_KNOBS = dict(window=5, layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5)
+
+
+class TestInferenceBatchSize:
+    @pytest.mark.parametrize("n_sensors, knobs, dtype, expected", [
+        (51, PAPER_KNOBS, np.float32, 26), (51, PAPER_KNOBS, np.float64, 13),
+        (5, DESK_KNOBS, np.float32, 256), (2000, PAPER_KNOBS, np.float32, 1)],
+        ids=["paper", "paper-float64", "desk", "too-wide"])
+    def test_rule(self, n_sensors, knobs, dtype, expected):
+        model = CanModel(ModelConfig(n_sensors=n_sensors, **knobs), seed=0, dtype=dtype)
+        assert inference_batch_size(model) == expected
+
+    @pytest.mark.parametrize("n_sensors, knobs", [(5, DESK_KNOBS), (51, PAPER_KNOBS)],
+                             ids=["desk", "paper"])
+    def test_batch_size_never_changes_the_numbers(self, n_sensors, knobs):
+        values = np.random.default_rng(11).random((n_sensors, 275))
+        dataset = make_windows(RawSeries([f"s{i}" for i in range(n_sensors)], values), 5)
+        model = CanModel(ModelConfig(n_sensors=n_sensors, **knobs), seed=1)
+        assert len(dataset) > 256
+        expected = predict_series(model, dataset, len(dataset), with_reconstruction=True)
+        for size in (1, 7, inference_batch_size(model), 256, None):
+            predictions, rec_last = predict_series(model, dataset, size, with_reconstruction=True)
+            assert predictions.tobytes() == expected[0].tobytes(), size
+            assert rec_last.tobytes() == expected[1].tobytes(), size

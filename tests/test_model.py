@@ -12,7 +12,7 @@ from canet.graph import SensorGraph
 from canet.model import (ABLATIONS, BottleneckParams, CanModel, ModelConfig, bottleneck_ae,
                          cam_forward, can_forward, decoder_forward, encoder_forward)
 from canet.train import _batch_loss
-from conftest import assert_grads_match
+from conftest import assert_grads_match, full_slot_forward
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -65,19 +65,18 @@ class TestCamForward:
 class TestEncoder:
     def test_sequence_gains_placeholder_slot(self, rng):
         model = CanModel(small_config(), seed=0)
-        states, embeddings = encoder_forward(rng.standard_normal((3, 4)), model)
-        assert all(s.shape == (3, 5, 8) for s in states)
+        embeddings = encoder_forward(rng.standard_normal((3, 4)), model)
         assert len(embeddings) == model.config.layers
         assert all(e.shape == (3, 8) for e in embeddings)
 
     def test_placeholder_reacts_to_every_timestamp(self, rng):
         model = CanModel(small_config(), seed=3)
         x = rng.standard_normal((3, 4)).astype(np.float32)
-        _, base = encoder_forward(x, model)
+        base = encoder_forward(x, model)
         for t in range(4):
             bumped = x.copy()
             bumped[:, t] += 0.5
-            _, moved = encoder_forward(bumped, model)
+            moved = encoder_forward(bumped, model)
             assert not np.allclose(base[-1].data, moved[-1].data)
 
     def test_scalar_walkthrough_oracle(self):
@@ -110,7 +109,7 @@ class TestEncoder:
         model.embedding.data = emb.copy()
 
         x = np.array([[0.3]])
-        _, embeddings = encoder_forward(x, model)
+        embeddings = encoder_forward(x, model)
 
         # independent numpy walkthrough of the same arithmetic
         cols = np.array([[0.3], [0.0]])
@@ -346,3 +345,22 @@ class TestEveryOpIsReachable:
             backward(_batch_loss(model, dataset, np.arange(6), 0.5, 0.5))
             predict_series(model, dataset, with_reconstruction=model.rec_decoder is not None)
         assert applied == set(canet.tensor.Function.__subclasses__())
+
+
+class TestCroppedLastLayers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_matches_full_slot_oracle_bytes(self, rng, dtype):
+        # the last encoder and decoder layers compute only the slots the model
+        # reads; the numbers must be those of running every slot through them
+        x = rng.random((6, 4, 4))
+        for ablation, norm, learned in itertools.product(ABLATIONS, ("row", "sym"),
+                                                         (False, True)):
+            model = CanModel(small_config(n_sensors=4, ablation=ablation, adjacency_norm=norm,
+                                          learned_positions=learned), seed=0, dtype=dtype)
+            out = can_forward(x.astype(dtype), model)
+            y_pred, y_rec, embeddings = full_slot_forward(x, model)
+            assert out.y_pred.data.tobytes() == y_pred.tobytes()
+            assert (out.y_rec is None) == (y_rec is None)
+            if y_rec is not None:
+                assert out.y_rec.data.tobytes() == y_rec.tobytes()
+            assert [e.data.tobytes() for e in out.embeddings] == [e.tobytes() for e in embeddings]
