@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from canet.initializers import glorot_uniform
-from canet.tensor import Attention, ShapeError, Tensor, matmul
+from canet.tensor import Attention, Tensor, matmul
 
 
 @dataclass
@@ -55,34 +55,31 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis, as one autodiff op."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    return Attention.apply(q, k, v, mask=causal_mask(k.shape[-2]) if causal else None)
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+                         heads: int = 1) -> Tensor:
+    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis in each of
+    ``heads`` column blocks of q, k and v, as one autodiff op."""
+    return Attention.apply(q, k, v, mask=causal_mask(k.shape[-2]) if causal else None,
+                           heads=heads)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
                          rows: Optional[int] = None) -> Tensor:
-    """Attend in every head at once: q, k and v are reshaped to
-    ``(..., heads, seq, head_dim)``, and the heads' outputs are laid side by
-    side again before the output projection.
+    """Attend in every head at once: the attention op splits q, k and v
+    into heads and lays the heads' outputs side by side again before the
+    output projection.
 
     With ``rows`` set, only the last ``rows`` positions are projected, in
     one GEMM over all of them, and returned.  The queries are not cut: a
     one-row matrix stack would send numpy's matmul down its vector-matrix
     path, which sums in another order.
     """
+    q, k, v = (matmul(sequence, w) for w in (params.w_query, params.w_key, params.w_value))
+    attended = scaled_dot_attention(q, k, v, causal=causal, heads=params.heads)
     *lead, seq, width = sequence.shape
-    n = len(lead)
-    swap = tuple(range(n)) + (n + 1, n, n + 2)          # (seq, heads) <-> (heads, seq)
-    split = tuple(lead) + (seq, params.heads, width // params.heads)
-    q, k, v = (matmul(sequence, w).reshape(split).transpose(swap)
-               for w in (params.w_query, params.w_key, params.w_value))
-    attended = scaled_dot_attention(q, k, v, causal=causal).transpose(swap)
     if rows is None or rows == seq:
-        return matmul(attended.reshape(tuple(lead) + (seq, width)), params.w_out)
-    kept = attended[..., seq - rows:, :, :].reshape((-1, width))
+        return matmul(attended, params.w_out)
+    kept = attended[..., seq - rows:, :].reshape((-1, width))
     return matmul(kept, params.w_out).reshape(tuple(lead) + (rows, width))
 
 
@@ -93,31 +90,3 @@ def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:
     angles = positions / np.power(10000.0, 2.0 * (channels // 2) / width)
     table = np.where(channels % 2 == 0, np.sin(angles), np.cos(angles))
     return table.astype(dtype)
-
-
-class PositionalTable:
-    """Position rows added to model inputs, fixed sinusoidal by default.
-
-    With ``learned=True`` the table is a trainable parameter instead.
-    """
-
-    def __init__(self, max_len: int, width: int, learned: bool = False,
-                 rng: Optional[np.random.Generator] = None, dtype=np.float32):
-        self.max_len = max_len
-        self.width = width
-        self.learned = learned
-        if learned:
-            self.values = Tensor(
-                (0.1 * rng.standard_normal((max_len, width))).astype(dtype),
-                requires_grad=True)
-        else:
-            self.values = Tensor(sinusoid_table(max_len, width, dtype))
-
-    def take(self, seq_len: int) -> Tensor:
-        if seq_len > self.max_len:
-            raise ShapeError(f"requested {seq_len} positions from a table of {self.max_len}")
-        return self.values[:seq_len]
-
-    def named(self, prefix: str):
-        if self.learned:
-            yield f"{prefix}.values", self.values

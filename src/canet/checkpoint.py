@@ -42,9 +42,10 @@ def save_checkpoint(model: CanModel, path, extra: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[CanModel, dict]:
     """Rebuild the model and return ``(model, extra)``.
 
-    Round-trips every parameter bit-exactly; rejects unknown versions and
-    truncated files, and ``extra["sensor_names"]``, when present, unless it
-    is ``n_sensors`` distinct strings.
+    Round-trips every parameter bit-exactly; rejects unknown versions,
+    truncated files, offsets other than the packed layout ``save_checkpoint``
+    writes, and ``extra["sensor_names"]``, when present, unless it is
+    ``n_sensors`` distinct strings.
     """
     try:
         with open(path, "rb") as handle:
@@ -71,14 +72,19 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
     try:
         model = CanModel(ModelConfig(**header["config"]), seed=0)
         arrays = {}
+        start = 0
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
+            # the layout save_checkpoint writes: each entry starts where the last one ended
+            if entry["offset"] != start:
+                raise CheckpointError(f"parameter {entry['name']} in {path} starts at byte "
+                                      f"{entry['offset']!r}, expected {start}")
             raw = blob[start:start + 4 * count]
             if len(raw) != 4 * count:
                 raise CheckpointError(f"truncated parameter data for {entry['name']} in {path}")
             arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            start += 4 * count
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad checkpoint header in {path}: {exc!r}") from exc
     params = dict(model.named_parameters())

@@ -68,7 +68,6 @@ class SensorGraph:
     adjacency: Tensor
     normalized: Tensor
     mask: np.ndarray
-    top_k: int
 
 
 def build_sensor_graph(embedding: Tensor, top_k: int, mode: str = "row") -> SensorGraph:
@@ -77,7 +76,6 @@ def build_sensor_graph(embedding: Tensor, top_k: int, mode: str = "row") -> Sens
         adjacency=adjacency,
         normalized=normalize_adjacency(adjacency, mode),
         mask=topk_mask(adjacency.data, top_k),
-        top_k=top_k,
     )
 
 

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from canet.attention import AttentionParams, PositionalTable, multi_head_attention
+from canet.attention import AttentionParams, multi_head_attention, sinusoid_table
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_local_conv, init_sensor_embedding, local_adjacency)
 from canet.initializers import glorot_uniform, ones, zeros
@@ -164,8 +164,11 @@ class CanModel:
         self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng, dtype)
         self.input_weight = glorot_uniform(rng, (1, cfg.model_dim), dtype)
         self.input_bias = zeros((cfg.model_dim,), dtype)
-        self.positions = PositionalTable(
-            seq, cfg.model_dim, learned=cfg.learned_positions, rng=rng, dtype=dtype)
+        if cfg.learned_positions:
+            self.positions = Tensor((0.1 * rng.standard_normal((seq, cfg.model_dim))).astype(dtype),
+                                    requires_grad=True)
+        else:
+            self.positions = Tensor(sinusoid_table(seq, cfg.model_dim, dtype))
 
         self.encoder: List[CamLayerParams] = []
         for _ in range(cfg.layers):
@@ -214,7 +217,8 @@ class CanModel:
         yield "embedding", self.embedding
         yield "input.weight", self.input_weight
         yield "input.bias", self.input_bias
-        yield from self.positions.named("positions")
+        if self.positions.requires_grad:
+            yield "positions.values", self.positions
         for i, layer in enumerate(self.encoder):
             yield from layer.named(f"encoder.{i}")
         if self.bottleneck is not None:
@@ -249,7 +253,7 @@ class CanModel:
     def _lift(self, columns: Tensor, seq_len: int) -> Tensor:
         """Project scalar slots to model width and add position rows."""
         projected = matmul(columns, self.input_weight) + self.input_bias
-        return projected + self.positions.take(seq_len)
+        return projected + self.positions[:seq_len]
 
 
 def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph,

@@ -109,8 +109,9 @@ class Tensor:
     def reshape(self, shape) -> "Tensor":
         return Reshape.apply(self, shape=tuple(shape))
 
-    def transpose(self, axes=None) -> "Tensor":
-        return Transpose.apply(self, axes=axes)
+    def transpose(self) -> "Tensor":
+        """Swap the last two axes."""
+        return Transpose.apply(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -256,16 +257,13 @@ class MatMul(Function):
 
 
 class Transpose(Function):
-    def forward(self, a, axes=None):
-        self.axes = axes
-        if axes is None:
-            return np.swapaxes(a, -1, -2)
-        return np.transpose(a, axes)
+    """Swap the last two axes."""
+
+    def forward(self, a):
+        return np.swapaxes(a, -1, -2)
 
     def backward(self, grad):
-        if self.axes is None:
-            return (np.swapaxes(grad, -1, -2),)
-        return (np.transpose(grad, np.argsort(self.axes)),)
+        return (np.swapaxes(grad, -1, -2),)
 
 
 class Reshape(Function):
@@ -398,36 +396,46 @@ class Softmax(Function):
 
 class Attention(Function):
     """Scaled dot-product attention ``softmax(q kᵀ s) v`` with
-    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) as one node; key positions
-    where ``mask`` is True are excluded.
+    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) in every head, as one node;
+    key positions where ``mask`` is True are excluded.
 
-    The forward keeps the arithmetic and order of the composed ops (scale
-    q, multiply by kᵀ, masked softmax, multiply by v), so outputs keep
-    their bytes.  Only the probabilities ``p`` and the operands that the
-    needed gradients read are saved.
+    q, k and v come in the model's ``(..., seq, heads·d)`` layout, and head
+    ``i`` reads column block ``i`` of each.  The forward splits them into
+    ``(..., heads, seq, d)`` views and lays the heads' outputs side by side
+    again; a mask's batch axes line up with the operands' batch axes.  It
+    keeps the arithmetic and order of the composed ops (scale q, multiply
+    by kᵀ, masked softmax, multiply by v), so outputs keep their bytes.
+    Only the probabilities ``p`` and the operands that the needed gradients
+    read are saved.
     The backward is the closed form: with the upstream gradient ``g``,
     ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
-    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``.
+    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``, each merged
+    back to its operand's layout as soon as it is computed.
     """
 
-    def forward(self, q, k, v, mask=None):
+    def forward(self, q, k, v, mask=None, heads=1):
         if min(q.ndim, k.ndim, v.ndim) < 2:
             raise ShapeError(f"attention needs rank >= 2 operands, got "
                              f"q {q.shape}, k {k.shape}, v {v.shape}")
-        if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-            raise ShapeError(f"attention operands do not fit: q {q.shape}, k {k.shape}, v {v.shape}")
+        if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+                or q.shape[-1] % heads or v.shape[-1] % heads):
+            raise ShapeError(f"attention operands do not fit (heads={heads}): "
+                             f"q {q.shape}, k {k.shape}, v {v.shape}")
         try:
             np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
         except ValueError as exc:
             raise ShapeError(f"attention batch dimensions incompatible: "
                              f"q {q.shape}, k {k.shape}, v {v.shape}") from exc
+        q, k, v = (_split_heads(a, heads) for a in (q, k, v))
         self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
         scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
         if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            mask = _checked_mask(mask[..., None, :, :] if mask.ndim > 2 else mask,
+                                 scores.shape, -1)
             # added at the mask's own size: x + 0 keeps the value of x, x + -inf is -inf
-            mask = _checked_mask(mask, scores.shape, -1)
             scores += np.where(mask, scores.dtype.type(-np.inf), scores.dtype.type(0))
         scores -= _reduce_keepdims(np.maximum, scores, -1)
         np.exp(scores, out=scores)
@@ -439,10 +447,11 @@ class Attention(Function):
         self.k = k if need_q else None
         self.v = v if need_q or need_k else None
         self.p = scores
-        return scores @ v
+        return _merge_heads(scores @ v)
 
     def backward(self, grad):
         (sq, sk, sv), (need_q, need_k, need_v) = self.shapes, self.needs
+        grad = _split_heads(grad, sq[-3])
         p = self.p
         gq = gk = gv = None
         if need_q or need_k:
@@ -450,12 +459,23 @@ class Attention(Function):
             ds -= _reduce_keepdims(np.add, ds * p, -1)
             ds *= p
             if need_q:
-                gq = _unbroadcast((ds @ self.k) * self.scale, sq)
+                gq = _merge_heads(_unbroadcast((ds @ self.k) * self.scale, sq))
             if need_k:
-                gk = _unbroadcast(np.swapaxes(ds, -1, -2) @ (self.q * self.scale), sk)
+                gk = _merge_heads(_unbroadcast(np.swapaxes(ds, -1, -2) @ (self.q * self.scale), sk))
         if need_v:
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ grad, sv)
+            gv = _merge_heads(_unbroadcast(np.swapaxes(p, -1, -2) @ grad, sv))
         return gq, gk, gv
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """``(..., seq, heads·d)`` as a ``(..., heads, seq, d)`` view."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """``(..., heads, seq, d)`` with the heads side by side: ``(..., seq, heads·d)``."""
+    a = np.swapaxes(a, -2, -3)
+    return a.reshape(a.shape[:-2] + (-1,))
 
 
 def _checked_mask(mask, shape: tuple, axis: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from canet import Tensor, backward
 from canet.attention import multi_head_attention
 from canet.graph import build_sensor_graph, global_local_conv, local_adjacency
 from canet.model import bottleneck_ae
-from canet.tensor import concat, layer_norm, matmul, no_grad
+from canet.tensor import Attention, concat, layer_norm, matmul, no_grad
 
 GRAD_RTOL = 1e-4
 
@@ -84,6 +84,11 @@ BAD_HEADERS = {
     "sensor-names-too-few": lambda h: {**h, "extra": {**h["extra"], "sensor_names": ["a"]}},
     "sensor-names-repeated": lambda h: {
         **h, "extra": {**h["extra"], "sensor_names": ["a"] * h["config"]["n_sensors"]}},
+    "offset-negative": lambda h: {
+        **h, "params": h["params"][:-1] + [{**h["params"][-1], "offset": -8}]},
+    "offsets-overlap": lambda h: {
+        **h, "params": [h["params"][0], {**h["params"][1], "offset": h["params"][0]["offset"]},
+                        *h["params"][2:]]},
 }
 
 
@@ -143,6 +148,29 @@ def full_slot_forward(x: np.ndarray, model):
             y_rec = (matmul(rec_out, model.rec_weight) + model.rec_bias).reshape(lead + (n, k))
     return (y_pred.data, None if y_rec is None else y_rec.data,
             [e.data for e in embeddings])
+
+
+def per_head_attention(q, k, v, upstream, heads: int, mask=None):
+    """Oracle for ``Attention``'s head split: the reshape/transpose chain that
+    multi-head attention once recorded around the one-head op, as the numpy
+    views and copies those ops made.
+
+    ``q``, ``k``, ``v`` and ``upstream``, the gradient of the output, are
+    ``(..., seq, heads·d)`` arrays.  Returns the output and the gradients of
+    q, k and v, in that layout.
+    """
+    def split(a):       # Reshape to (..., seq, heads, d), Transpose (seq, heads): views
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
+
+    def merge(a):       # Transpose back, then Reshape: a copy
+        a = np.swapaxes(a, -2, -3)
+        return a.reshape(a.shape[:-2] + (-1,))
+
+    if mask is not None and mask.ndim > 2:
+        mask = mask[..., None, :, :]     # the mask's batch axes precede the head axis
+    op = Attention((True, True, True))
+    out = op.forward(split(q), split(k), split(v), mask=mask)
+    return merge(out), [merge(g) for g in op.backward(split(upstream))]
 
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:

@@ -171,8 +171,7 @@ class TestCriterion3PropagationIdentity:
         params.propagation = eye
         graph = SensorGraph(adjacency=Tensor(gen.random((n, n))),
                             normalized=Tensor(gen.random((n, n))),
-                            mask=(gen.random((n, n)) < 0.5).astype(np.float64),
-                            top_k=2)
+                            mask=(gen.random((n, n)) < 0.5).astype(np.float64))
         local = Tensor(gen.random((n, n)).astype(np.float32))
         out = global_local_conv(Tensor(h), graph, local, params).data
         assert out.tobytes() == h.tobytes()
@@ -182,7 +181,7 @@ class TestCriterion3PropagationIdentity:
         params0.propagation = eye
         graph0 = SensorGraph(adjacency=Tensor(np.eye(n)),
                              normalized=Tensor(np.eye(n, dtype=np.float32) * 0.25),
-                             mask=np.ones((n, n)), top_k=n)
+                             mask=np.ones((n, n)))
         local0 = Tensor(np.eye(n, dtype=np.float32) * 0.75)
         out0 = global_local_conv(Tensor(h), graph0, local0, params0).data
         assert out0.tobytes() == h.tobytes()

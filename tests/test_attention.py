@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-import canet.tensor
 from canet import ShapeError, Tensor, no_grad
-from canet.attention import (AttentionParams, PositionalTable, causal_mask,
-                             multi_head_attention, scaled_dot_attention, sinusoid_table)
+from canet.attention import (AttentionParams, causal_mask, multi_head_attention,
+                             scaled_dot_attention, sinusoid_table)
 from conftest import assert_grads_match
 
 
@@ -139,20 +138,19 @@ class TestMultiHead:
         np.testing.assert_allclose(out, per_head_reference(seq, params, causal),
                                    rtol=0, atol=1e-13)
 
-    def test_op_count_does_not_depend_on_heads(self, rng, monkeypatch):
-        counts = []
-        apply = canet.tensor.Function.apply.__func__
-
-        def counting(cls, *inputs, **kwargs):
-            counts[-1] += 1
-            return apply(cls, *inputs, **kwargs)
-
-        monkeypatch.setattr(canet.tensor.Function, "apply", classmethod(counting))
+    def test_op_count_does_not_depend_on_heads(self, rng, recorded_creators):
+        # three projections, the attention op and the output projection; with
+        # rows < seq, a slice and the reshapes around the output GEMM on top
         seq = Tensor(rng.standard_normal((2, 5, 16)), requires_grad=True)
-        for heads in (1, 8):
-            counts.append(0)
-            multi_head_attention(seq, AttentionParams.create(16, heads, rng), causal=True)
-        assert counts[0] == counts[1] > 0
+        for heads in (1, 2, 8):
+            params = AttentionParams.create(16, heads, rng)
+            for causal in (False, True):
+                recorded_creators.clear()
+                multi_head_attention(seq, params, causal=causal)
+                assert recorded_creators == [True] * 5
+                recorded_creators.clear()
+                multi_head_attention(seq, params, causal=causal, rows=2)
+                assert recorded_creators == [True] * 8
 
     def test_seeded_init_draws_the_per_head_blocks_in_order(self):
         params = AttentionParams.create(8, 4, np.random.default_rng(5))
@@ -225,7 +223,7 @@ class TestPositionalEncoding:
         np.testing.assert_array_equal(row[1::2], np.ones(4))
 
     def test_range(self):
-        table = PositionalTable(64, 10).take(64).data
+        table = sinusoid_table(64, 10)
         assert (table >= -1).all() and (table <= 1).all()
 
     def test_rows_distinct(self):
@@ -233,15 +231,3 @@ class TestPositionalEncoding:
         for i in range(16):
             for j in range(i + 1, 16):
                 assert np.linalg.norm(table[i] - table[j]) > 0
-
-    def test_table_overflow(self):
-        table = PositionalTable(4, 8)
-        with pytest.raises(ShapeError):
-            table.take(5)
-
-    def test_learned_table_is_parameter(self, rng):
-        table = PositionalTable(4, 8, learned=True, rng=rng)
-        assert table.values.requires_grad
-        assert dict(table.named("positions"))
-        fixed = PositionalTable(4, 8)
-        assert not dict(fixed.named("positions"))

@@ -129,14 +129,12 @@ class TestLocalAdjacency:
 
 class TestGlobalLocalConv:
     @staticmethod
-    def graph_from(adjacency: np.ndarray, k: int = None) -> SensorGraph:
+    def graph_from(adjacency: np.ndarray) -> SensorGraph:
         n = adjacency.shape[0]
-        k = k or n
         return SensorGraph(
             adjacency=Tensor(adjacency),
             normalized=Tensor(adjacency / np.maximum(adjacency.sum(axis=1, keepdims=True), 1e-12)),
             mask=np.ones((n, n)),
-            top_k=k,
         )
 
     def test_full_retention_is_identity_with_identity_map(self, rng):
@@ -156,7 +154,7 @@ class TestGlobalLocalConv:
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
         # local + normalized-global == identity, mask keeps everything
         graph = SensorGraph(adjacency=Tensor(np.eye(n)), normalized=Tensor(np.eye(n) * 0.5),
-                            mask=np.ones((n, n)), top_k=n)
+                            mask=np.ones((n, n)))
         local = Tensor(np.eye(n) * 0.5)
         out = global_local_conv(Tensor(h), graph, local, p).data
         np.testing.assert_allclose(out, h, rtol=1e-6)
@@ -168,7 +166,7 @@ class TestGlobalLocalConv:
         h = Tensor(np.array([[[1.0]], [[3.0]]]))
         graph = SensorGraph(adjacency=Tensor(np.zeros((2, 2))),
                             normalized=Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                            mask=np.ones((2, 2)), top_k=2)
+                            mask=np.ones((2, 2)))
         out = global_local_conv(h, graph, None, p).data
         np.testing.assert_allclose(out, [[[2.0]], [[2.0]]])
 
@@ -179,7 +177,7 @@ class TestGlobalLocalConv:
         mask = np.eye(n)
         graph = SensorGraph(adjacency=Tensor(np.ones((n, n))),
                             normalized=Tensor(np.full((n, n), 1.0 / n)),
-                            mask=mask, top_k=1)
+                            mask=mask)
         local = Tensor(np.full((n, n), 2.0 / n))
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
         out = global_local_conv(Tensor(h), graph, local, p).data

@@ -34,7 +34,7 @@ class TestCamForward:
         h = Tensor(rng.standard_normal((3, 6, 8)).astype(np.float32))
         graph = SensorGraph(adjacency=Tensor(np.ones((3, 3))),
                             normalized=Tensor(np.full((3, 3), 1 / 3)),
-                            mask=np.ones((3, 3)), top_k=3)
+                            mask=np.ones((3, 3)))
         out = cam_forward(h, model.encoder[0], graph)
         assert out.shape == (3, 6, 8)
 
@@ -46,7 +46,7 @@ class TestCamForward:
         h = rng.standard_normal((3, 5, 8)).astype(np.float32)
         graph = SensorGraph(adjacency=Tensor(np.ones((3, 3))),
                             normalized=Tensor(np.full((3, 3), 1 / 3)),
-                            mask=np.ones((3, 3)), top_k=3)
+                            mask=np.ones((3, 3)))
         out = cam_forward(Tensor(h), layer, graph).data
         np.testing.assert_allclose(out, np_layer_norm(np_layer_norm(h)), rtol=1e-4, atol=1e-5)
 
@@ -57,7 +57,7 @@ class TestCamForward:
         layer = model.encoder[0]
         graph = SensorGraph(adjacency=Tensor(np.ones((2, 2))),
                             normalized=Tensor(np.full((2, 2), 0.5)),
-                            mask=np.ones((2, 2)), top_k=2)
+                            mask=np.ones((2, 2)))
         h = Tensor(gen.standard_normal((2, 3, 4)), requires_grad=True)
         assert_grads_match(lambda: cam_forward(h, layer, graph).mean(), [h], step=1e-6)
 
@@ -272,6 +272,16 @@ class TestCanForward:
         assert np.isfinite(out.y_pred.data).all()
         fixed = CanModel(small_config(), seed=0)
         assert model.num_parameters() - fixed.num_parameters() == 5 * 8
+
+    def test_learned_table_is_parameter(self):
+        # (window + 1, model_dim) position rows, a parameter only when learned
+        learned = CanModel(small_config(learned_positions=True), seed=0)
+        assert learned.positions.shape == (5, 8) and learned.positions.requires_grad
+        assert dict(learned.named_parameters())["positions.values"] is learned.positions
+        fixed = CanModel(small_config(), seed=0)
+        assert not fixed.positions.requires_grad
+        assert "positions.values" not in dict(fixed.named_parameters())
+        assert fixed.positions.data.tobytes() == sinusoid_table(5, 8).tobytes()
 
 
 class TestAblations:

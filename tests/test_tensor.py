@@ -12,7 +12,7 @@ from canet import (ConsumedGraphError, DegenerateMaskError, ShapeError, Tensor, 
                    softmax, sqrt)
 from canet.attention import causal_mask
 from canet.tensor import Attention, Mul, Pow, _reduce_keepdims, _unbroadcast
-from conftest import assert_grads_match, param64
+from conftest import assert_grads_match, param64, per_head_attention
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -245,17 +245,55 @@ class TestAttention:
         split = rng.standard_normal((3, 4, 5, 6, 2, d)).astype(np.float32)
         arrays = split.transpose(0, 1, 2, 4, 3, 5)
         mask = causal_mask(6) if masked else None
-        upstream = Tensor(rng.standard_normal((4, 5, 6, 2, d)).astype(np.float32))
+        upstream = Tensor(rng.standard_normal((4, 5, 2, d, 6)).astype(np.float32))
         results = []
         for attend in (Attention.apply, composed_attention):
             operands = [Tensor(a, requires_grad=True) for a in arrays]
             out = attend(*operands, mask=mask)
-            backward((out.transpose((0, 1, 3, 2, 4)) * upstream).sum())
+            # the transpose hands the op a non-contiguous upstream gradient
+            backward((out.transpose() * upstream).sum())
             results.append([out.data] + [t.grad for t in operands])
         fused, composed = results
         assert fused[0].dtype == np.float32
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_head_split_bit_identical_to_reshape_chain(self, rng, heads, masked):
+        q, k, v, upstream = (rng.standard_normal((3, 5, 6, 12)).astype(np.float32)
+                             for _ in range(4))
+        mask = causal_mask(6) if masked else None
+        operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = Attention.apply(*operands, mask=mask, heads=heads)
+        backward((out * Tensor(upstream)).sum())
+        expected, grads = per_head_attention(q, k, v, upstream, heads, mask)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == expected.tobytes()
+        for t, g in zip(operands, grads):
+            assert t.grad.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_in_heads_match_finite_differences(self, rng, masked):
+        q, k = (param64(rng, (2, 3, 4, 6)) for _ in range(2))
+        v = param64(rng, (2, 3, 4, 4))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        mask = causal_mask(4) if masked else None
+        assert_grads_match(
+            lambda: (Attention.apply(q, k, v, mask=mask, heads=2) * weights).sum(), [q, k, v])
+
+    def test_mask_batch_axis_is_per_batch_not_per_head(self, rng):
+        # as many batches as heads, so a mask lined up with the head axis would still broadcast
+        q, k, v = (rng.standard_normal((2, 5, 4)) for _ in range(3))
+        mask = np.stack([causal_mask(5), causal_mask(5).T])
+        out = Attention.apply(q, k, v, mask=mask, heads=2).data
+        for b in range(2):
+            alone = Attention.apply(q[b], k[b], v[b], mask=mask[b], heads=2).data
+            np.testing.assert_allclose(out[b], alone, rtol=1e-12, atol=0)
+
+    def test_width_not_split_by_heads_rejected(self):
+        with pytest.raises(ShapeError, match="heads"):
+            Attention.apply(*(Tensor(np.zeros((3, 6))) for _ in range(3)), heads=4)
 
     def test_fully_masked_row_raises(self):
         mask = causal_mask(3)
@@ -460,9 +498,8 @@ class TestPrimitiveGradients:
         # the transpose hands MatMul.backward a non-contiguous gradient
         a = param64(rng, (2, 3, 4, 5))
         w = param64(rng, (5, 6))
-        weights = Tensor(rng.standard_normal((2, 4, 3, 6)))
-        assert_grads_match(
-            lambda: (matmul(a, w).transpose((0, 2, 1, 3)) * weights).sum(), [a, w])
+        weights = Tensor(rng.standard_normal((2, 3, 6, 4)))
+        assert_grads_match(lambda: (matmul(a, w).transpose() * weights).sum(), [a, w])
 
     def test_transpose_reshape_slice(self, rng):
         a = param64(rng, (3, 4, 5))

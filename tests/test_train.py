@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from canet import Tensor
-from canet.data import make_windows, minmax_apply, minmax_fit
+from canet.data import RawSeries, make_windows, minmax_apply, minmax_fit
 from canet.synth import synth_generate
-from canet.model import CanModel
+from canet.model import CanModel, ModelConfig
 from canet.optim import Adam
 from canet.tensor import backward
 from canet.train import (ConfigError, DivergenceError, EarlyStopper,
@@ -282,3 +282,21 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_BOUND_MIB, f"peak {peak:.2f} MiB"
+
+
+class TestOpsPerStep:
+    # Autodiff ops recorded by one training step (the bench reports it as
+    # tensor.ops_per_step), one of the two numbers the roadmap tracks for
+    # design quality.  A change to these counts must be deliberate and
+    # recorded in CHANGES.md with its reason.
+    @pytest.mark.parametrize("sensors, knobs, batch, ops", [
+        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 104),
+        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 220),
+    ], ids=["desk", "paper"])
+    def test_training_step_records_exactly(self, rng, recorded_creators, sensors, knobs,
+                                           batch, ops):
+        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0)
+        series = RawSeries([f"s{i}" for i in range(sensors)], rng.random((sensors, batch + 5)))
+        dataset = make_windows(series, 5)
+        backward(_batch_loss(model, dataset, np.arange(batch), 0.2, 0.8))
+        assert len(recorded_creators) == ops
