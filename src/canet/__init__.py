@@ -1,12 +1,11 @@
 """canet: multivariate time-series anomaly detection built on coupled
 temporal attention and adaptive global-local sensor graphs."""
 
-from canet.tensor import (Tensor, ShapeError, DegenerateMaskError, ConsumedGraphError,
-                          backward, concat, layer_norm, leaky_relu, matmul, no_grad,
-                          relu, row_normalize, softmax, sqrt)
+from canet.tensor import (Tensor, ShapeError, ConsumedGraphError, backward, concat,
+                          layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
+                          softmax, sqrt)
 from canet.optim import Adam
-from canet.attention import (AttentionParams, causal_mask, multi_head_attention,
-                             scaled_dot_attention)
+from canet.attention import AttentionParams, multi_head_attention, scaled_dot_attention
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv, local_adjacency,
                          normalize_adjacency, topk_mask)

@@ -50,17 +50,11 @@ class AttentionParams:
             yield f"{prefix}.{kind}", getattr(self, kind)
 
 
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean mask excluding future positions (True above the diagonal)."""
-    return np.triu(np.ones((length, length), dtype=bool), k=1)
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                          heads: int = 1) -> Tensor:
     """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis in each of
     ``heads`` column blocks of q, k and v, as one autodiff op."""
-    return Attention.apply(q, k, v, mask=causal_mask(k.shape[-2]) if causal else None,
-                           heads=heads)
+    return Attention.apply(q, k, v, causal=causal, heads=heads)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,

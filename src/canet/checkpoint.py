@@ -44,8 +44,9 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
 
     Round-trips every parameter bit-exactly; rejects unknown versions,
     truncated files, offsets other than the packed layout ``save_checkpoint``
-    writes, and ``extra["sensor_names"]``, when present, unless it is
-    ``n_sensors`` distinct strings.
+    writes, data bytes after the last parameter, and
+    ``extra["sensor_names"]``, when present, unless it is ``n_sensors``
+    distinct strings.
     """
     try:
         with open(path, "rb") as handle:
@@ -85,6 +86,9 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
                 raise CheckpointError(f"truncated parameter data for {entry['name']} in {path}")
             arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
             start += 4 * count
+        if start != len(blob):
+            raise CheckpointError(f"checkpoint {path} has {len(blob) - start} data bytes "
+                                  f"after its last parameter")
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad checkpoint header in {path}: {exc!r}") from exc
     params = dict(model.named_parameters())

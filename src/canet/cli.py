@@ -91,8 +91,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment, blank lines are skipped."""
-    mapping = {}
+    """Flat key=value lines; '#' starts a comment, blank lines are skipped,
+    and a key may appear once."""
+    mapping, first_line = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -103,8 +104,11 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats "
+                              f"line {first_line[key]}")
+        mapping[key], first_line[key] = value, lineno
     return mapping
 
 

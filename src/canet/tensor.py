@@ -30,10 +30,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DegenerateMaskError(ValueError):
-    """A softmax slice has every position masked out."""
-
-
 class ConsumedGraphError(RuntimeError):
     """``backward`` reached an op that an earlier ``backward`` already freed."""
 
@@ -376,13 +372,10 @@ class LeakyRelu(Function):
 
 
 class Softmax(Function):
-    """Softmax along one axis; positions where ``mask`` is True are excluded
-    and come out exactly zero."""
+    """Softmax along one axis; ``-inf`` entries come out exactly zero."""
 
-    def forward(self, a, axis=-1, mask=None):
+    def forward(self, a, axis=-1):
         self.axis = axis
-        if mask is not None:
-            a = np.where(_checked_mask(mask, a.shape, axis), -np.inf, a)
         out = a - _reduce_keepdims(np.maximum, a, axis)
         np.exp(out, out=out)
         out /= _reduce_keepdims(np.add, out, axis)
@@ -397,14 +390,15 @@ class Softmax(Function):
 class Attention(Function):
     """Scaled dot-product attention ``softmax(q kᵀ s) v`` with
     ``s = 1/sqrt(d)`` (Vaswani et al., 2017) in every head, as one node;
-    key positions where ``mask`` is True are excluded.
+    with ``causal`` each position attends only to itself and earlier ones.
 
-    q, k and v come in the model's ``(..., seq, heads·d)`` layout, and head
-    ``i`` reads column block ``i`` of each.  The forward splits them into
+    q, k and v come in the model's ``(..., seq, heads·d)`` layout, q and k
+    of one shape and v differing from them only in width; head ``i`` reads
+    column block ``i`` of each.  The forward splits them into
     ``(..., heads, seq, d)`` views and lays the heads' outputs side by side
-    again; a mask's batch axes line up with the operands' batch axes.  It
-    keeps the arithmetic and order of the composed ops (scale q, multiply
-    by kᵀ, masked softmax, multiply by v), so outputs keep their bytes.
+    again.  It keeps the arithmetic and order of the composed ops (scale q,
+    multiply by kᵀ, add ``-inf`` above the diagonal when causal, softmax,
+    multiply by v), so outputs keep their bytes.
     Only the probabilities ``p`` and the operands that the needed gradients
     read are saved.
     The backward is the closed form: with the upstream gradient ``g``,
@@ -413,35 +407,24 @@ class Attention(Function):
     back to its operand's layout as soon as it is computed.
     """
 
-    def forward(self, q, k, v, mask=None, heads=1):
-        if min(q.ndim, k.ndim, v.ndim) < 2:
-            raise ShapeError(f"attention needs rank >= 2 operands, got "
-                             f"q {q.shape}, k {k.shape}, v {v.shape}")
-        if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+    def forward(self, q, k, v, causal=False, heads=1):
+        if (q.ndim < 2 or q.shape != k.shape or q.shape[:-1] != v.shape[:-1]
                 or q.shape[-1] % heads or v.shape[-1] % heads):
             raise ShapeError(f"attention operands do not fit (heads={heads}): "
                              f"q {q.shape}, k {k.shape}, v {v.shape}")
-        try:
-            np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-        except ValueError as exc:
-            raise ShapeError(f"attention batch dimensions incompatible: "
-                             f"q {q.shape}, k {k.shape}, v {v.shape}") from exc
+        self.heads = heads
         q, k, v = (_split_heads(a, heads) for a in (q, k, v))
         self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
         scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            mask = _checked_mask(mask[..., None, :, :] if mask.ndim > 2 else mask,
-                                 scores.shape, -1)
-            # added at the mask's own size: x + 0 keeps the value of x, x + -inf is -inf
-            scores += np.where(mask, scores.dtype.type(-np.inf), scores.dtype.type(0))
+        if causal:
+            # x + 0 keeps the value of x, x + -inf is -inf
+            scores += np.triu(np.full(scores.shape[-2:], -np.inf, scores.dtype), 1)
         scores -= _reduce_keepdims(np.maximum, scores, -1)
         np.exp(scores, out=scores)
         scores /= _reduce_keepdims(np.add, scores, -1)
         need_q, need_k, _ = self.needs
-        self.shapes = (q.shape, k.shape, v.shape)
         # ds (read by gq and gk) needs v; gq reads k and gk reads q
         self.q = q if need_k else None
         self.k = k if need_q else None
@@ -450,8 +433,8 @@ class Attention(Function):
         return _merge_heads(scores @ v)
 
     def backward(self, grad):
-        (sq, sk, sv), (need_q, need_k, need_v) = self.shapes, self.needs
-        grad = _split_heads(grad, sq[-3])
+        need_q, need_k, need_v = self.needs
+        grad = _split_heads(grad, self.heads)
         p = self.p
         gq = gk = gv = None
         if need_q or need_k:
@@ -459,11 +442,11 @@ class Attention(Function):
             ds -= _reduce_keepdims(np.add, ds * p, -1)
             ds *= p
             if need_q:
-                gq = _merge_heads(_unbroadcast((ds @ self.k) * self.scale, sq))
+                gq = _merge_heads((ds @ self.k) * self.scale)
             if need_k:
-                gk = _merge_heads(_unbroadcast(np.swapaxes(ds, -1, -2) @ (self.q * self.scale), sk))
+                gk = _merge_heads(np.swapaxes(ds, -1, -2) @ (self.q * self.scale))
         if need_v:
-            gv = _merge_heads(_unbroadcast(np.swapaxes(p, -1, -2) @ grad, sv))
+            gv = _merge_heads(np.swapaxes(p, -1, -2) @ grad)
         return gq, gk, gv
 
 
@@ -476,23 +459,6 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     """``(..., heads, seq, d)`` with the heads side by side: ``(..., seq, heads·d)``."""
     a = np.swapaxes(a, -2, -3)
     return a.reshape(a.shape[:-2] + (-1,))
-
-
-def _checked_mask(mask, shape: tuple, axis: int) -> np.ndarray:
-    """``mask`` with as many axes as ``shape``, checked at its own size.
-
-    It must broadcast to ``shape`` (:class:`ShapeError` otherwise) and keep
-    at least one live position in every slice along ``axis``
-    (:class:`DegenerateMaskError` otherwise); callers let numpy broadcast it.
-    """
-    given = np.asarray(mask, dtype=bool)
-    mask = given.reshape((1,) * (len(shape) - given.ndim) + given.shape)
-    if mask.ndim != len(shape) or any(m not in (1, n) for m, n in zip(mask.shape, shape)):
-        raise ShapeError(f"mask of shape {given.shape} does not broadcast to "
-                         f"scores of shape {shape}")
-    if np.all(mask, axis=axis).any():
-        raise DegenerateMaskError("softmax slice is fully masked")
-    return mask
 
 
 def _reduce_keepdims(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
@@ -571,15 +537,10 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return LeakyRelu.apply(x, slope=slope)
 
 
-def softmax(x: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Probability-normalize along ``axis``.
-
-    ``mask`` marks positions to exclude (True = masked out); each slice must
-    keep at least one live position or :class:`DegenerateMaskError` is raised.
-    """
-    if mask is not None:
-        mask = getattr(mask, "data", mask)
-    return Softmax.apply(x, axis=axis, mask=mask)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Probability-normalize along ``axis``; to exclude positions, add
+    ``-inf`` to them first."""
+    return Softmax.apply(x, axis=axis)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

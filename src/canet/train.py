@@ -20,6 +20,9 @@ from canet.optim import Adam
 from canet.tensor import Tensor, backward, no_grad, sqrt
 
 
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf), "finite and >= 0"
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -31,8 +34,8 @@ class TrainConfig(ModelKnobs):
     :class:`ConfigError`."""
 
     batch_size: int = _knob(32, "windows per optimizer step", _POSITIVE)
-    lr: float = _knob(1e-4, "Adam learning rate", _NON_NEGATIVE)
-    lr_decay: float = _knob(0.95, "per-epoch learning-rate factor", _NON_NEGATIVE)
+    lr: float = _knob(1e-4, "Adam learning rate", _FINITE_NON_NEGATIVE)
+    lr_decay: float = _knob(0.95, "per-epoch learning-rate factor", _FINITE_NON_NEGATIVE)
     max_epochs: int = _knob(100, "training epoch cap", _POSITIVE)
     patience: int = _knob(5, "epochs without validation improvement before stopping", _POSITIVE)
     val_fraction: float = _knob(0.1, "series tail held out for validation",

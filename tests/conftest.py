@@ -71,6 +71,14 @@ def rewrite_header(path, edit, out) -> None:
         handle.write(json.dumps(edit(header), sort_keys=True).encode() + b"\n" + blob)
 
 
+def append_data_bytes(path, count: int, out) -> None:
+    """Copy the checkpoint at ``path`` to ``out`` with ``count`` zero bytes
+    after its parameter data, declared in the header's ``total_bytes``."""
+    rewrite_header(path, lambda h: {**h, "total_bytes": h["total_bytes"] + count}, out)
+    with open(out, "ab") as handle:
+        handle.write(bytes(count))
+
+
 # Header edits that no checkpoint loader may accept, by test id.
 BAD_HEADERS = {
     "not-an-object": lambda h: 3,
@@ -150,7 +158,18 @@ def full_slot_forward(x: np.ndarray, model):
             [e.data for e in embeddings])
 
 
-def per_head_attention(q, k, v, upstream, heads: int, mask=None):
+def causal_mask(length: int) -> np.ndarray:
+    """Boolean mask of the future positions (True above the diagonal)."""
+    return np.triu(np.ones((length, length), dtype=bool), k=1)
+
+
+def future_bias(scores: Tensor) -> Tensor:
+    """``-inf`` above the diagonal and 0 elsewhere, in the scores' dtype: added
+    to attention scores before ``softmax``, it excludes future positions."""
+    return Tensor(np.where(causal_mask(scores.shape[-1]), -np.inf, 0).astype(scores.dtype))
+
+
+def per_head_attention(q, k, v, upstream, heads: int, causal: bool = False):
     """Oracle for ``Attention``'s head split: the reshape/transpose chain that
     multi-head attention once recorded around the one-head op, as the numpy
     views and copies those ops made.
@@ -166,10 +185,8 @@ def per_head_attention(q, k, v, upstream, heads: int, mask=None):
         a = np.swapaxes(a, -2, -3)
         return a.reshape(a.shape[:-2] + (-1,))
 
-    if mask is not None and mask.ndim > 2:
-        mask = mask[..., None, :, :]     # the mask's batch axes precede the head axis
     op = Attention((True, True, True))
-    out = op.forward(split(q), split(k), split(v), mask=mask)
+    out = op.forward(split(q), split(k), split(v), causal=causal)
     return merge(out), [merge(g) for g in op.backward(split(upstream))]
 
 

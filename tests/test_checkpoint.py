@@ -5,7 +5,7 @@ import pytest
 
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from canet.model import CanModel, ModelConfig, can_forward
-from conftest import BAD_HEADERS, rewrite_header
+from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
 
 
 def random_model(seed=3, **overrides) -> CanModel:
@@ -68,6 +68,13 @@ class TestCorruption:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 20])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_data_after_last_parameter_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(random_model(), path)
+        append_data_bytes(path, 8, path)
+        with pytest.raises(CheckpointError, match="8 data bytes after its last parameter"):
             load_checkpoint(path)
 
     def test_garbage_header_rejected(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from canet.cli import main, parse_config_file
 from canet.data import load_csv
-from conftest import BAD_HEADERS, rewrite_header
+from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
 
 
 def run(*argv) -> int:
@@ -161,6 +161,31 @@ class TestTrainCommand:
         code = run(*train_args(tmp_path / "train.csv", out, **flags))
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key", ["lr", "lr_decay"])
+    def test_infinite_rate_exits_2_before_reading_data(self, tmp_path, capsys, key, source):
+        out = tmp_path / "o"
+        argv = train_args(tmp_path / "absent.csv", out)
+        del argv[argv.index("--lr"):argv.index("--lr") + 2]     # a flag would override the file
+        if source == "flag":
+            argv += [f"--{key.replace('_', '-')}", "inf"]
+        else:
+            (tmp_path / "c.cfg").write_text(f"{key}=inf\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert run(*argv) == 2
+        assert f"config key '{key}' must be finite and >= 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=1\nlayers=1\n\nlayers=2\n")
+        out = tmp_path / "o"
+        code = run("train", "--data", str(tmp_path / "absent.csv"), "--config", str(cfg),
+                   "--out", str(out))
+        assert code == 2
+        assert f"{cfg}:4: config key 'layers' repeats line 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_training_cell_exits_3(self, tmp_path, capsys):
@@ -385,6 +410,13 @@ class TestCheckpointAndFlagChecks:
             assert run(command, "--checkpoint", str(bad),
                        "--out", str(tmp_path / "e.csv")) == 3
 
+    def test_data_after_last_parameter_exits_3(self, checkpoint, tmp_path, capsys):
+        base, ckpt = checkpoint
+        bad = tmp_path / "bad.ckpt"
+        append_data_bytes(ckpt, 8, bad)
+        assert self.evaluate(base, bad) == 3
+        assert "8 data bytes after its last parameter" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell, reason", [
         (b"4" * 200_000, "field larger than field limit (131072)"),
         (b"0.5\xff", "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position"),
@@ -527,6 +559,13 @@ class TestConfigFile:
         cfg.write_text("window 5\n")
         from canet.train import ConfigError
         with pytest.raises(ConfigError):
+            parse_config_file(cfg)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window=4\n# window=5\nlr = 0.01\n window = 6\n")
+        from canet.train import ConfigError
+        with pytest.raises(ConfigError, match=r"c\.cfg:4: config key 'window' repeats line 1"):
             parse_config_file(cfg)
 
     def test_help_documents_flags(self, capsys):

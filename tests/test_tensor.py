@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canet import (ConsumedGraphError, DegenerateMaskError, ShapeError, Tensor, backward,
-                   concat, layer_norm, leaky_relu, matmul, no_grad, relu, row_normalize,
-                   softmax, sqrt)
-from canet.attention import causal_mask
+from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
+                   leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
 from canet.tensor import Attention, Mul, Pow, _reduce_keepdims, _unbroadcast
-from conftest import assert_grads_match, param64, per_head_attention
+from conftest import assert_grads_match, future_bias, param64, per_head_attention
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -24,11 +22,14 @@ def composed_layer_norm(x, gain, bias, eps=1e-5):
     return centered * inv * gain + bias
 
 
-def composed_attention(q, k, v, mask=None):
+def composed_attention(q, k, v, causal=False):
     """Attention as five primitive ops (scale q, transpose k, two matmuls and
-    a masked softmax): the oracle for the fused node."""
+    a softmax), plus the future positions' ``-inf`` when causal: the oracle
+    for the fused node."""
     scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
-    return matmul(softmax(scores, axis=-1, mask=mask), v)
+    if causal:
+        scores = scores + future_bias(scores)
+    return matmul(softmax(scores, axis=-1), v)
 
 
 class TestMatmul:
@@ -62,12 +63,8 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-7)
 
     def test_masked_single_survivor(self):
-        out = softmax(Tensor([5.0, 123.0]), mask=np.array([False, True]))
+        out = softmax(Tensor([5.0, -np.inf]))
         np.testing.assert_array_equal(out.data, [1.0, 0.0])
-
-    def test_fully_masked_slice_raises(self):
-        with pytest.raises(DegenerateMaskError):
-            softmax(Tensor([[1.0, 2.0], [3.0, 4.0]]), mask=np.array([[False, False], [True, True]]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -76,6 +73,7 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-6
         assert (out >= 0).all()
 
+    # a caller excludes positions by adding -inf to them
     @given(st.lists(st.tuples(st.floats(-30, 30), st.booleans()),
                     min_size=2, max_size=10))
     @settings(max_examples=60, deadline=None)
@@ -84,33 +82,9 @@ class TestSoftmax:
         mask = np.array([m for _, m in entries])
         if mask.all():
             mask[0] = False
-        out = softmax(Tensor(values), mask=mask).data
+        out = softmax(Tensor(np.where(mask, -np.inf, values))).data
         assert (out[mask] == 0.0).all()
         assert abs(out.sum() - 1.0) < 1e-6
-
-
-    def test_lower_rank_mask_matches_full_mask(self, rng):
-        scores = rng.standard_normal((3, 5, 2, 4, 4)).astype(np.float32)
-        causal = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        sparse = rng.random((5, 1, 1, 4)) < 0.5
-        sparse[..., 0] = False
-        for mask in (causal, causal[None, None], causal[0], sparse):
-            full = np.broadcast_to(mask, scores.shape).copy()
-            small = softmax(Tensor(scores), mask=mask).data
-            assert small.tobytes() == softmax(Tensor(scores), mask=full).data.tobytes()
-
-    def test_lower_rank_fully_masked_slice_raises(self):
-        with pytest.raises(DegenerateMaskError):
-            softmax(Tensor(np.zeros((3, 2, 2))), mask=np.array([[False, True], [True, True]]))
-
-    @pytest.mark.parametrize("scores_shape, mask_shape", [
-        ((2, 4), (3,)),            # last axis differs
-        ((1, 4), (2, 4)),          # mask would grow the scores
-        ((4,), (1, 4)),            # more axes than the scores
-    ])
-    def test_non_broadcastable_mask_rejected(self, scores_shape, mask_shape):
-        with pytest.raises(ValueError, match="does not broadcast"):
-            softmax(Tensor(np.zeros(scores_shape)), mask=np.zeros(mask_shape, dtype=bool))
 
 
 class TestLeadingAxisReduce:
@@ -218,38 +192,25 @@ class TestLayerNorm:
 class TestAttention:
     # no batch axes (2-D operands), and (batch, sensors, heads) as multi-head attention runs it
     @pytest.mark.parametrize("batch", [(), (2, 3, 2)])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_gradients_match_finite_differences(self, rng, batch, masked):
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, causal):
         q, k = (param64(rng, (*batch, 4, 3)) for _ in range(2))
         v = param64(rng, (*batch, 4, 2))
         weights = Tensor(rng.standard_normal((*batch, 4, 2)))
-        mask = causal_mask(4) if masked else None
-        assert_grads_match(lambda: (Attention.apply(q, k, v, mask=mask) * weights).sum(),
+        assert_grads_match(lambda: (Attention.apply(q, k, v, causal=causal) * weights).sum(),
                            [q, k, v])
 
-    def test_gradients_of_broadcast_operands(self, rng):
-        q = param64(rng, (2, 1, 4, 3))
-        k = param64(rng, (4, 3))
-        v = param64(rng, (3, 4, 2))
-
-        def loss():
-            out = Attention.apply(q, k, v, mask=causal_mask(4))
-            return (out * out).sum()
-
-        assert_grads_match(loss, [q, k, v])
-
     @pytest.mark.parametrize("d", [3, 4, 5])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_bit_identical_to_composition(self, rng, d, masked):
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_bit_identical_to_composition(self, rng, d, causal):
         # strided (batch, sensors, heads, seq, d) views, as the head split hands them over
         split = rng.standard_normal((3, 4, 5, 6, 2, d)).astype(np.float32)
         arrays = split.transpose(0, 1, 2, 4, 3, 5)
-        mask = causal_mask(6) if masked else None
         upstream = Tensor(rng.standard_normal((4, 5, 2, d, 6)).astype(np.float32))
         results = []
         for attend in (Attention.apply, composed_attention):
             operands = [Tensor(a, requires_grad=True) for a in arrays]
-            out = attend(*operands, mask=mask)
+            out = attend(*operands, causal=causal)
             # the transpose hands the op a non-contiguous upstream gradient
             backward((out.transpose() * upstream).sum())
             results.append([out.data] + [t.grad for t in operands])
@@ -259,51 +220,41 @@ class TestAttention:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("heads", [2, 4])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_head_split_bit_identical_to_reshape_chain(self, rng, heads, masked):
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_head_split_bit_identical_to_reshape_chain(self, rng, heads, causal):
         q, k, v, upstream = (rng.standard_normal((3, 5, 6, 12)).astype(np.float32)
                              for _ in range(4))
-        mask = causal_mask(6) if masked else None
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = Attention.apply(*operands, mask=mask, heads=heads)
+        out = Attention.apply(*operands, causal=causal, heads=heads)
         backward((out * Tensor(upstream)).sum())
-        expected, grads = per_head_attention(q, k, v, upstream, heads, mask)
+        expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
         for t, g in zip(operands, grads):
             assert t.grad.tobytes() == g.tobytes()
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_gradients_in_heads_match_finite_differences(self, rng, masked):
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_gradients_in_heads_match_finite_differences(self, rng, causal):
         q, k = (param64(rng, (2, 3, 4, 6)) for _ in range(2))
         v = param64(rng, (2, 3, 4, 4))
         weights = Tensor(rng.standard_normal((2, 3, 4, 4)))
-        mask = causal_mask(4) if masked else None
         assert_grads_match(
-            lambda: (Attention.apply(q, k, v, mask=mask, heads=2) * weights).sum(), [q, k, v])
-
-    def test_mask_batch_axis_is_per_batch_not_per_head(self, rng):
-        # as many batches as heads, so a mask lined up with the head axis would still broadcast
-        q, k, v = (rng.standard_normal((2, 5, 4)) for _ in range(3))
-        mask = np.stack([causal_mask(5), causal_mask(5).T])
-        out = Attention.apply(q, k, v, mask=mask, heads=2).data
-        for b in range(2):
-            alone = Attention.apply(q[b], k[b], v[b], mask=mask[b], heads=2).data
-            np.testing.assert_allclose(out[b], alone, rtol=1e-12, atol=0)
+            lambda: (Attention.apply(q, k, v, causal=causal, heads=2) * weights).sum(), [q, k, v])
 
     def test_width_not_split_by_heads_rejected(self):
         with pytest.raises(ShapeError, match="heads"):
             Attention.apply(*(Tensor(np.zeros((3, 6))) for _ in range(3)), heads=4)
 
-    def test_fully_masked_row_raises(self):
-        mask = causal_mask(3)
-        mask[1] = True
-        with pytest.raises(DegenerateMaskError):
-            Attention.apply(*(Tensor(np.zeros((2, 3, 3))) for _ in range(3)), mask=mask)
-
-    def test_mask_not_broadcastable_rejected(self):
-        with pytest.raises(ShapeError, match="does not broadcast"):
-            Attention.apply(*(Tensor(np.zeros((2, 3, 3))) for _ in range(3)), mask=causal_mask(4))
+    # batch shapes that numpy would broadcast: the op takes one batch shape only
+    @pytest.mark.parametrize("shapes", [
+        [(2, 1, 4, 3), (4, 3), (3, 4, 2)],
+        [(2, 4, 3), (1, 4, 3), (2, 4, 2)],
+        [(2, 4, 3), (2, 4, 3), (4, 2)],
+    ], ids=["all-differ", "key-batch-1", "value-unbatched"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_operands_of_different_batch_shapes_rejected(self, shapes, causal):
+        with pytest.raises(ShapeError, match="do not fit"):
+            Attention.apply(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
 
 
 class TestActivations:
@@ -451,7 +402,7 @@ class TestTape:
         ("matmul-weight", [(2, 3, 4), (4, 5)], matmul),
         ("matmul-batched", [(2, 3, 4), (2, 4, 5)], matmul),
         ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 2)],
-         lambda q, k, v: Attention.apply(q, k, v, mask=causal_mask(4))),
+         lambda q, k, v: Attention.apply(q, k, v, causal=True)),
         ("layer-norm", [(2, 3, 4), (4,), (4,)], layer_norm),
         ("concat", [(2, 3, 4), (2, 1, 4)], lambda a, b: concat([a, b], axis=-2)),
     ]
@@ -533,8 +484,9 @@ class TestPrimitiveGradients:
         a = param64(rng, (3, 5))
         mask = rng.random((3, 5)) < 0.3
         mask[:, 0] = False
+        excluded = Tensor(np.where(mask, -np.inf, 0.0))
         weights = rng.standard_normal((3, 5))
-        assert_grads_match(lambda: (softmax(a, axis=-1, mask=mask) * Tensor(weights)).sum(), [a])
+        assert_grads_match(lambda: (softmax(a + excluded, axis=-1) * Tensor(weights)).sum(), [a])
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_softmax_leading_axis_gradient(self, rng, axis):
@@ -544,10 +496,9 @@ class TestPrimitiveGradients:
 
     def test_softmax_causal_attention_gradient(self, rng):
         scores = param64(rng, (2, 3, 2, 4, 4))
-        causal = np.triu(np.ones((4, 4), dtype=bool), k=1)
         weights = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
         assert_grads_match(
-            lambda: (softmax(scores, axis=-1, mask=causal) * weights).sum(), [scores])
+            lambda: (softmax(scores + future_bias(scores), axis=-1) * weights).sum(), [scores])
 
     def test_row_normalize_gradient(self, rng):
         a = Tensor(rng.uniform(0.1, 2.0, (4, 4)), requires_grad=True)
