@@ -95,8 +95,8 @@ def parse_config_file(path) -> dict:
     and a key may appear once."""
     mapping, first_line = {}, {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,14 +223,22 @@ def cmd_evaluate(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
     try:
         stored = TrainConfig(**extra["train_config"])
-        stats = NormStats(minimum=np.asarray(extra["norm_min"], dtype=np.float64),
-                          maximum=np.asarray(extra["norm_max"], dtype=np.float64))
+        n = model.config.n_sensors
+        bounds = {key: np.asarray(extra[key], dtype=np.float64) for key in ("norm_min", "norm_max")}
+        for key, bound in bounds.items():
+            if bound.shape != (n,) or not np.isfinite(bound).all():
+                raise ValueError(f"{key} must be {n} finite numbers, got {extra[key]!r}")
+        stats = NormStats(*bounds.values())
         names = extra["sensor_names"]
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad run metadata in {args.checkpoint}: {exc!r}") from exc
     flags = {"score_sensors": args.k_s, "calibration": args.calibration,
              "can_plus": args.can_plus}
     cfg = dataclasses.replace(stored, **{k: v for k, v in flags.items() if v is not None})
+    if cfg.calibration == "train" and not args.train_data:
+        raise ConfigError("--calibration train needs --train-data")
+    if cfg.calibration != "train" and args.train_data is not None:
+        raise ConfigError(f"--train-data needs calibration 'train', not {cfg.calibration!r}")
 
     window = model.config.window
     dataset, _ = _load_windows(args.data, window, cfg.downsample, stats, names)
@@ -238,8 +246,6 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{args.data} has no label column; evaluation needs ground truth")
     calibration = None
     if cfg.calibration == "train":
-        if not args.train_data:
-            raise ConfigError("--calibration train needs --train-data")
         calibration, _ = _load_windows(args.train_data, window, cfg.downsample, stats, names)
 
     report = evaluate(model, dataset, dataset.labels, score_sensors=cfg.score_sensors,

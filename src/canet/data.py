@@ -66,29 +66,32 @@ def load_csv(path) -> RawSeries:
         block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
         if not block:
             raise DataError(f"{path} has a header but no data rows")
-        layout = _CsvLayout(path, header)
-        parts = []
-        first_bad = None        # (data row, sensor index, cell) of the first non-finite cell
-        start = 0
+        sensors = [c for c, name in enumerate(header) if name not in _SPLIT_RULES]
+        if not sensors:
+            raise DataError(f"{path} has no sensor columns")
+        rules = [(c, float, lambda cell, r, name=header[c]:
+                  f"non-numeric cell {cell!r} at row {r}, column {name!r}") for c in sensors]
+        extras = [name for name in _SPLIT_RULES if name in header]
+        rules += [(header.index(name), *_SPLIT_RULES[name]) for name in extras]
+        parts, start = [], 0
+        first_bad = None        # (data row, column, cell) of the first non-finite sensor cell
         while block:
-            parts.append(layout.parse_block(block, start))
+            parts.append(_parse_block(path, len(header), rules, len(sensors), block, start))
             if first_bad is None:
                 bad = np.argwhere(~np.isfinite(parts[-1][0].T))
                 if len(bad):
                     r, s = bad[0]
-                    first_bad = (start + r, s, block[r][layout.sensor_cols[s]])
+                    first_bad = (start + r, sensors[s], block[r][sensors[s]])
             start += len(block)
             block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
 
     if first_bad is not None:
-        r, s, cell = first_bad
-        raise DataError(f"{path}: non-finite cell {cell!r} at row "
-                        f"{r + 1}, column {header[layout.sensor_cols[s]]!r}")
-    values = np.concatenate([p[0] for p in parts], axis=1)
-    timestamps = None if layout.ts_col is None else np.concatenate([p[1] for p in parts])
-    labels = None if layout.label_col is None else np.concatenate([p[2] for p in parts])
-    names = [header[c] for c in layout.sensor_cols]
-    return RawSeries(sensor_names=names, values=values, timestamps=timestamps, labels=labels)
+        r, c, cell = first_bad
+        raise DataError(f"{path}: non-finite cell {cell!r} at row {r + 1}, column {header[c]!r}")
+    values, *arrays = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    split = dict(zip(extras, arrays))
+    return RawSeries(sensor_names=[header[c] for c in sensors], values=values,
+                     timestamps=split.get("timestamp"), labels=split.get("label"))
 
 
 def _checked_rows(path, reader):
@@ -110,71 +113,44 @@ def _checked_rows(path, reader):
         raise
 
 
-class _CsvLayout:
-    """Which header columns hold sensors, timestamps and labels, and how a
-    block of data rows becomes arrays."""
+def _label(cell: str) -> int:
+    return ("0", "1").index(cell.strip())       # ValueError unless 0 or 1
 
-    def __init__(self, path, header):
-        self.path = path
-        self.header = header
-        self.ts_col = header.index("timestamp") if "timestamp" in header else None
-        self.label_col = header.index("label") if "label" in header else None
-        self.sensor_cols = [i for i in range(len(header))
-                            if i not in (self.ts_col, self.label_col)]
-        if not self.sensor_cols:
-            raise DataError(f"{path} has no sensor columns")
 
-    def parse_block(self, rows, first_row: int):
-        """``(values, timestamps, labels)`` of one block of rows, where
-        ``first_row`` is the 0-based index of ``rows[0]`` among the data rows.
-        Cells convert column by column; on a fault, :meth:`name_fault`
-        rescans the block to name the first bad cell."""
-        n = len(rows)
-        try:
-            if any(len(row) != len(self.header) for row in rows):
-                raise ValueError("ragged row")
-            columns = list(zip(*rows))
-            cells = itertools.chain.from_iterable(columns[c] for c in self.sensor_cols)
-            values = np.fromiter(map(float, cells), np.float64,
-                                 len(self.sensor_cols) * n).reshape(-1, n)
-            timestamps = labels = None
-            if self.ts_col is not None:
-                timestamps = np.fromiter(map(float, columns[self.ts_col]), np.float64, n)
-            if self.label_col is not None:
-                cells = list(map(str.strip, columns[self.label_col]))
-                if not set(cells) <= {"0", "1"}:
-                    raise ValueError("bad label")
-                labels = np.fromiter(map(int, cells), np.int64, n)
-        except ValueError:
-            self.name_fault(rows, first_row)
-            raise
-        return values, timestamps, labels
+# A cell rule is (column, conversion, message of bad cell at 1-based data row r).  Each
+# sensor column has a float rule; these columns, when present, follow in this order.
+_SPLIT_RULES = {
+    "timestamp": (float, lambda cell, r: f"non-numeric timestamp {cell!r} at row {r}"),
+    "label": (_label, lambda cell, r: f"label must be 0 or 1, got {cell.strip()!r} at row {r}"),
+}
 
-    def name_fault(self, rows, first_row: int) -> None:
-        """Check the rows one by one, in file order, and raise
-        :class:`DataError` naming the first bad cell."""
-        path, header = self.path, self.header
+
+def _parse_block(path, width: int, rules, n_sensors: int, rows, first_row: int):
+    """``[values, *extras]`` of one block of data rows: the columns of the first
+    ``n_sensors`` rules as one ``(n_sensors, len(rows))`` float64 array, then an
+    array per further rule (float64 timestamps, int64 labels).  ``first_row`` is
+    the 0-based index of ``rows[0]`` among the data rows.  On a fault, the rows
+    are checked one by one in file order through the same rules, and the first
+    bad cell raises :class:`DataError`."""
+    n = len(rows)
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged row")
+        columns = list(zip(*rows))
+        cells = itertools.chain.from_iterable(columns[c] for c, _, _ in rules[:n_sensors])
+        values = np.fromiter(map(float, cells), np.float64, n_sensors * n).reshape(-1, n)
+        return [values] + [np.array([*map(convert, columns[c])])
+                           for c, convert, _ in rules[n_sensors:]]
+    except ValueError:
         for r, row in enumerate(rows, start=first_row + 1):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            for c in self.sensor_cols:
+            if len(row) != width:
+                raise DataError(f"{path}: row {r} has {len(row)} cells, expected {width}") from None
+            for c, convert, message in rules:
                 try:
-                    float(row[c])
+                    convert(row[c])
                 except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {row[c]!r} at row {r}, "
-                        f"column {header[c]!r}") from None
-            if self.ts_col is not None:
-                try:
-                    float(row[self.ts_col])
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric timestamp {row[self.ts_col]!r} "
-                                    f"at row {r}") from None
-            if self.label_col is not None:
-                cell = row[self.label_col].strip()
-                if cell not in ("0", "1"):
-                    raise DataError(f"{path}: label must be 0 or 1, got {cell!r} at row {r}")
+                    raise DataError(f"{path}: {message(row[c], r)}") from None
+        raise
 
 
 def write_csv(path, series: RawSeries) -> None:

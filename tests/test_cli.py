@@ -188,6 +188,27 @@ class TestTrainCommand:
         assert f"{cfg}:4: config key 'layers' repeats line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_byte_order_mark_is_ignored(self, tmp_path):
+        run(*synth_args(tmp_path))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmax_epochs=1\n")
+        argv = train_args(tmp_path / "train.csv", tmp_path / "o")
+        del argv[argv.index("--max-epochs"):argv.index("--max-epochs") + 2]
+        assert run(*argv, "--config", str(cfg)) == 0
+        assert "max_epochs=1\n" in (tmp_path / "o" / "config.txt").read_text()
+
+    def test_config_file_not_utf8_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"seed=1\n\xff=2\n")
+        out = tmp_path / "o"
+        code = run("train", "--data", str(tmp_path / "absent.csv"), "--config", str(cfg),
+                   "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert "can't decode byte 0xff in position 7" in err
+        assert not out.exists()
+
     def test_non_finite_training_cell_exits_3(self, tmp_path, capsys):
         run(*synth_args(tmp_path))
         lines = (tmp_path / "train.csv").read_text().splitlines()
@@ -312,6 +333,16 @@ class TestEvaluateCommand:
                    "--calibration", "train")
         assert code == 2
 
+    def test_train_data_without_train_calibration_exits_2(self, trained, capsys):
+        base, ckpt = trained
+        out = base / "e3"
+        code = run("evaluate", "--data", str(base / "absent.csv"),
+                   "--checkpoint", str(ckpt), "--out", str(out),
+                   "--train-data", str(base / "absent.csv"))
+        assert code == 2
+        assert "--train-data needs calibration 'train', not 'self'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_idempotent(self, trained):
         base, ckpt = trained
         out_a, out_b = base / "ea", base / "eb"
@@ -342,9 +373,11 @@ class TestEvaluateCommand:
                 data = self.swapped_copy(data, base)
                 train_data = self.swapped_copy(train_data, base)
             out = base / f"eval-{calibration}-{swap}"
-            code = run("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                       "--out", str(out), "--calibration", calibration,
-                       "--train-data", str(train_data))
+            argv = ["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(out), "--calibration", calibration]
+            if calibration == "train":
+                argv += ["--train-data", str(train_data)]
+            code = run(*argv)
             assert code == 0
             outputs.append([(out / n).read_bytes() for n in ("report.json", "scores.csv")])
         assert outputs[0] == outputs[1]
@@ -454,8 +487,12 @@ class TestCheckpointAndFlagChecks:
         lambda extra: extra.pop("train_config"),
         lambda extra: extra["train_config"].update(score_sensors=0),
         lambda extra: extra["train_config"].update(bogus=1),
+        lambda extra: extra.update(norm_min=extra["norm_min"][:2]),
+        lambda extra: extra["norm_min"].__setitem__(0, float("nan")),
+        lambda extra: extra["norm_max"].__setitem__(1, "x"),
     ], ids=["no-norm-min", "no-norm-max", "no-sensor-names", "no-train-config",
-            "score-sensors-0", "unknown-train-key"])
+            "score-sensors-0", "unknown-train-key", "short-norm-min", "nan-norm-min",
+            "string-norm-max"])
     def test_bad_run_metadata_exits_3(self, checkpoint, tmp_path, capsys, edit):
         base, ckpt = checkpoint
         bad = tmp_path / "bad.ckpt"
@@ -466,7 +503,7 @@ class TestCheckpointAndFlagChecks:
 
         rewrite_header(ckpt, edit_extra, bad)
         assert self.evaluate(base, bad) == 3
-        assert "run metadata" in capsys.readouterr().err
+        assert f"bad run metadata in {bad}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

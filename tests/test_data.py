@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ class TestLoadCsv:
         with pytest.raises(DataError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}: {message}"
+
+    def test_memory_beyond_the_result_is_one_block(self, tmp_path, rng):
+        # 8 blocks of 20 sensors, a timestamp and a label: the result is 5.8 MB, and
+        # CPython 3.11 traced 13.0 MB beyond it here against 55.5 MB for the whole
+        # file's rows (reference_load_csv)
+        rows = 8 * CSV_BLOCK_ROWS
+        path = tmp_path / "d.csv"
+        write_csv(path, RawSeries([f"s{i}" for i in range(20)], rng.standard_normal((20, rows)),
+                                  np.arange(rows) * 60.0, rng.integers(0, 2, rows)))
+        tracemalloc.start()
+        try:
+            series = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = series.values.nbytes + series.timestamps.nbytes + series.labels.nbytes
+        assert peak - result < 20e6
 
     def test_roundtrip_bytes(self, tmp_path):
         series = RawSeries(["x", "y"], np.array([[0.1, 0.2], [3.0, -4.5]]),
