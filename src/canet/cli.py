@@ -289,8 +289,22 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS (``scipy_openblas64_``) on one thread,
+    so that no product's last bits depend on the core count; elsewhere do
+    nothing.  Parallelism comes from the window threads (``CAN_THREADS``)."""
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(1)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

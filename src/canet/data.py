@@ -52,20 +52,23 @@ def load_csv(path) -> RawSeries:
     memory beyond the result is bounded by one block of cells.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        # undecodable bytes read as lone surrogates, which no cell rule accepts
+        handle = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = _checked_rows(path, csv.reader(handle, strict=True))
-        header = next(reader, None)
+        reader = csv.reader(handle, strict=True)
+        block, fault = _read_rows(path, reader, 1 + CSV_BLOCK_ROWS)
+        header = block.pop(0) if block else None
         if not header:
-            raise DataError(f"{path} is empty")
+            raise fault or DataError(f"{path} is empty")
+        if not _decodes(header):
+            raise _undecodable_line(path)
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
             raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-        block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
         if not block:
-            raise DataError(f"{path} has a header but no data rows")
+            raise fault or DataError(f"{path} has a header but no data rows")
         sensors = [c for c, name in enumerate(header) if name not in _SPLIT_RULES]
         if not sensors:
             raise DataError(f"{path} has no sensor columns")
@@ -83,7 +86,11 @@ def load_csv(path) -> RawSeries:
                     r, s = bad[0]
                     first_bad = (start + r, sensors[s], block[r][sensors[s]])
             start += len(block)
-            block = list(itertools.islice(reader, CSV_BLOCK_ROWS))
+            if fault is not None:
+                raise fault
+            block, fault = _read_rows(path, reader, CSV_BLOCK_ROWS)
+        if fault is not None:
+            raise fault
 
     if first_bad is not None:
         r, c, cell = first_bad
@@ -94,23 +101,37 @@ def load_csv(path) -> RawSeries:
                      timestamps=split.get("timestamp"), labels=split.get("label"))
 
 
-def _checked_rows(path, reader):
-    """The rows of ``reader``, a ``csv.reader`` over ``path``; a malformed
-    field or a byte that is not UTF-8 raises :class:`DataError` naming the
-    file and the line."""
+def _read_rows(path, reader, count: int):
+    """Up to ``count`` rows of ``reader``, a ``csv.reader`` over ``path``,
+    and the :class:`DataError` of a malformed field that ended them early
+    (else None).  The caller checks the rows read before the fault first,
+    so the first bad row in file order is the one reported."""
+    rows = []
     try:
-        yield from reader
+        rows.extend(itertools.islice(reader, count))
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # the text layer decodes ahead of the reader, so find the line itself
-        with open(path, "rb") as handle:
-            for number, line in enumerate(handle, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(f"{path}: line {number} is not UTF-8: {exc}") from None
-        raise
+        return rows, DataError(f"{path}: line {reader.line_num}: {exc}")
+    return rows, None
+
+
+def _decodes(cells) -> bool:
+    """False when a cell holds a byte that was not UTF-8 (read as a surrogate)."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _undecodable_line(path) -> DataError:
+    """The error naming the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path}: line {number} is not UTF-8: {exc}")
+    return DataError(f"{path} is not UTF-8")
 
 
 def _label(cell: str) -> int:
@@ -143,6 +164,8 @@ def _parse_block(path, width: int, rules, n_sensors: int, rows, first_row: int):
                            for c, convert, _ in rules[n_sensors:]]
     except ValueError:
         for r, row in enumerate(rows, start=first_row + 1):
+            if not _decodes(row):
+                raise _undecodable_line(path) from None
             if len(row) != width:
                 raise DataError(f"{path}: row {r} has {len(row)} cells, expected {width}") from None
             for c, convert, message in rules:

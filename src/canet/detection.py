@@ -7,8 +7,6 @@ carries the per-timestamp trail.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -16,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from canet.data import WindowedDataset
-from canet.model import CanModel, ConfigError, can_forward
+from canet.model import (CanModel, can_forward, inference_batch_size, window_map,
+                         window_threads)
 from canet.tensor import Tensor, no_grad
 
 IQR_FLOOR = 1e-6
@@ -176,15 +175,6 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
     return best_threshold, best
 
 
-def inference_batch_size(model: CanModel) -> int:
-    """Windows per inference batch when none is given: as many as fit one
-    activation, (n_sensors, window + 1, model_dim) per window, in 1 MiB
-    (half of a 2 MiB L2 cache), clamped to 1..256."""
-    cfg = model.config
-    window_bytes = cfg.n_sensors * (cfg.window + 1) * cfg.model_dim * model.dtype.itemsize
-    return min(256, max(1, (1 << 20) // window_bytes))
-
-
 def predict_series(model: CanModel, dataset: WindowedDataset,
                    batch_size: Optional[int] = None, with_reconstruction: bool = False):
     """Run the prediction decoder over every window.
@@ -192,23 +182,17 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
     reconstruction of the window's last history column.  The reconstruction
-    decoder runs only when requested.  Batches of ``batch_size`` windows (by
-    default :func:`inference_batch_size`) run without an autodiff tape, so
-    memory grows with the batch, not with the series, on ``CAN_THREADS``
-    threads (default 1); windows are independent, so neither changes the
-    numbers.
+    decoder runs only when requested.  Batches of ``batch_size`` windows run
+    without an autodiff tape on :func:`window_threads` threads; by default
+    each thread takes ``inference_batch_size // threads`` windows (at least
+    1), so memory grows with the batch, not with the series or the thread
+    count.  Windows are independent, so neither changes the numbers.
     """
+    threads = window_threads()
     if batch_size is None:
-        batch_size = inference_batch_size(model)
+        batch_size = max(1, inference_batch_size(model) // threads)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    raw = os.environ.get("CAN_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"CAN_THREADS must be an integer >= 1, got {raw!r}")
     n_windows = len(dataset)
     n = dataset.n_sensors
     predictions = np.empty((n, n_windows), dtype=np.float64)
@@ -227,12 +211,8 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
         if rec_last is not None:
             rec_last[:, start:end] = out.y_rec.data[:, :, -1].T
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    with window_map(min(threads, len(spans))) as map_windows:
+        list(map_windows(run, spans))
     return predictions, rec_last
 
 

@@ -5,9 +5,14 @@ global-local graph convolution, each with residual + layer norm) over the
 input window extended by a zero-initialized placeholder slot.  Each layer's
 placeholder state is squeezed through a small autoencoder and handed to the
 matching layer of both causal decoders: one predicts the next step, the
-other reconstructs the window.
+other reconstructs the window.  The module also sizes the batches of
+windows a pass takes and runs independent windows on several threads.
 """
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, asdict
 from typing import List, Optional
 
@@ -368,3 +373,51 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
         y_rec = (matmul(rec_out, model.rec_weight) + model.rec_bias).reshape(lead + (n, k))
 
     return ForwardOutput(y_pred=y_pred, y_rec=y_rec, embeddings=embeddings)
+
+
+def inference_batch_size(model: CanModel) -> int:
+    """Windows per inference batch when none is given: as many as fit one
+    activation, (n_sensors, window + 1, model_dim) per window, in 1 MiB
+    (half of a 2 MiB L2 cache), clamped to 1..256."""
+    cfg = model.config
+    window_bytes = cfg.n_sensors * (cfg.window + 1) * cfg.model_dim * model.dtype.itemsize
+    return min(256, max(1, (1 << 20) // window_bytes))
+
+
+def micro_batch_size(model: CanModel) -> int:
+    """Windows per training micro-batch: the largest power of two that is at
+    most :func:`inference_batch_size`.  It depends on the model only, never
+    on the thread count."""
+    return 1 << (inference_batch_size(model).bit_length() - 1)
+
+
+def window_threads() -> int:
+    """Threads over independent windows: ``CAN_THREADS``, by default every
+    core this process may run on.  A value that is not an integer >= 1
+    raises :class:`ConfigError`."""
+    raw = os.environ.get("CAN_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"CAN_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
+@contextmanager
+def window_map(threads: int):
+    """A ``map(fn, items)`` whose results come back in item order, computed
+    on ``threads`` threads.  Each task runs in a copy of the calling thread's
+    context, so numpy's error state carries over.  For one thread (or none)
+    it is the builtin ``map``, on the calling thread."""
+    if threads <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, items: [task.result() for task in [
+            pool.submit(contextvars.copy_context().run, fn, item) for item in items]]

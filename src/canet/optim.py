@@ -41,7 +41,3 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None

@@ -4,11 +4,12 @@ Values live in numpy arrays, float32 by default; building a model from
 float64 arrays switches the whole computation to 64-bit, which is what the
 gradient checks use.  Every differentiable operation is a ``Function`` node
 that links to the ops (or leaf tensors) it read, never to their values, and
-saves only the arrays its backward reads.  :func:`backward` walks the
-recorded graph in reverse topological order, accumulates gradients into the
+saves only the arrays its backward reads.  :func:`gradients` walks the
+recorded graph in reverse topological order, returns the gradients of the
 leaves (``requires_grad`` tensors with no creator) and frees each node as it
-passes it, so the graph is gone when it returns.  Gradients accumulate
-across calls until the caller clears them.  Inside a :class:`no_grad` block
+passes it, so the graph is gone when it returns.  :func:`backward` adds
+them into the leaves' ``grad``, where they accumulate across calls until
+the caller clears them.  Inside a :class:`no_grad` block
 ops record nothing, so a forward-only pass keeps no intermediate arrays
 alive.
 
@@ -563,10 +564,20 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Add the gradient of ``loss`` into ``grad`` of every leaf it depends on.
 
+    Gradients add into existing buffers; clear them (``grad = None``)
+    between steps.  See :func:`gradients` for the pass itself.
+    """
+    for leaf, grad in gradients(loss).items():
+        leaf.grad = grad if leaf.grad is None else leaf.grad + grad
+
+
+def gradients(loss: Tensor) -> dict:
+    """The gradient of ``loss`` for every leaf it depends on, as ``{leaf: array}``.
+
     A leaf is a ``requires_grad`` tensor with no creator, such as a model
-    parameter; intermediate tensors get no ``grad``.  ``loss`` must be a
-    scalar (size 1).  Gradients add into existing buffers; clear them
-    (``grad = None``) between steps.
+    parameter; intermediate tensors get no gradient.  ``loss`` must be a
+    scalar (size 1).  No tensor's ``grad`` is touched, so passes over
+    separate graphs may run on separate threads.
 
     The pass consumes the graph: each op frees its saved arrays and parent
     links once it has passed its gradient on, so the tape shrinks as the
@@ -577,7 +588,7 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
-        return
+        return {}
 
     # nodes are ops and leaf tensors; each op's parents come before it
     root = loss.creator or loss
@@ -602,12 +613,13 @@ def backward(loss: Tensor) -> None:
                          if parent is not None and id(parent) not in seen)
 
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    leaves: dict = {}
     while topo:
         node = topo.pop()
         grad = pending.pop(id(node), None)
         if not isinstance(node, Function):
             if grad is not None:
-                node.grad = grad if node.grad is None else node.grad + grad
+                leaves[node] = grad
             continue
         parents = node.parents
         grads = () if grad is None else node.backward(grad)
@@ -620,3 +632,4 @@ def backward(loss: Tensor) -> None:
                 pending[pid] = pending[pid] + pgrad
             else:
                 pending[pid] = pgrad
+    return leaves

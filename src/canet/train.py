@@ -1,11 +1,15 @@
 """Joint prediction+reconstruction training with early stopping.
 
 Each mini-batch runs the full forward pass, combines the two RMSE losses by
-the scheduled weights, and takes one Adam step.  The learning rate decays
+the scheduled weights, and takes one Adam step.  A mini-batch larger than
+the model's micro-batch (:func:`canet.model.micro_batch_size`) is split into
+micro-batches whose forward and backward passes run on the window threads;
+their gradients are summed on the calling thread in micro-batch order, so
+the numbers do not depend on the thread count.  The learning rate decays
 per epoch; training stops when the validation loss has not improved for
 ``patience`` consecutive epochs, and the best-validation parameters are
 restored before returning.  The validation loss runs without an autodiff
-tape, one batch of windows at a time.
+tape, in chunks of one training micro-batch.
 """
 
 from dataclasses import dataclass, field, fields
@@ -15,9 +19,10 @@ import numpy as np
 
 from canet.data import WindowedDataset
 from canet.model import (_NON_NEGATIVE, _POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig,
-                         ModelKnobs, _knob, _one_of, can_forward)
+                         ModelKnobs, _knob, _one_of, can_forward, micro_batch_size, window_map,
+                         window_threads)
 from canet.optim import Adam
-from canet.tensor import Tensor, backward, no_grad, sqrt
+from canet.tensor import Tensor, backward, gradients, no_grad, sqrt
 
 
 _FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf), "finite and >= 0"
@@ -170,46 +175,48 @@ def train(dataset: WindowedDataset, cfg: TrainConfig) -> Tuple[CanModel, TrainLo
     val_indices = np.arange(n_train, n_windows)
 
     model = CanModel(cfg.model_config(dataset.n_sensors), seed=cfg.seed)
+    micro = min(cfg.batch_size, micro_batch_size(model))     # windows per forward pass
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     stopper = EarlyStopper(cfg.patience)
     log = TrainLog(n_parameters=model.num_parameters())
     best_state: Optional[dict] = None
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        phi, psi = cfg.loss_weights(epoch)
-        lr_now = optimizer.lr
-        order = rng.permutation(n_train)
+    # a diverging run reports itself once, through DivergenceError
+    with window_map(window_threads()) as map_windows, np.errstate(over="ignore",
+                                                                  invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            phi, psi = cfg.loss_weights(epoch)
+            lr_now = optimizer.lr
+            order = rng.permutation(n_train)
 
-        total = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss = _batch_loss(model, dataset, batch, phi, psi)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite training loss {value} at epoch {epoch}, "
-                    f"batch starting {start}")
-            optimizer.zero_grad()
-            backward(loss)
-            optimizer.step()
-            total += value * len(batch)
-        train_loss = total / n_train
+            total = 0.0
+            for start in range(0, n_train, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                value = _set_gradients(model, dataset, batch, phi, psi, micro, map_windows)
+                if not np.isfinite(value):
+                    raise DivergenceError(
+                        f"non-finite training loss {value} at epoch {epoch}, "
+                        f"batch starting {start}")
+                optimizer.step()
+                total += value * len(batch)
+            train_loss = total / n_train
 
-        val_loss = _validation_loss(model, dataset, val_indices, phi, psi, cfg.batch_size)
-        if not np.isfinite(val_loss):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
+            val_loss = _validation_loss(model, dataset, val_indices, phi, psi, micro,
+                                        map_windows)
+            if not np.isfinite(val_loss):
+                raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
 
-        log.epochs.append({"epoch": epoch, "train_loss": train_loss,
-                           "val_loss": val_loss, "phi": phi, "lr": lr_now})
-        improved = val_loss < stopper.best
-        should_stop = stopper.update(epoch, val_loss)
-        if improved:
-            best_state = {name: p.data.copy() for name, p in model.named_parameters()}
-        optimizer.lr *= cfg.lr_decay
-        if should_stop:
-            log.stopped_early = True
-            break
+            log.epochs.append({"epoch": epoch, "train_loss": train_loss,
+                               "val_loss": val_loss, "phi": phi, "lr": lr_now})
+            improved = val_loss < stopper.best
+            should_stop = stopper.update(epoch, val_loss)
+            if improved:
+                best_state = {name: p.data.copy() for name, p in model.named_parameters()}
+            optimizer.lr *= cfg.lr_decay
+            if should_stop:
+                log.stopped_early = True
+                break
 
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best
@@ -230,23 +237,61 @@ def _batch_loss(model: CanModel, dataset: WindowedDataset, indices,
     return joint_loss(l_pre, l_rec, phi, psi)
 
 
+def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float, psi: float,
+                   micro: int, map_windows=map) -> float:
+    """Set each parameter's ``grad`` to the gradient of the loss over
+    ``batch`` and return that loss.
+
+    A batch of up to ``micro`` windows takes one pass.  A larger one is split
+    into micro-batches of ``micro`` windows, which ``map_windows`` (see
+    :func:`canet.model.window_map`) may run on any thread.  The loss is a
+    mean over windows, so a micro-batch of n_i of the N windows enters the
+    loss and the gradients with weight n_i / N, summed on the calling thread
+    in micro-batch order.
+    """
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    if len(batch) <= micro:
+        loss = _batch_loss(model, dataset, batch, phi, psi)
+        backward(loss)
+        return loss.item()
+
+    def micro_batch(indices):
+        loss = _batch_loss(model, dataset, indices, phi, psi)
+        return len(indices) / len(batch), loss.item(), gradients(loss)
+
+    parts = [batch[i:i + micro] for i in range(0, len(batch), micro)]
+    value = 0.0
+    for weight, part_value, grads in map_windows(micro_batch, parts):
+        value += weight * part_value
+        for p in params:
+            if p in grads:
+                g = weight * grads[p]
+                p.grad = g if p.grad is None else p.grad + g
+    return value
+
+
 def _validation_loss(model: CanModel, dataset: WindowedDataset, indices,
-                     phi: float, psi: float, chunk: int) -> float:
+                     phi: float, psi: float, chunk: int, map_windows=map) -> float:
     """``_batch_loss(...).item()`` over ``indices``, computed tape-free in
-    chunks of ``chunk`` windows.
+    chunks of ``chunk`` windows, one chunk per ``map_windows`` task.
 
     Each mean is taken once over the per-window RMSEs of every chunk, so
     the value is bit-identical to one pass over all windows.
     """
-    pre, rec = [], []
-    with no_grad():
-        for start in range(0, len(indices), chunk):
-            hist, targets = dataset.batch(indices[start:start + chunk])
+    def window_rmses(part):
+        hist, targets = dataset.batch(part)
+        with no_grad():     # per thread: the tape state is thread-local
             out = can_forward(Tensor(hist), model)
-            pre.append(_window_rmse(out.y_pred, Tensor(targets), -1).data)
-            if out.y_rec is not None:
-                rec.append(_window_rmse(out.y_rec, Tensor(hist), (-2, -1)).data)
+            pre = _window_rmse(out.y_pred, Tensor(targets), -1).data
+            if out.y_rec is None:
+                return pre, None
+            return pre, _window_rmse(out.y_rec, Tensor(hist), (-2, -1)).data
+
+    parts = [indices[start:start + chunk] for start in range(0, len(indices), chunk)]
+    pre, rec = zip(*map_windows(window_rmses, parts))
     l_pre = Tensor(np.concatenate(pre)).mean()
-    if not rec:
+    if rec[0] is None:
         return l_pre.item()
     return joint_loss(l_pre, Tensor(np.concatenate(rec)).mean(), phi, psi).item()

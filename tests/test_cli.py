@@ -1,4 +1,10 @@
+import ctypes
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +265,87 @@ class TestTrainCommand:
             "--batch-size", "32")
         assert (serial_dir / "report.json").read_bytes() == \
             (threaded_dir / "report.json").read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DESK_FLAGS = ("--window", "5", "--layers", "1", "--heads", "4", "--model-dim", "16",
+              "--embed-dim", "8", "--neighbor-k", "5")
+PAPER_FLAGS = ("--window", "5", "--layers", "3", "--heads", "8", "--model-dim", "32",
+               "--embed-dim", "10", "--neighbor-k", "10")
+
+
+def run_process(*argv, blas_threads="1", threads="1"):
+    """``canet`` in a fresh process, where the BLAS thread count still takes
+    effect; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=blas_threads,
+               CAN_THREADS=threads)
+    return subprocess.run([sys.executable, "-m", "canet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+class TestThreadPolicy:
+    def test_paper_outputs_never_depend_on_thread_counts(self, tmp_path):
+        # 95 windows, 10 held out: optimizer batches of 40, 40 and 5 windows,
+        # the full ones in micro-batches of 16, 16 and 8
+        run(*synth_args(tmp_path, sensors=51, length=100))
+        outputs = {}
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}-threads{threads}"
+                calls = [("train", "--data", str(tmp_path / "train.csv"), "--out", str(out),
+                          "--seed", "1", *PAPER_FLAGS, "--batch-size", "40",
+                          "--max-epochs", "1"),
+                         ("evaluate", "--data", str(tmp_path / "test.csv"), "--checkpoint",
+                          str(out / "model.ckpt"), "--out", str(out / "plain")),
+                         ("evaluate", "--data", str(tmp_path / "test.csv"), "--checkpoint",
+                          str(out / "model.ckpt"), "--out", str(out / "plus"), "--can-plus")]
+                for argv in calls:
+                    done = run_process(*argv, blas_threads=blas, threads=threads)
+                    assert done.returncode == 0, done.stderr
+                names = ("model.ckpt", "train.log", "plain/report.json", "plain/scores.csv",
+                         "plus/report.json", "plus/scores.csv")
+                outputs[out.name] = {name: (out / name).read_bytes() for name in names}
+        first, *rest = outputs.values()
+        for key, files in zip(list(outputs)[1:], rest):
+            for name, data in files.items():
+                assert data == first[name], f"{key}/{name}"
+
+    def test_desk_run_keeps_its_one_pass_bytes(self, tmp_path):
+        # a desk batch of 64 is one micro-batch; these digests were written by
+        # the one-pass training step that came before micro-batches
+        run(*synth_args(tmp_path, sensors=5, length=600, spikes=0))
+        out = tmp_path / "desk"
+        assert run("train", "--data", str(tmp_path / "train.csv"), "--out", str(out),
+                   "--seed", "7", *DESK_FLAGS, "--batch-size", "64", "--lr", "0.002",
+                   "--max-epochs", "3") == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("model.ckpt", "train.log")}
+        assert digests == {
+            "model.ckpt": "e581281ce7357aa87d373244ebc47e67815adf1591da71148047c4fe2bba14c2",
+            "train.log": "a1414f1d07cb48cc2bdd54572ee6ce770cc813604d38d94385d1da200d4f9b62"}
+
+    @pytest.mark.parametrize("batch, lr, where", [
+        ("32", "100", "epoch 2, batch starting 288"),
+        ("300", "1e6", "epoch 1, batch starting 300"),     # micro-batches of 256 and 44
+    ], ids=["one-pass", "micro-batched"])
+    def test_divergence_writes_one_stderr_line(self, tmp_path, batch, lr, where):
+        run(*synth_args(tmp_path, sensors=5, length=600, spikes=0))
+        done = run_process("train", "--data", str(tmp_path / "train.csv"),
+                           "--out", str(tmp_path / "div"), "--seed", "7", *DESK_FLAGS,
+                           "--batch-size", batch, "--lr", lr, "--max-epochs", "6",
+                           threads="2")
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == [f"error: non-finite training loss nan at {where}"]
+
+    def test_blas_runs_on_one_thread(self, tmp_path):
+        try:
+            from numpy._core import _multiarray_umath
+            count = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        except (ImportError, AttributeError):
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        count.restype = ctypes.c_int
+        assert run(*synth_args(tmp_path)) == 0
+        assert count() == 1
 
 
 class TestEvaluateCommand:

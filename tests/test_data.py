@@ -257,6 +257,26 @@ class TestLoadCsv:
             load_csv(path)
         assert str(err.value).startswith(f"{path}: line {row + 2} is not UTF-8: ")
 
+    @pytest.mark.parametrize("bad_row, byte_row", [(3, CSV_BLOCK_ROWS + 1), (4090, 4093)],
+                             ids=["next-block", "same-block"])
+    def test_bad_cell_outranks_a_later_undecodable_byte(self, tmp_path, bad_row, byte_row):
+        # 1-based data rows; the text layer decodes about 8 KB ahead of the rows
+        # the reader has returned, so both bytes are decoded before the cell is parsed
+        lines = [b"a,b"] + [b"%d,%d" % (r, 2 * r) for r in range(2 * 8192)]
+        lines[bad_row] = b"x,1"
+        lines[byte_row] = b"1,\xff"
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: non-numeric cell 'x' at row {bad_row}, column 'a'"
+
+    def test_bad_cell_outranks_a_later_malformed_field_in_its_block(self, tmp_path):
+        path = block_csv(tmp_path / "d.csv", 30, {2: "10,oops,2,3,0", 9: '10,"1"x,2,3,0'})
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: non-numeric cell 'oops' at row 3, column 'FIT101'"
+
     def test_oversized_field_names_its_line(self, tmp_path):
         path = block_csv(tmp_path / "d.csv", 30, {9: "10,1," + "2" * 200_000 + ",3,0"})
         with pytest.raises(DataError) as err:

@@ -54,13 +54,6 @@ class TestAdam:
             opt.step()
         assert np.abs(p.data).max() < 1e-2
 
-    def test_zero_grad_clears_buffers(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.ones(2)
-        opt = Adam([p])
-        opt.zero_grad()
-        assert p.grad is None
-
 
 class TestFiniteDifferenceGradient:
     def test_quadratic(self):

@@ -1,5 +1,7 @@
 import importlib
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,12 +10,12 @@ import pytest
 from canet import Tensor
 from canet.data import RawSeries, make_windows, minmax_apply, minmax_fit
 from canet.synth import synth_generate
-from canet.model import CanModel, ModelConfig
+from canet.model import CanModel, ModelConfig, micro_batch_size, window_map, window_threads
 from canet.optim import Adam
 from canet.tensor import backward
 from canet.train import (ConfigError, DivergenceError, EarlyStopper,
-                         TrainConfig, _batch_loss, _validation_loss, joint_loss,
-                         prediction_loss, reconstruction_loss, train)
+                         TrainConfig, _batch_loss, _set_gradients, _validation_loss,
+                         joint_loss, prediction_loss, reconstruction_loss, train)
 
 
 def tiny_dataset(n_sensors=3, length=120, seed=0, window=4):
@@ -257,6 +259,79 @@ class TestValidation:
         assert recorded_creators and not any(recorded_creators)
 
 
+class TestMicroBatches:
+    PAPER = dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10)
+    DESK = dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5)
+
+    @staticmethod
+    def one_pass(model, dataset, batch):
+        """(loss, {name: gradient}) of one taped pass over ``batch``."""
+        for p in model.parameters():
+            p.grad = None
+        loss = _batch_loss(model, dataset, batch, 0.2, 0.8)
+        backward(loss)
+        return loss.item(), {name: p.grad for name, p in model.named_parameters()}
+
+    @staticmethod
+    def float64_setup():
+        dataset = tiny_dataset(n_sensors=12, length=60)
+        model = CanModel(tiny_config().model_config(12), seed=1, dtype=np.float64)
+        return model, dataset, np.random.default_rng(2).permutation(37)
+
+    @pytest.mark.parametrize("micro", [16, 10, 36], ids=["16+16+5", "10+10+10+7", "36+1"])
+    def test_weighted_sum_matches_one_pass(self, micro):
+        model, dataset, batch = self.float64_setup()
+        loss, expected = self.one_pass(model, dataset, batch)
+        value = _set_gradients(model, dataset, batch, 0.2, 0.8, micro)
+        np.testing.assert_allclose(value, loss, rtol=1e-10)
+        for name, p in model.named_parameters():
+            np.testing.assert_allclose(p.grad, expected[name], rtol=1e-10, err_msg=name)
+
+    def test_one_micro_batch_is_one_pass_bit_for_bit(self):
+        model, dataset, batch = self.float64_setup()
+        loss, expected = self.one_pass(model, dataset, batch)
+        assert _set_gradients(model, dataset, batch, 0.2, 0.8, len(batch)) == loss
+        for name, p in model.named_parameters():
+            assert p.grad.tobytes() == expected[name].tobytes(), name
+
+    def test_threads_never_change_the_bytes(self):
+        # more threads than cores, switching often: a lost or reordered
+        # update of a shared gradient would change the bytes
+        dataset = tiny_dataset(n_sensors=12, length=60)
+        model = CanModel(tiny_config().model_config(12), seed=1)
+        batch = np.arange(37)
+        serial = _set_gradients(model, dataset, batch, 0.2, 0.8, 4)
+        grads = [p.grad for p in model.parameters()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with window_map(len(os.sched_getaffinity(0)) + 2) as map_windows:
+                threaded = _set_gradients(model, dataset, batch, 0.2, 0.8, 4, map_windows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        for before, p in zip(grads, model.parameters()):
+            assert p.grad.dtype == np.float32 and p.grad.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("sensors, knobs, size", [(51, PAPER, 16), (5, DESK, 256)],
+                             ids=["paper", "desk"])
+    def test_size_depends_on_the_model_only(self, monkeypatch, sensors, knobs, size):
+        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CAN_THREADS", threads)
+            assert micro_batch_size(model) == size
+
+    def test_threads_default_to_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("CAN_THREADS", raising=False)
+        assert window_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("CAN_THREADS", value)
+        with pytest.raises(ConfigError, match="CAN_THREADS"):
+            train(tiny_dataset(), tiny_config(max_epochs=1))
+
+
 class TestStepMemory:
     # tracemalloc peak of the two steps below: 4.17 MiB with a tape that
     # frees itself in backward, 16.70 MiB when every op kept its inputs,
@@ -275,7 +350,8 @@ class TestStepMemory:
         try:
             for start in (0, 16):       # as train() steps: the old loss is held meanwhile
                 loss = _batch_loss(model, dataset, np.arange(start, start + 16), 0.2, 0.8)
-                optimizer.zero_grad()
+                for p in model.parameters():
+                    p.grad = None
                 backward(loss)
                 optimizer.step()
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
