@@ -4,14 +4,13 @@ Values live in numpy arrays, float32 by default; building a model from
 float64 arrays switches the whole computation to 64-bit, which is what the
 gradient checks use.  Every differentiable operation is a ``Function`` node
 that links to the ops (or leaf tensors) it read, never to their values, and
-saves only the arrays its backward reads.  :func:`gradients` walks the
+saves only the arrays its backward reads.  :func:`backward` walks the
 recorded graph in reverse topological order, returns the gradients of the
-leaves (``requires_grad`` tensors with no creator) and frees each node as it
-passes it, so the graph is gone when it returns.  :func:`backward` adds
-them into the leaves' ``grad``, where they accumulate across calls until
-the caller clears them.  Inside a :class:`no_grad` block
-ops record nothing, so a forward-only pass keeps no intermediate arrays
-alive.
+leaves (``requires_grad`` tensors with no creator) as a dict and frees each
+node as it passes it, so the graph is gone when it returns.  It writes no
+tensor's ``grad``; that slot is where the caller hands gradients to the
+optimizer.  Inside a :class:`no_grad` block ops record nothing, so a
+forward-only pass keeps no intermediate arrays alive.
 
 Tensors are value-like: no op mutates its operands, and one forward/backward
 pass belongs to a single thread.
@@ -36,7 +35,9 @@ class ConsumedGraphError(RuntimeError):
 
 
 class Tensor:
-    """An n-dimensional array with optional gradient state."""
+    """An n-dimensional array with optional gradient state: autodiff never
+    writes ``grad`` (:func:`backward` returns gradients); it is where a
+    caller hands a parameter's gradient to :class:`canet.optim.Adam`."""
 
     __slots__ = ("data", "requires_grad", "grad", "creator")
 
@@ -561,17 +562,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Concat.apply(*tensors, axis=axis)
 
 
-def backward(loss: Tensor) -> None:
-    """Add the gradient of ``loss`` into ``grad`` of every leaf it depends on.
-
-    Gradients add into existing buffers; clear them (``grad = None``)
-    between steps.  See :func:`gradients` for the pass itself.
-    """
-    for leaf, grad in gradients(loss).items():
-        leaf.grad = grad if leaf.grad is None else leaf.grad + grad
-
-
-def gradients(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> dict:
     """The gradient of ``loss`` for every leaf it depends on, as ``{leaf: array}``.
 
     A leaf is a ``requires_grad`` tensor with no creator, such as a model

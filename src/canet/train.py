@@ -1,15 +1,16 @@
 """Joint prediction+reconstruction training with early stopping.
 
 Each mini-batch runs the full forward pass, combines the two RMSE losses by
-the scheduled weights, and takes one Adam step.  A mini-batch larger than
-the model's micro-batch (:func:`canet.model.micro_batch_size`) is split into
-micro-batches whose forward and backward passes run on the window threads;
-their gradients are summed on the calling thread in micro-batch order, so
-the numbers do not depend on the thread count.  The learning rate decays
-per epoch; training stops when the validation loss has not improved for
-``patience`` consecutive epochs, and the best-validation parameters are
-restored before returning.  The validation loss runs without an autodiff
-tape, in chunks of one training micro-batch.
+the scheduled weights, and takes one Adam step.  Every mini-batch is split
+into micro-batches (:func:`canet.model.micro_batch_size`; one when it
+fits) whose forward and backward passes run on the window threads.  Their
+gradients are summed on the calling thread in micro-batch order, so the
+numbers do not depend on the thread count, and reach Adam through each
+parameter's ``grad``.  The learning rate decays per epoch; training stops
+when the validation loss has not improved for ``patience`` consecutive
+epochs, and the best-validation parameters are restored before returning.
+The validation loss runs without an autodiff tape, in chunks of one
+training micro-batch.
 """
 
 from dataclasses import dataclass, field, fields
@@ -22,7 +23,7 @@ from canet.model import (_NON_NEGATIVE, _POSITIVE, _UNIT, CanModel, ConfigError,
                          ModelKnobs, _knob, _one_of, can_forward, micro_batch_size, window_map,
                          window_threads)
 from canet.optim import Adam
-from canet.tensor import Tensor, backward, gradients, no_grad, sqrt
+from canet.tensor import Tensor, backward, no_grad, sqrt
 
 
 _FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf), "finite and >= 0"
@@ -209,9 +210,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig) -> Tuple[CanModel, TrainLo
 
             log.epochs.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "phi": phi, "lr": lr_now})
-            improved = val_loss < stopper.best
             should_stop = stopper.update(epoch, val_loss)
-            if improved:
+            if stopper.best_epoch == epoch:
                 best_state = {name: p.data.copy() for name, p in model.named_parameters()}
             optimizer.lr *= cfg.lr_decay
             if should_stop:
@@ -240,35 +240,29 @@ def _batch_loss(model: CanModel, dataset: WindowedDataset, indices,
 def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float, psi: float,
                    micro: int, map_windows=map) -> float:
     """Set each parameter's ``grad`` to the gradient of the loss over
-    ``batch`` and return that loss.
+    ``batch`` and return that loss; a parameter the loss does not reach
+    gets None, so :meth:`Adam.step` leaves it as it is.
 
-    A batch of up to ``micro`` windows takes one pass.  A larger one is split
-    into micro-batches of ``micro`` windows, which ``map_windows`` (see
-    :func:`canet.model.window_map`) may run on any thread.  The loss is a
-    mean over windows, so a micro-batch of n_i of the N windows enters the
-    loss and the gradients with weight n_i / N, summed on the calling thread
-    in micro-batch order.
+    The batch is split into micro-batches of ``micro`` windows (one when it
+    fits), which ``map_windows`` (see :func:`canet.model.window_map`) may
+    run on any thread.  The loss is a mean over windows, so a micro-batch of
+    n_i of the N windows enters the loss and the gradients with weight
+    n_i / N, summed on the calling thread in micro-batch order.  A lone
+    micro-batch has weight 1.0, which keeps its gradient's bytes.
     """
-    params = model.parameters()
-    for p in params:
+    for p in model.parameters():
         p.grad = None
-    if len(batch) <= micro:
-        loss = _batch_loss(model, dataset, batch, phi, psi)
-        backward(loss)
-        return loss.item()
 
     def micro_batch(indices):
         loss = _batch_loss(model, dataset, indices, phi, psi)
-        return len(indices) / len(batch), loss.item(), gradients(loss)
+        return len(indices) / len(batch), loss.item(), backward(loss)
 
     parts = [batch[i:i + micro] for i in range(0, len(batch), micro)]
     value = 0.0
     for weight, part_value, grads in map_windows(micro_batch, parts):
         value += weight * part_value
-        for p in params:
-            if p in grads:
-                g = weight * grads[p]
-                p.grad = g if p.grad is None else p.grad + g
+        for p, g in grads.items():
+            p.grad = weight * g if p.grad is None else p.grad + weight * g
     return value
 
 

@@ -52,11 +52,10 @@ def assert_grads_match(build_loss, params, rtol: float = GRAD_RTOL, step: float 
     """
     for p in params:
         assert p.data.dtype == np.float64, "gradient checks run in 64-bit mode"
-        p.grad = None
-    backward(build_loss())
+    grads = backward(build_loss())
     for p in params:
         fd = finite_difference_gradient(lambda _: build_loss(), p, step=step).data
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = grads.get(p, np.zeros_like(p.data))
         err = max_rel_err(analytic, fd)
         assert err < rtol, f"gradient mismatch {err:.3e} on shape {p.shape}"
 

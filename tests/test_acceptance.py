@@ -92,14 +92,9 @@ class TestCriterion1GradientSuite:
                                      * concat([probe, probe[..., :2]], axis=-1)).sum(),
         }
         for name, loss_fn in cases.items():
-            for p in (x, w, gain, bias):
-                p.grad = None
-            backward(loss_fn())
-            for p in (x, w, gain, bias):
-                if p.grad is None:
-                    continue
+            for p, grad in backward(loss_fn()).items():
                 fd = finite_difference_gradient(lambda _: loss_fn(), p, step=1e-5).data
-                assert max_rel_err(p.grad, fd) < 1e-4, f"primitive {name}"
+                assert max_rel_err(grad, fd) < 1e-4, f"primitive {name}"
 
         # full joint loss at the stated sizes, 64-bit
         cfg = ModelConfig(n_sensors=2, window=3, layers=1, heads=2, model_dim=4,
@@ -113,14 +108,11 @@ class TestCriterion1GradientSuite:
             return joint_loss(prediction_loss(out.y_pred, target),
                               reconstruction_loss(out.y_rec, data), 0.4, 0.6)
 
-        params = list(model.named_parameters())
-        for _, p in params:
-            p.grad = None
-        backward(full_loss())
+        grads = backward(full_loss())
         worst = 0.0
-        for name, p in params:
+        for name, p in model.named_parameters():
             fd = finite_difference_gradient(lambda _: full_loss(), p, step=1e-5).data
-            analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+            analytic = grads.get(p, np.zeros_like(p.data))
             err = max_rel_err(analytic, fd)
             assert err < 1e-4, f"parameter {name}: {err:.2e}"
             worst = max(worst, err)

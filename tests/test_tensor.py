@@ -138,9 +138,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("inside")
-        out = (x * x).sum()
-        backward(out)
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(backward((x * x).sum())[x], [2.0, 2.0])
 
     def test_state_is_per_thread(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -212,8 +210,8 @@ class TestAttention:
             operands = [Tensor(a, requires_grad=True) for a in arrays]
             out = attend(*operands, causal=causal)
             # the transpose hands the op a non-contiguous upstream gradient
-            backward((out.transpose() * upstream).sum())
-            results.append([out.data] + [t.grad for t in operands])
+            grads = backward((out.transpose() * upstream).sum())
+            results.append([out.data] + [grads[t] for t in operands])
         fused, composed = results
         assert fused[0].dtype == np.float32
         for a, b in zip(fused, composed):
@@ -226,12 +224,12 @@ class TestAttention:
                              for _ in range(4))
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = Attention.apply(*operands, causal=causal, heads=heads)
-        backward((out * Tensor(upstream)).sum())
+        got = backward((out * Tensor(upstream)).sum())
         expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
         for t, g in zip(operands, grads):
-            assert t.grad.tobytes() == g.tobytes()
+            assert got[t].tobytes() == g.tobytes()
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_gradients_in_heads_match_finite_differences(self, rng, causal):
@@ -273,24 +271,18 @@ class TestActivations:
     def test_relu_gradient_by_finite_difference(self):
         x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
         assert_grads_match(lambda: relu(x).sum(), [x])
-        backward(relu(x).sum())
-        # fresh grads: first assert_grads_match cleared and refilled them
-        x.grad = None
-        backward(relu(x).sum())
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+        np.testing.assert_array_equal(backward(relu(x).sum())[x], [1.0, 0.0])
 
 
 class TestBackward:
     def test_bilinear_form(self, rng):
         x = Tensor(rng.standard_normal(5), requires_grad=True)
         y = Tensor(rng.standard_normal(5))
-        backward((x * y).sum())
-        np.testing.assert_allclose(x.grad, y.data, rtol=1e-6)
+        np.testing.assert_allclose(backward((x * y).sum())[x], y.data, rtol=1e-6)
 
     def test_softmax_sum_has_zero_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        backward(softmax(x, axis=-1).sum())
-        np.testing.assert_allclose(x.grad, 0.0, atol=1e-7)
+        np.testing.assert_allclose(backward(softmax(x, axis=-1).sum())[x], 0.0, atol=1e-7)
 
     def test_composite_matches_finite_differences(self, rng):
         x = param64(rng, (3, 4))
@@ -306,15 +298,33 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(Tensor([1.0, 2.0], requires_grad=True))
 
-    def test_gradients_accumulate_until_cleared(self, rng):
-        x = Tensor(rng.standard_normal(4), requires_grad=True)
-        backward((x * x).sum())
-        first = x.grad.copy()
-        backward((x * x).sum())
-        np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-6)
-        x.grad = None
-        backward((x * x).sum())
-        np.testing.assert_allclose(x.grad, first, rtol=1e-6)
+    def test_returns_exactly_the_leaves_the_loss_reaches(self, rng):
+        x, w, other = (Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+                       for _ in range(3))
+        constant = Tensor(rng.standard_normal((2, 2)))
+        hidden = relu(matmul(x, w)) * constant
+        separate = (other * x).sum()        # another graph over a shared leaf
+        grads = backward(hidden.sum())
+        assert set(grads) == {x, w}         # no intermediate, constant or other leaf
+        assert separate.creator.parents is not None     # the other graph is untouched
+
+    def test_sets_no_grad(self, rng):
+        x, w = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(2))
+        held = np.full(3, 7.0)
+        w.grad = held
+        hidden = x * w
+        loss = hidden.sum()
+        grads = backward(loss)
+        np.testing.assert_allclose(grads[w], x.data)
+        assert x.grad is None and w.grad is held
+        assert hidden.grad is None and loss.grad is None
+
+    def test_loss_that_needs_no_gradient_gives_an_empty_dict(self, rng):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        assert backward((Tensor(rng.standard_normal(3)) * 2.0).sum()) == {}
+        with no_grad():
+            untaped = (x * x).sum()
+        assert backward(untaped) == {} and x.grad is None
 
 
 class TestTape:
@@ -325,12 +335,11 @@ class TestTape:
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         h = matmul(x, w)
         r = relu(h)
-        loss = r.sum()
-        backward(loss)
-        assert h.grad is None and r.grad is None and loss.grad is None
+        grads = backward(r.sum())
+        assert set(grads) == {x, w}
         live = (h.data > 0).astype(h.data.dtype)
-        np.testing.assert_allclose(w.grad, x.data.T @ live, rtol=1e-6)
-        np.testing.assert_allclose(x.grad, live @ w.data.T, rtol=1e-6)
+        np.testing.assert_allclose(grads[w], x.data.T @ live, rtol=1e-6)
+        np.testing.assert_allclose(grads[x], live @ w.data.T, rtol=1e-6)
 
     def test_output_no_backward_reads_dies_with_the_forward(self, rng):
         x, y = (Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True) for _ in range(2))
@@ -340,8 +349,8 @@ class TestTape:
         out = layer_norm(summed, gain, bias)
         del summed
         assert alive() is None          # layer norm saves its own arrays, not its input
-        backward(out.sum())
-        assert x.grad is not None and gain.grad is not None
+        grads = backward(out.sum())
+        assert x in grads and gain in grads
 
     def test_saved_arrays_die_when_backward_returns(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -359,10 +368,8 @@ class TestTape:
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         loss = (x * x).sum()
         backward(loss)
-        first = x.grad.copy()
         with pytest.raises(ConsumedGraphError, match="already ran through this graph"):
             backward(loss)
-        np.testing.assert_array_equal(x.grad, first)
 
     def test_backward_through_a_consumed_subgraph_raises(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -416,8 +423,8 @@ class TestTape:
             out = op(*operands)
             upstream = Tensor(np.linspace(-1.0, 1.0, out.size, dtype=np.float32)
                               .reshape(out.shape))
-            backward((out * upstream).sum())
-            return [t.grad for t in operands]
+            got = backward((out * upstream).sum())
+            return [got.get(t) for t in operands]
 
         full = grads([True] * len(arrays))
         for needs in itertools.product([False, True], repeat=len(arrays)):
@@ -552,8 +559,7 @@ class TestInvariants:
             gen = np.random.default_rng(99)
             x = Tensor(gen.standard_normal((4, 4)), requires_grad=True)
             y = softmax(matmul(x, x.transpose()), axis=-1)
-            backward(y.sum())
-            return y.data.tobytes(), x.grad.tobytes()
+            return y.data.tobytes(), backward(y.sum())[x].tobytes()
 
         assert run() == run()
 
