@@ -199,7 +199,13 @@ def cmd_train(args) -> int:
     (out / "config.txt").write_text(
         "".join(f"{k}={resolved[k]}\n" for k in sorted(resolved)))
 
-    model, log = train(dataset, cfg)
+    # one flushed line per finished epoch, so a run that diverges keeps them
+    with open(out / "train.log", "w") as handle:
+        def log_epoch(entry):
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.flush()
+
+        model, log = train(dataset, cfg, on_epoch=log_epoch)
 
     extra = {
         "sensor_names": dataset.sensor_names,
@@ -208,9 +214,6 @@ def cmd_train(args) -> int:
         "train_config": resolved,
     }
     save_checkpoint(model, out / "model.ckpt", extra)
-    with open(out / "train.log", "w") as handle:
-        for entry in log.epochs:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
     print(f"best epoch {log.best_epoch} (val loss {log.best_val_loss:.6f}), "
           f"{log.n_parameters} parameters")
     print(f"wrote {out / 'model.ckpt'} and {out / 'train.log'}")

@@ -55,10 +55,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -396,17 +392,14 @@ class Attention(Function):
 
     q, k and v come in the model's ``(..., seq, heads·d)`` layout, q and k
     of one shape and v differing from them only in width; head ``i`` reads
-    column block ``i`` of each.  The forward splits them into
-    ``(..., heads, seq, d)`` views and lays the heads' outputs side by side
-    again.  It keeps the arithmetic and order of the composed ops (scale q,
-    multiply by kᵀ, add ``-inf`` above the diagonal when causal, softmax,
-    multiply by v), so outputs keep their bytes.
-    Only the probabilities ``p`` and the operands that the needed gradients
-    read are saved.
-    The backward is the closed form: with the upstream gradient ``g``,
+    column block ``i`` of each.  The heads run on ``(..., heads, seq, d)``
+    views, and each head product is written into a fresh array of the
+    merged layout.  The arithmetic and its order are the composed ops' (scale
+    q, multiply by kᵀ, add ``-inf`` above the diagonal when causal, softmax,
+    multiply by v), so outputs keep their bytes.  The backward is the closed
+    form: with the upstream gradient ``g`` and the saved ``p`` and ``q s``,
     ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
-    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``, each merged
-    back to its operand's layout as soon as it is computed.
+    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``.
     """
 
     def forward(self, q, k, v, causal=False, heads=1):
@@ -417,38 +410,39 @@ class Attention(Function):
         self.heads = heads
         q, k, v = (_split_heads(a, heads) for a in (q, k, v))
         self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+        qs = q * self.scale
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
-        scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
+        scores = qs @ np.swapaxes(k, -1, -2).copy()
         if causal:
             # x + 0 keeps the value of x, x + -inf is -inf
             scores += np.triu(np.full(scores.shape[-2:], -np.inf, scores.dtype), 1)
-        scores -= _reduce_keepdims(np.maximum, scores, -1)
+        scores -= _reduce_keys(np.maximum, scores)
         np.exp(scores, out=scores)
-        scores /= _reduce_keepdims(np.add, scores, -1)
+        scores /= _reduce_keys(np.add, scores)
         need_q, need_k, _ = self.needs
-        # ds (read by gq and gk) needs v; gq reads k and gk reads q
-        self.q = q if need_k else None
+        # ds (read by gq and gk) needs v; gq reads k and gk reads q s
+        self.qs = qs if need_k else None
         self.k = k if need_q else None
         self.v = v if need_q or need_k else None
         self.p = scores
-        return _merge_heads(scores @ v)
+        return _merged_product(scores, v, heads)
 
     def backward(self, grad):
         need_q, need_k, need_v = self.needs
         grad = _split_heads(grad, self.heads)
-        p = self.p
         gq = gk = gv = None
         if need_q or need_k:
             ds = grad @ np.swapaxes(self.v, -1, -2).copy()
-            ds -= _reduce_keepdims(np.add, ds * p, -1)
-            ds *= p
+            ds -= _reduce_keys(np.add, ds * self.p)
+            ds *= self.p
             if need_q:
-                gq = _merge_heads((ds @ self.k) * self.scale)
+                gq = _merged_product(ds, self.k, self.heads)
+                gq *= self.scale
             if need_k:
-                gk = _merge_heads(np.swapaxes(ds, -1, -2) @ (self.q * self.scale))
+                gk = _merged_product(np.swapaxes(ds, -1, -2), self.qs, self.heads)
         if need_v:
-            gv = _merge_heads(np.swapaxes(p, -1, -2) @ grad)
+            gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, self.heads)
         return gq, gk, gv
 
 
@@ -457,21 +451,27 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """``(..., heads, seq, d)`` with the heads side by side: ``(..., seq, heads·d)``."""
-    a = np.swapaxes(a, -2, -3)
-    return a.reshape(a.shape[:-2] + (-1,))
+def _merged_product(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """``a @ b`` of head stacks, written into a fresh ``(..., seq, heads·d)`` array."""
+    out = np.empty(a.shape[:-3] + (a.shape[-2], heads * b.shape[-1]), np.result_type(a, b))
+    np.matmul(a, b, out=_split_heads(out, heads))
+    return out
+
+
+def _reduce_keys(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last (key) axis, kept as a length-1 axis: one call
+    per key on the view ``a[..., j]``, in key order; no copy, and a sequential sum."""
+    acc = ufunc(a[..., 0], a[..., 1]) if a.shape[-1] > 1 else a[..., 0].copy()
+    for j in range(2, a.shape[-1]):
+        ufunc(acc, a[..., j], out=acc)
+    return acc[..., None]
 
 
 def _reduce_keepdims(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
-    """``ufunc.reduce`` over ``axis``, kept as a length-1 axis.
-
-    The axis is first moved to the front of a contiguous copy, so the
-    reduction runs as whole-array elementwise passes, one per position,
-    rather than as many short strided reductions; numpy is slow at the
-    latter on the short axes attention uses.  The sum accumulates
-    sequentially, the order numpy's own sum uses on axes shorter than 8.
-    """
+    """``ufunc.reduce`` over ``axis``, kept as a length-1 axis, as one
+    elementwise pass per position over a contiguous copy with the axis in
+    front: faster than strided views (:func:`_reduce_keys`) on softmax's long
+    axis.  The sum is sequential, numpy's own order below 8 positions."""
     return np.expand_dims(ufunc.reduce(np.moveaxis(a, axis, 0).copy(), axis=0), axis)
 
 

@@ -14,7 +14,7 @@ training micro-batch.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,9 +159,13 @@ class TrainLog:
     n_parameters: int = 0
 
 
-def train(dataset: WindowedDataset, cfg: TrainConfig) -> Tuple[CanModel, TrainLog]:
+def train(dataset: WindowedDataset, cfg: TrainConfig,
+          on_epoch: Callable[[dict], None] = lambda entry: None) -> Tuple[CanModel, TrainLog]:
     """Train on a windowed series; the tail ``val_fraction`` of windows is
-    held out for early stopping and best-checkpoint selection."""
+    held out for early stopping and best-checkpoint selection.  Each
+    epoch's record goes to ``on_epoch`` as the epoch ends, so a run that
+    later raises :class:`DivergenceError` has already handed over the
+    epochs it finished."""
     if len(dataset) < 2:
         raise ValueError(f"dataset has {len(dataset)} windows; need at least 2")
     if dataset.window != cfg.window:
@@ -210,6 +214,7 @@ def train(dataset: WindowedDataset, cfg: TrainConfig) -> Tuple[CanModel, TrainLo
 
             log.epochs.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "phi": phi, "lr": lr_now})
+            on_epoch(log.epochs[-1])
             should_stop = stopper.update(epoch, val_loss)
             if stopper.best_epoch == epoch:
                 best_state = {name: p.data.copy() for name, p in model.named_parameters()}

@@ -324,11 +324,12 @@ class TestThreadPolicy:
             "model.ckpt": "e581281ce7357aa87d373244ebc47e67815adf1591da71148047c4fe2bba14c2",
             "train.log": "a1414f1d07cb48cc2bdd54572ee6ce770cc813604d38d94385d1da200d4f9b62"}
 
-    @pytest.mark.parametrize("batch, lr, where", [
-        ("32", "100", "epoch 2, batch starting 288"),
-        ("300", "1e6", "epoch 1, batch starting 300"),     # micro-batches of 256 and 44
+    # finished: the epochs done before the fault, which train.log must keep
+    @pytest.mark.parametrize("batch, lr, where, finished", [
+        ("32", "100", "epoch 2, batch starting 288", 1),
+        ("300", "1e6", "epoch 1, batch starting 300", 0),     # micro-batches of 256 and 44
     ], ids=["one-pass", "micro-batched"])
-    def test_divergence_writes_one_stderr_line(self, tmp_path, batch, lr, where):
+    def test_divergence_writes_one_stderr_line(self, tmp_path, batch, lr, where, finished):
         run(*synth_args(tmp_path, sensors=5, length=600, spikes=0))
         done = run_process("train", "--data", str(tmp_path / "train.csv"),
                            "--out", str(tmp_path / "div"), "--seed", "7", *DESK_FLAGS,
@@ -336,6 +337,11 @@ class TestThreadPolicy:
                            threads="2")
         assert done.returncode == 4
         assert done.stderr.splitlines() == [f"error: non-finite training loss nan at {where}"]
+        entries = [json.loads(line)
+                   for line in (tmp_path / "div" / "train.log").read_text().splitlines()]
+        assert [entry["epoch"] for entry in entries] == list(range(1, finished + 1))
+        assert all(np.isfinite(entry[key]) for entry in entries
+                   for key in ("train_loss", "val_loss"))
 
     def test_blas_runs_on_one_thread(self, tmp_path):
         try:

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
-from canet.tensor import Attention, Mul, Pow, _reduce_keepdims, _unbroadcast
+from canet.tensor import (Attention, Mul, Pow, _reduce_keepdims, _reduce_keys,
+                          _unbroadcast)
 from conftest import assert_grads_match, future_bias, param64, per_head_attention
 
 
@@ -111,6 +112,39 @@ class TestLeadingAxisReduce:
         for axis in range(a.ndim):
             np.testing.assert_array_equal(_reduce_keepdims(np.add, a, axis),
                                           np.sum(a, axis=axis, keepdims=True))
+
+
+class TestKeyAxisReduce:
+    """``_reduce_keys``, attention's reduction over the last (key) axis,
+    against numpy's max and a sequential sum."""
+
+    @pytest.mark.parametrize("keys", [1, 2, 6, 11])
+    def test_max_equals_numpy(self, rng, keys):
+        a = rng.standard_normal((3, 4, 5, keys)).astype(np.float32)
+        np.testing.assert_array_equal(_reduce_keys(np.maximum, a),
+                                      np.max(a, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("keys", [1, 2, 6, 11])
+    def test_sum_equals_sequential_loop(self, rng, keys):
+        # 11 keys are enough for numpy's own sum to go pairwise
+        a = rng.standard_normal((3, 4, 5, keys)).astype(np.float32)
+        acc = a[..., 0]
+        for j in range(1, keys):
+            acc = acc + a[..., j]
+        assert _reduce_keys(np.add, a).tobytes() == acc[..., None].tobytes()
+
+    def test_sum_equals_numpy_on_short_axes(self, rng):
+        for keys in range(1, 8):
+            a = rng.standard_normal((2, 5, 3, keys)).astype(np.float32)
+            np.testing.assert_array_equal(_reduce_keys(np.add, a),
+                                          np.sum(a, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("keys", [1, 2, 6])
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.add])
+    def test_result_is_a_fresh_array(self, rng, keys, ufunc):
+        # attention subtracts and divides by it in place of its operand
+        a = rng.standard_normal((2, 3, keys)).astype(np.float32)
+        assert not np.shares_memory(_reduce_keys(ufunc, a), a)
 
 
 class TestNoGrad:
@@ -230,6 +264,51 @@ class TestAttention:
         assert out.data.tobytes() == expected.tobytes()
         for t, g in zip(operands, grads):
             assert got[t].tobytes() == g.tobytes()
+
+    # 8 heads of width 4 as the paper config runs them, over (batch, sensors) stacks
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("seq", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_head_split_bit_identical_at_model_shapes(self, rng, lead, seq, causal):
+        heads = 8
+        q, k, v, upstream = (rng.standard_normal((*lead, seq, heads * 4)).astype(np.float32)
+                             for _ in range(4))
+        operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = Attention.apply(*operands, causal=causal, heads=heads)
+        got = backward((out * Tensor(upstream)).sum())
+        expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == expected.tobytes()
+        for t, g in zip(operands, grads):
+            assert got[t].tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("layout, drawn", [
+        (lambda a: a, (2, 3, 6, 16)),
+        (lambda a: a[..., ::2], (2, 3, 6, 32)),
+        (lambda a: np.swapaxes(a, -1, -2), (2, 3, 16, 6)),
+    ], ids=["contiguous", "strided", "transposed"])
+    def test_results_are_fresh_contiguous_arrays(self, rng, heads, layout, drawn):
+        q, k = (rng.standard_normal((2, 3, 6, 32)).astype(np.float32) for _ in range(2))
+        v = rng.standard_normal((2, 3, 6, 16)).astype(np.float32)
+        upstream = layout(rng.standard_normal(drawn).astype(np.float32))
+        assert upstream.shape == v.shape
+        op = Attention((True, True, True))
+        out = op.forward(q, k, v, causal=True, heads=heads)
+        grads = op.backward(upstream)
+        results = [out, *grads]
+        for result, operand in zip(results, (v, q, k, v)):
+            assert result.shape == operand.shape and result.dtype == np.float32
+            assert result.flags.c_contiguous
+            for other in (q, k, v, upstream):
+                assert not np.shares_memory(result, other)
+        for a, b in itertools.combinations(results, 2):
+            assert not np.shares_memory(a, b)
+        # the upstream gradient's layout does not change a byte
+        reference = Attention((True, True, True))
+        reference.forward(q, k, v, causal=True, heads=heads)
+        for got, want in zip(grads, reference.backward(np.ascontiguousarray(upstream))):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_gradients_in_heads_match_finite_differences(self, rng, causal):

@@ -173,6 +173,23 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train(dataset, tiny_config(lr=1e12, max_epochs=3))
 
+    def test_each_epoch_is_handed_over_as_it_ends(self):
+        seen = []
+        _, log = train(tiny_dataset(), tiny_config(max_epochs=3), on_epoch=seen.append)
+        assert seen == log.epochs and len(seen) == 3
+
+        # a fault after epoch 2 finds epochs 1 and 2 already handed over
+        stopped = []
+
+        def stop_after_two(entry):
+            stopped.append(entry)
+            if entry["epoch"] == 2:
+                raise InterruptedError("stop")
+
+        with pytest.raises(InterruptedError, match="stop"):
+            train(tiny_dataset(), tiny_config(max_epochs=3), on_epoch=stop_after_two)
+        assert stopped == log.epochs[:2]
+
     def test_pure_prediction_when_rec_decoder_ablated(self):
         dataset = tiny_dataset()
         model, log = train(dataset, tiny_config(ablation="no-rec-decoder", max_epochs=2))
