@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from canet.initializers import glorot_uniform
-from canet.tensor import Attention, Tensor, matmul
+from canet.tensor import Attention, Tensor, matmul, row_matmul
 
 
 @dataclass
@@ -64,9 +64,9 @@ def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool
     output projection.
 
     With ``rows`` set, only the last ``rows`` positions are projected, in
-    one GEMM over all of them, and returned.  The queries are not cut: a
-    one-row matrix stack would send numpy's matmul down its vector-matrix
-    path, which sums in another order.
+    one GEMM over all of them (see :func:`canet.tensor.row_matmul`), and
+    returned.  The queries are not cut: a one-row matrix stack would send
+    numpy's matmul down its vector-matrix path, which sums in another order.
     """
     q, k, v = (matmul(sequence, w) for w in (params.w_query, params.w_key, params.w_value))
     attended = scaled_dot_attention(q, k, v, causal=causal, heads=params.heads)
@@ -74,7 +74,7 @@ def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool
     if rows is None or rows == seq:
         return matmul(attended, params.w_out)
     kept = attended[..., seq - rows:, :].reshape((-1, width))
-    return matmul(kept, params.w_out).reshape(tuple(lead) + (rows, width))
+    return row_matmul(kept, params.w_out).reshape(tuple(lead) + (rows, width))
 
 
 def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:

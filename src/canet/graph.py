@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from canet.initializers import glorot_uniform
-from canet.tensor import (Tensor, leaky_relu, matmul, relu, row_normalize,
+from canet.tensor import (Tensor, leaky_relu, matmul, relu, row_matmul, row_normalize,
                           softmax, Pow)
 
 
@@ -147,7 +147,7 @@ def global_local_conv(features: Tensor, graph: SensorGraph,
             mixed = propagated
         else:
             mixed = params.retain * features + (1.0 - params.retain) * propagated
-    return matmul(mixed, params.propagation)
+    return row_matmul(mixed, params.propagation)
 
 
 def write_embeddings_csv(path, sensor_names, embedding: np.ndarray) -> None:

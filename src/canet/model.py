@@ -22,7 +22,7 @@ from canet.attention import AttentionParams, multi_head_attention, sinusoid_tabl
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_local_conv, init_sensor_embedding, local_adjacency)
 from canet.initializers import glorot_uniform, ones, zeros
-from canet.tensor import ShapeError, Tensor, concat, layer_norm, matmul, relu
+from canet.tensor import ShapeError, Tensor, concat, layer_norm, matmul, relu, row_matmul
 
 BOTTLENECK_DIMS = (8, 4, 8)
 
@@ -275,7 +275,7 @@ def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph,
     if last_slot:
         h1 = h1[..., -1, :]
     if layer.dense is not None:
-        sub = matmul(h1, layer.dense)
+        sub = row_matmul(h1, layer.dense)
     else:
         sub = global_local_conv(h1, graph, local, layer.graph, slots=not last_slot)
     return layer_norm(h1 + sub, layer.ln_graph_gain, layer.ln_graph_bias)

@@ -5,12 +5,15 @@ float64 arrays switches the whole computation to 64-bit, which is what the
 gradient checks use.  Every differentiable operation is a ``Function`` node
 that links to the ops (or leaf tensors) it read, never to their values, and
 saves only the arrays its backward reads.  :func:`backward` walks the
-recorded graph in reverse topological order, returns the gradients of the
-leaves (``requires_grad`` tensors with no creator) as a dict and frees each
-node as it passes it, so the graph is gone when it returns.  It writes no
-tensor's ``grad``; that slot is where the caller hands gradients to the
-optimizer.  Inside a :class:`no_grad` block ops record nothing, so a
-forward-only pass keeps no intermediate arrays alive.
+recorded graph in reverse topological order, adding the gradients a node
+receives in one fixed order (the bytes of a seeded run depend on it),
+returns the gradients of the leaves (``requires_grad`` tensors with no
+creator) as a dict and frees each node as it passes it, so the graph is
+gone when it returns.  It writes no tensor's ``grad``; that slot is where
+the caller hands gradients to the optimizer.  Inside a :class:`no_grad`
+block ops record nothing, so a forward-only pass keeps no intermediate
+arrays alive.  On tiny arrays recording and walking back an op cost as much
+as its arithmetic, so both are kept to plain loops.
 
 Tensors are value-like: no op mutates its operands, and one forward/backward
 pass belongs to a single thread.
@@ -42,10 +45,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "creator")
 
     def __init__(self, data, requires_grad: bool = False, creator: Optional["Function"] = None):
-        arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float32)
-        self.data = arr
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)
+        if data.dtype not in _FLOAT_DTYPES:
+            data = data.astype(np.float32)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.creator = creator
@@ -160,14 +164,21 @@ class Function:
 
     @classmethod
     def apply(cls, *inputs, **kwargs) -> Tensor:
-        tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
-        taped = not _TAPE.paused
-        op = cls(tuple(taped and t.requires_grad for t in tensors))
-        out = op.forward(*(t.data for t in tensors), **kwargs)
-        if not any(op.needs):
+        if _TAPE.paused:
+            return Tensor(cls((False,) * len(inputs)).forward(
+                *[(t if isinstance(t, Tensor) else Tensor(t)).data for t in inputs], **kwargs))
+        arrays, needs, parents = [], [], []
+        for t in inputs:
+            if not isinstance(t, Tensor):
+                t = Tensor(t)
+            arrays.append(t.data)
+            needs.append(t.requires_grad)
+            parents.append((t.creator or t) if t.requires_grad else None)
+        op = cls(tuple(needs))
+        out = op.forward(*arrays, **kwargs)
+        if True not in needs:
             return Tensor(out)
-        op.parents = tuple((t.creator or t) if need else None
-                           for t, need in zip(tensors, op.needs))
+        op.parents = tuple(parents)
         return Tensor(out, requires_grad=True, creator=op)
 
 
@@ -310,17 +321,22 @@ class Mean(Function):
         self.original = a.shape
         self.axis = axis
         self.keepdims = keepdims
-        if axis is None:
-            self.count = a.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            self.count = int(np.prod([a.shape[i] for i in axes]))
-        return a.mean(axis=axis, keepdims=keepdims)
+        out = _mean(a, axis, keepdims)
+        self.count = a.size // max(out.size, 1)
+        return out
 
     def backward(self, grad):
         if self.axis is not None and not self.keepdims:
             grad = np.expand_dims(grad, self.axis)
         return (np.broadcast_to(grad, self.original) / self.count,)
+
+
+def _mean(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """``a.mean(axis=axis, keepdims=keepdims)``: numpy's own sum and in-place
+    division by the item count, without the Python wrapper around them."""
+    total = np.asarray(np.add.reduce(a, axis=axis, keepdims=True))   # a 0-d sum is a scalar
+    np.true_divide(total, np.intp(a.size // max(total.size, 1)), out=total, casting="unsafe")
+    return total if keepdims else total.squeeze(axis)
 
 
 class Pow(Function):
@@ -485,8 +501,8 @@ class LayerNorm(Function):
 
     def forward(self, x, gain, bias, eps):
         # the composed ops' arithmetic in their order, so outputs keep their bytes
-        centered = x - x.mean(axis=-1, keepdims=True)
-        inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+        centered = x - _mean(x, -1, True)
+        inv = (_mean(centered * centered, -1, True) + eps) ** -0.5
         normed = centered * inv
         need_x, need_gain, _ = self.needs
         self.shapes = (x.shape, gain.shape, bias.shape)
@@ -500,8 +516,8 @@ class LayerNorm(Function):
         gx = None
         if need_x:
             g = grad * self.gain
-            gx = self.inv * (g - g.mean(axis=-1, keepdims=True)
-                             - self.normed * (g * self.normed).mean(axis=-1, keepdims=True))
+            gx = self.inv * (g - _mean(g, -1, True)
+                             - self.normed * _mean(g * self.normed, -1, True))
             gx = _unbroadcast(gx, sx)
         return (gx, _unbroadcast(grad * self.normed, sg) if need_gain else None,
                 _unbroadcast(grad, sb) if need_bias else None)
@@ -527,6 +543,18 @@ class RowNormalize(Function):
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading dimensions broadcast."""
     return MatMul.apply(a, b)
+
+
+def row_matmul(a: Tensor, w: Tensor) -> Tensor:
+    """``a @ w`` for a 2-D ``w`` with every row of ``a`` in a GEMM: numpy sends
+    a one-row matrix, alone or stacked, down its vector-matrix path, which
+    sums in another order, so such rows are folded into one 2-D product with
+    a zero row below them, which a lone row needs to make two."""
+    if a.shape[-2] > 1:
+        return matmul(a, w)
+    rows = concat([a.reshape((-1, a.shape[-1])), Tensor(np.zeros((1, a.shape[-1]), a.dtype))],
+                  axis=0)
+    return matmul(rows, w)[:-1].reshape(a.shape[:-1] + (w.shape[-1],))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -581,46 +609,41 @@ def backward(loss: Tensor) -> dict:
     if not loss.requires_grad:
         return {}
 
-    # nodes are ops and leaf tensors; each op's parents come before it
-    root = loss.creator or loss
-    topo: list = []
-    seen: set[int] = set()
-    stack: list = [(root, False)]
+    # nodes are ops and leaf tensors; each op's parents come before it in
+    # ``ops``, which it joins when the ``expanded`` marker above it is popped
+    root, expanded = loss.creator or loss, object()
+    ops, leaves, seen, stack = [], [], set(), [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
+        node = stack.pop()
+        if node is expanded:
+            ops.append(stack.pop())
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, Function):
-            if node.parents is None:
-                raise ConsumedGraphError(
-                    f"backward already ran through this graph and freed its "
-                    f"{type(node).__name__} op; run the forward pass again")
-            stack.extend((parent, False) for parent in node.parents
-                         if parent is not None and id(parent) not in seen)
-
-    pending: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
-    leaves: dict = {}
-    while topo:
-        node = topo.pop()
-        grad = pending.pop(id(node), None)
-        if not isinstance(node, Function):
-            if grad is not None:
-                leaves[node] = grad
+        seen.add(node)
+        if type(node) is Tensor:
+            leaves.append(node)
             continue
         parents = node.parents
+        if parents is None:
+            raise ConsumedGraphError(
+                f"backward already ran through this graph and freed its "
+                f"{type(node).__name__} op; run the forward pass again")
+        stack.extend((node, expanded))
+        for parent in parents:
+            if parent is not None and parent not in seen:
+                stack.append(parent)
+
+    # every consumer of a node comes after it in ``ops``, so a node's
+    # gradient is complete when the reversed walk reaches it
+    pending: dict = {root: np.ones_like(loss.data)}
+    for node in reversed(ops):
+        grad = pending.pop(node, None)
+        parents = node.parents
         grads = () if grad is None else node.backward(grad)
-        vars(node).clear()      # saved arrays and parent links
+        node.__dict__.clear()       # saved arrays and parent links
         for parent, pgrad in zip(parents, grads):
-            if pgrad is None or parent is None:
-                continue
-            pid = id(parent)
-            if pid in pending:
-                pending[pid] = pending[pid] + pgrad
-            else:
-                pending[pid] = pgrad
-    return leaves
+            if pgrad is not None and parent is not None:
+                total = pending.get(parent)
+                pending[parent] = pgrad if total is None else total + pgrad
+    return {leaf: pending[leaf] for leaf in reversed(leaves) if leaf in pending}

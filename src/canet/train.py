@@ -253,7 +253,7 @@ def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float,
     run on any thread.  The loss is a mean over windows, so a micro-batch of
     n_i of the N windows enters the loss and the gradients with weight
     n_i / N, summed on the calling thread in micro-batch order.  A lone
-    micro-batch has weight 1.0, which keeps its gradient's bytes.
+    micro-batch has weight 1.0, and its gradients are handed over uncopied.
     """
     for p in model.parameters():
         p.grad = None
@@ -267,7 +267,8 @@ def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float,
     for weight, part_value, grads in map_windows(micro_batch, parts):
         value += weight * part_value
         for p, g in grads.items():
-            p.grad = weight * g if p.grad is None else p.grad + weight * g
+            g = g if weight == 1.0 else weight * g      # 1.0: the batch's only micro-batch
+            p.grad = g if p.grad is None else p.grad + g
     return value
 
 

@@ -357,12 +357,14 @@ class TestCroppedLastLayers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_matches_full_slot_oracle_bytes(self, rng, dtype):
         # the last encoder and decoder layers compute only the slots the model
-        # reads; the numbers must be those of running every slot through them
-        x = rng.random((6, 4, 4))
-        for ablation, norm, learned in itertools.product(ABLATIONS, ("row", "sym"),
-                                                         (False, True)):
-            model = CanModel(small_config(n_sensors=4, ablation=ablation, adjacency_norm=norm,
-                                          learned_positions=learned), seed=0, dtype=dtype)
+        # reads; the numbers must be those of running every slot through them,
+        # also for one sensor, whose last-slot products are one-row matrices
+        for (n_sensors, batch), ablation, norm, learned in itertools.product(
+                ((4, 6), (1, 1), (1, 6)), ABLATIONS, ("row", "sym"), (False, True)):
+            x = rng.random((batch, n_sensors, 4))
+            model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation,
+                                          adjacency_norm=norm, learned_positions=learned),
+                             seed=0, dtype=dtype)
             out = can_forward(x.astype(dtype), model)
             y_pred, y_rec, embeddings = full_slot_forward(x, model)
             assert out.y_pred.data.tobytes() == y_pred.tobytes()

@@ -55,6 +55,66 @@ class TestAdam:
         assert np.abs(p.data).max() < 1e-2
 
 
+class LoopAdam:
+    """Oracle: Adam as one update per parameter, in its own moment arrays."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestFlatAdam:
+    SHAPES = [(3, 4), (5,), (2, 3, 2), (1,), (4, 4), (6, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_per_parameter_loop_bytes(self, rng, dtype):
+        values = [rng.standard_normal(shape).astype(dtype) for shape in self.SHAPES]
+        flat = [Tensor(v.copy(), requires_grad=True) for v in values]
+        loop = [Tensor(v.copy(), requires_grad=True) for v in values]
+        opt, oracle = Adam(flat, lr=3e-2), LoopAdam(loop, lr=3e-2)
+        for i in (1, 4):        # moments preset through the views
+            opt.m[i][...] = oracle.m[i][...] = rng.standard_normal(self.SHAPES[i]).astype(dtype)
+            opt.v[i][...] = oracle.v[i][...] = rng.random(self.SHAPES[i]).astype(dtype)
+        for step in range(6):
+            for j, (a, b) in enumerate(zip(flat, loop)):
+                # parameter 2 never has a gradient, parameters 0 and 5 on odd steps only
+                if j == 2 or (j in (0, 5) and step % 2 == 0):
+                    a.grad = b.grad = None
+                else:
+                    a.grad = b.grad = (10.0 ** rng.integers(-4, 3)
+                                       * rng.standard_normal(a.shape)).astype(dtype)
+            opt.step()
+            oracle.step()
+            assert opt.t == oracle.t == step + 1
+            for a, b, ma, mb, va, vb in zip(flat, loop, opt.m, oracle.m, opt.v, oracle.v):
+                assert a.data.dtype == dtype and a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes()
+                assert ma.tobytes() == mb.tobytes() and va.tobytes() == vb.tobytes()
+        assert flat[2].data.tobytes() == values[2].tobytes()
+        assert not opt.m[2].any() and not opt.v[2].any()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam([Tensor(np.zeros(2, np.float32), requires_grad=True),
+                  Tensor(np.zeros(2, np.float64), requires_grad=True)])
+
+
 class TestFiniteDifferenceGradient:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, 2.0]))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
 from canet.tensor import (Attention, Mul, Pow, _reduce_keepdims, _reduce_keys,
-                          _unbroadcast)
+                          _unbroadcast, row_matmul)
 from conftest import assert_grads_match, future_bias, param64, per_head_attention
 
 
@@ -53,6 +53,22 @@ class TestMatmul:
         b = rng.standard_normal((5, 6))
         out = matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, a @ b, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (6, 1, 8), (6, 3, 8), (2, 1, 1, 8)])
+    def test_row_matmul_takes_the_gemm_bytes_of_a_taller_product(self, rng, shape):
+        # each row of a must come out as it does inside a 5-row GEMM
+        w = rng.standard_normal((8, 7))
+        a = rng.standard_normal(shape)
+        taller = np.concatenate([a[..., None, :], rng.standard_normal(shape[:-1] + (4, 8))],
+                                axis=-2)
+        out = row_matmul(Tensor(a), Tensor(w))
+        assert out.shape == shape[:-1] + (7,)
+        assert out.data.tobytes() == (taller @ w)[..., 0, :].tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 1, 4)])
+    def test_row_matmul_gradients(self, rng, shape):
+        a, w = param64(rng, shape), param64(rng, (4, 3))
+        assert_grads_match(lambda: (row_matmul(a, w) * row_matmul(a, w)).sum(), [a, w])
 
 
 class TestSoftmax:
@@ -404,6 +420,27 @@ class TestBackward:
         with no_grad():
             untaped = (x * x).sum()
         assert backward(untaped) == {} and x.grad is None
+
+    def test_sums_a_shared_tensors_gradients_in_a_fixed_order(self):
+        # x feeds four products, added as ((m0 + m2) + m3) + m1; backward passes
+        # the adds' gradients on in the order m0, m2, m3, m1, and x's gradient
+        # is the float32 left fold of their weights in that order, which no
+        # other order gives for these weights (1 + 2^24 rounds to 2^24)
+        weights = np.array([1.0, 3.0, 2.0 ** 24, -1.0], dtype=np.float32)
+        x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        m = [x * Tensor(w[None]) for w in weights]
+        grad = backward((((m[0] + m[2]) + m[3]) + m[1]).sum())[x]
+
+        def fold(order):
+            total = weights[order[0]]
+            for i in order[1:]:
+                total = total + weights[i]
+            return np.array([total], dtype=np.float32).tobytes()
+
+        assert grad.dtype == np.float32 and grad.tobytes() == fold((0, 2, 3, 1))
+        others = {fold(order) for order in itertools.permutations(range(4))
+                  if order[2:] != (3, 1)}
+        assert grad.tobytes() not in others
 
 
 class TestTape:
