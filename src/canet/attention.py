@@ -45,10 +45,6 @@ class AttentionParams:
         return AttentionParams(w_query=blocks(), w_key=blocks(), w_value=blocks(),
                                w_out=glorot_uniform(rng, (width, width), dtype), heads=heads)
 
-    def named(self, prefix: str):
-        for kind in ("w_query", "w_key", "w_value", "w_out"):
-            yield f"{prefix}.{kind}", getattr(self, kind)
-
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                          heads: int = 1) -> Tensor:

@@ -19,6 +19,7 @@ from canet.data import (DataError, downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
 from canet.detection import evaluate, write_report_json, write_scores_csv
 from canet.graph import write_embeddings_csv
+from canet.model import _one_blas_thread
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
 
@@ -290,19 +291,6 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-
-
-def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS (``scipy_openblas64_``) on one thread,
-    so that no product's last bits depend on the core count; elsewhere do
-    nothing.  Parallelism comes from the window threads (``CAN_THREADS``)."""
-    try:
-        from numpy._core import _multiarray_umath
-        setter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return
-    setter.argtypes, setter.restype = (ctypes.c_int,), None
-    setter(1)
 
 
 def main(argv=None) -> int:

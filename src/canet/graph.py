@@ -101,11 +101,6 @@ class GraphConvParams:
             retain=retain,
         )
 
-    def named(self, prefix: str):
-        yield f"{prefix}.feature_map", self.feature_map
-        yield f"{prefix}.attn_vector", self.attn_vector
-        yield f"{prefix}.propagation", self.propagation
-
 
 def local_adjacency(features: Tensor, params: GraphConvParams) -> Tensor:
     """Window-dependent adjacency from pairwise attention over flattened

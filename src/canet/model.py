@@ -10,10 +10,11 @@ windows a pass takes and runs independent windows on several threads.
 """
 
 import contextvars
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -51,8 +52,9 @@ _UNIT = (lambda v: 0 <= v <= 1), "in [0, 1]"
 @dataclass
 class ModelKnobs:
     """The knobs that fix the parameter set, each declared once with its
-    default, help text and valid range.  Values out of range raise
-    :class:`ConfigError` naming the key."""
+    default, help text and valid range.  A value of another type than its
+    field's (a bool is no int; an int serves as a float) or out of range
+    raises :class:`ConfigError` naming the key."""
 
     window: int = _knob(5, "history length per window", _POSITIVE)
     layers: int = _knob(3, "encoder/decoder layer count", _POSITIVE)
@@ -69,6 +71,10 @@ class ModelKnobs:
     def __post_init__(self):
         for f in fields(self):
             value, valid = getattr(self, f.name), f.metadata["valid"]
+            kinds = (int, float) if f.type is float else f.type
+            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type is bool):
+                raise ConfigError(f"config key {f.name!r} must be of type {f.type.__name__}, "
+                                  f"got {value!r}")
             if valid and not valid[0](value):
                 raise ConfigError(f"config key {f.name!r} must be {valid[1]}, got {value!r}")
         if self.model_dim % self.heads != 0:
@@ -93,6 +99,22 @@ class ModelConfig(ModelKnobs):
 
 
 @dataclass
+class Linear:
+    """``x @ weight + bias``, from a Glorot weight and a zero bias."""
+
+    weight: Tensor
+    bias: Tensor
+
+    @staticmethod
+    def create(fan_in: int, fan_out: int, rng: np.random.Generator,
+               dtype=np.float32) -> "Linear":
+        return Linear(glorot_uniform(rng, (fan_in, fan_out), dtype), zeros((fan_out,), dtype))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return matmul(x, self.weight) + self.bias
+
+
+@dataclass
 class CamLayerParams:
     """One coupled attention layer: attention sublayer + graph sublayer."""
 
@@ -105,48 +127,12 @@ class CamLayerParams:
     ln_graph_gain: Tensor
     ln_graph_bias: Tensor
 
-    def named(self, prefix: str):
-        yield from self.attention.named(f"{prefix}.attention")
-        if self.graph is not None:
-            yield from self.graph.named(f"{prefix}.graph")
-        if self.dense is not None:
-            yield f"{prefix}.dense", self.dense
-        yield f"{prefix}.ln_attn_gain", self.ln_attn_gain
-        yield f"{prefix}.ln_attn_bias", self.ln_attn_bias
-        yield f"{prefix}.ln_graph_gain", self.ln_graph_gain
-        yield f"{prefix}.ln_graph_bias", self.ln_graph_bias
-
 
 @dataclass
 class DecoderLayerParams:
     attention: AttentionParams
     ln_gain: Tensor
     ln_bias: Tensor
-
-    def named(self, prefix: str):
-        yield from self.attention.named(f"{prefix}.attention")
-        yield f"{prefix}.ln_gain", self.ln_gain
-        yield f"{prefix}.ln_bias", self.ln_bias
-
-
-@dataclass
-class BottleneckParams:
-    """Autoencoder between encoder and decoders: width -> 8 -> 4 -> 8 -> width."""
-
-    weights: List[Tensor]
-    biases: List[Tensor]
-
-    @staticmethod
-    def create(width: int, rng: np.random.Generator, dtype=np.float32) -> "BottleneckParams":
-        dims = (width,) + BOTTLENECK_DIMS + (width,)
-        weights = [glorot_uniform(rng, (dims[i], dims[i + 1]), dtype) for i in range(len(dims) - 1)]
-        biases = [zeros((dims[i + 1],), dtype) for i in range(len(dims) - 1)]
-        return BottleneckParams(weights=weights, biases=biases)
-
-    def named(self, prefix: str):
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            yield f"{prefix}.{i}.weight", w
-            yield f"{prefix}.{i}.bias", b
 
 
 @dataclass
@@ -167,8 +153,7 @@ class CanModel:
         seq = cfg.window + 1
 
         self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng, dtype)
-        self.input_weight = glorot_uniform(rng, (1, cfg.model_dim), dtype)
-        self.input_bias = zeros((cfg.model_dim,), dtype)
+        self.input = Linear.create(1, cfg.model_dim, rng, dtype)
         if cfg.learned_positions:
             self.positions = Tensor((0.1 * rng.standard_normal((seq, cfg.model_dim))).astype(dtype),
                                     requires_grad=True)
@@ -193,8 +178,10 @@ class CanModel:
                 ln_graph_bias=zeros((cfg.model_dim,), dtype),
             ))
 
-        self.bottleneck = None if cfg.ablation == "no-ae" else BottleneckParams.create(
-            cfg.model_dim, rng, dtype)
+        # the autoencoder between encoder and decoders: width -> 8 -> 4 -> 8 -> width
+        dims = (cfg.model_dim,) + BOTTLENECK_DIMS + (cfg.model_dim,)
+        self.bottleneck = None if cfg.ablation == "no-ae" else [
+            Linear.create(a, b, rng, dtype) for a, b in zip(dims, dims[1:])]
 
         self.pre_decoder = [self._decoder_layer(rng) for _ in range(cfg.layers)]
         if cfg.ablation == "no-rec-decoder":
@@ -202,13 +189,9 @@ class CanModel:
         else:
             self.rec_decoder = [self._decoder_layer(rng) for _ in range(cfg.layers)]
 
-        self.pred_weight = glorot_uniform(rng, (cfg.model_dim, 1), dtype)
-        self.pred_bias = zeros((1,), dtype)
-        if self.rec_decoder is None:
-            self.rec_weight = self.rec_bias = None
-        else:
-            self.rec_weight = glorot_uniform(rng, (cfg.model_dim, 1), dtype)
-            self.rec_bias = zeros((1,), dtype)
+        self.pred_head = Linear.create(cfg.model_dim, 1, rng, dtype)
+        self.rec_head = None if self.rec_decoder is None else Linear.create(
+            cfg.model_dim, 1, rng, dtype)
 
     def _decoder_layer(self, rng) -> DecoderLayerParams:
         cfg = self.config
@@ -219,25 +202,15 @@ class CanModel:
         )
 
     def named_parameters(self):
-        yield "embedding", self.embedding
-        yield "input.weight", self.input_weight
-        yield "input.bias", self.input_bias
-        if self.positions.requires_grad:
-            yield "positions.values", self.positions
-        for i, layer in enumerate(self.encoder):
-            yield from layer.named(f"encoder.{i}")
-        if self.bottleneck is not None:
-            yield from self.bottleneck.named("bottleneck")
-        for i, layer in enumerate(self.pre_decoder):
-            yield from layer.named(f"pre_decoder.{i}")
-        if self.rec_decoder is not None:
-            for i, layer in enumerate(self.rec_decoder):
-                yield from layer.named(f"rec_decoder.{i}")
-        yield "pred_head.weight", self.pred_weight
-        yield "pred_head.bias", self.pred_bias
-        if self.rec_weight is not None:
-            yield "rec_head.weight", self.rec_weight
-            yield "rec_head.bias", self.rec_bias
+        """``(name, tensor)`` for every parameter, in checkpoint and Adam
+        order; a name is the path of fields and list indices to its tensor."""
+        roots = (("embedding", self.embedding), ("input", self.input),
+                 ("positions.values", self.positions), ("encoder", self.encoder),
+                 ("bottleneck", self.bottleneck), ("pre_decoder", self.pre_decoder),
+                 ("rec_decoder", self.rec_decoder), ("pred_head", self.pred_head),
+                 ("rec_head", self.rec_head))
+        for prefix, node in roots:
+            yield from _named_tensors(node, prefix)
 
     def parameters(self) -> List[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -257,8 +230,22 @@ class CanModel:
 
     def _lift(self, columns: Tensor, seq_len: int) -> Tensor:
         """Project scalar slots to model width and add position rows."""
-        projected = matmul(columns, self.input_weight) + self.input_bias
-        return projected + self.positions[:seq_len]
+        return self.input(columns) + self.positions[:seq_len]
+
+
+def _named_tensors(node, prefix: str):
+    """``(name, tensor)`` for each ``requires_grad`` tensor under ``node``,
+    found through dataclass fields in declaration order and list items by
+    index; a name is ``prefix`` and that path, joined with dots."""
+    if isinstance(node, Tensor):
+        if node.requires_grad:
+            yield prefix, node
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _named_tensors(getattr(node, f.name), f"{prefix}.{f.name}")
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _named_tensors(item, f"{prefix}.{i}")
 
 
 def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph,
@@ -307,14 +294,11 @@ def encoder_forward(x, model: CanModel) -> List[Tensor]:
     return embeddings
 
 
-def bottleneck_ae(embedding: Tensor, params: BottleneckParams) -> Tensor:
+def bottleneck_ae(embedding: Tensor, layers: List[Linear]) -> Tensor:
     """width -> 8 -> 4 -> 8 -> width with relu between layers, linear last."""
-    out = embedding
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out = matmul(out, w) + b
-        if i < last:
-            out = relu(out)
+    out = layers[0](embedding)
+    for layer in layers[1:]:
+        out = layer(relu(out))
     return out
 
 
@@ -359,7 +343,7 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
     zero_slot = Tensor(np.zeros(lead + (n, 1, 1), dtype=x.dtype))
     pre_seed = model._lift(zero_slot, 1)
     pre_out = decoder_forward(pre_seed, squeezed, model.pre_decoder, crop_len=1)
-    y_pred = (matmul(pre_out, model.pred_weight) + model.pred_bias).reshape(lead + (n,))
+    y_pred = model.pred_head(pre_out).reshape(lead + (n,))
 
     y_rec = None
     if reconstruct and model.rec_decoder is not None:
@@ -370,7 +354,7 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
             rec_cols = zero_slot
         rec_seed = model._lift(rec_cols, k)
         rec_out = decoder_forward(rec_seed, squeezed, model.rec_decoder, crop_len=k)
-        y_rec = (matmul(rec_out, model.rec_weight) + model.rec_bias).reshape(lead + (n, k))
+        y_rec = model.rec_head(rec_out).reshape(lead + (n, k))
 
     return ForwardOutput(y_pred=y_pred, y_rec=y_rec, embeddings=embeddings)
 
@@ -409,12 +393,27 @@ def window_threads() -> int:
     return threads
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS (``scipy_openblas64_``) on one thread,
+    so that no product's last bits depend on the core count; elsewhere do
+    nothing.  Parallelism comes from the window threads (``CAN_THREADS``)."""
+    try:
+        from numpy._core import _multiarray_umath
+        setter = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(1)
+
+
 @contextmanager
 def window_map(threads: int):
     """A ``map(fn, items)`` whose results come back in item order, computed
     on ``threads`` threads.  Each task runs in a copy of the calling thread's
     context, so numpy's error state carries over.  For one thread (or none)
-    it is the builtin ``map``, on the calling thread."""
+    it is the builtin ``map``, on the calling thread.  Entering it first
+    puts BLAS on one thread (:func:`_one_blas_thread`)."""
+    _one_blas_thread()
     if threads <= 1:
         yield map
         return

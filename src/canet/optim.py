@@ -38,12 +38,14 @@ class Adam:
                           for flat in (self._m, self._v))
 
     def step(self) -> None:
-        self.t += 1
+        """One update; a gradient of the wrong shape raises :class:`ShapeError`
+        before any state changes."""
         grads = [p.grad for p in self.params]
         for p, g in zip(self.params, grads):
             if g is not None and g.shape != p.data.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+        self.t += 1
         end = 0
         for has_grad, run in groupby(grads, lambda g: g is not None):
             first, end = end, end + len(list(run))

@@ -180,12 +180,13 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
     val_indices = np.arange(n_train, n_windows)
 
     model = CanModel(cfg.model_config(dataset.n_sensors), seed=cfg.seed)
+    params = model.parameters()     # walked once: a walk costs more than a step's bookkeeping
     micro = min(cfg.batch_size, micro_batch_size(model))     # windows per forward pass
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
+    optimizer = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     stopper = EarlyStopper(cfg.patience)
     log = TrainLog(n_parameters=model.num_parameters())
-    best_state: Optional[dict] = None
+    best_state: Optional[list] = None
 
     # a diverging run reports itself once, through DivergenceError
     with window_map(window_threads()) as map_windows, np.errstate(over="ignore",
@@ -198,7 +199,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
             total = 0.0
             for start in range(0, n_train, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                value = _set_gradients(model, dataset, batch, phi, psi, micro, map_windows)
+                value = _set_gradients(model, params, dataset, batch, phi, psi, micro,
+                                       map_windows)
                 if not np.isfinite(value):
                     raise DivergenceError(
                         f"non-finite training loss {value} at epoch {epoch}, "
@@ -217,7 +219,7 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
             on_epoch(log.epochs[-1])
             should_stop = stopper.update(epoch, val_loss)
             if stopper.best_epoch == epoch:
-                best_state = {name: p.data.copy() for name, p in model.named_parameters()}
+                best_state = [p.data.copy() for p in params]
             optimizer.lr *= cfg.lr_decay
             if should_stop:
                 log.stopped_early = True
@@ -226,8 +228,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best
     if best_state is not None:
-        for name, p in model.named_parameters():
-            p.data = best_state[name]
+        for p, data in zip(params, best_state):
+            p.data = data
     return model, log
 
 
@@ -242,11 +244,12 @@ def _batch_loss(model: CanModel, dataset: WindowedDataset, indices,
     return joint_loss(l_pre, l_rec, phi, psi)
 
 
-def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float, psi: float,
-                   micro: int, map_windows=map) -> float:
-    """Set each parameter's ``grad`` to the gradient of the loss over
-    ``batch`` and return that loss; a parameter the loss does not reach
-    gets None, so :meth:`Adam.step` leaves it as it is.
+def _set_gradients(model: CanModel, params: List[Tensor], dataset: WindowedDataset, batch,
+                   phi: float, psi: float, micro: int, map_windows=map) -> float:
+    """Set the ``grad`` of each of ``params``, the model's parameters, to
+    the gradient of the loss over ``batch`` and return that loss; a
+    parameter the loss does not reach gets None, so :meth:`Adam.step`
+    leaves it as it is.
 
     The batch is split into micro-batches of ``micro`` windows (one when it
     fits), which ``map_windows`` (see :func:`canet.model.window_map`) may
@@ -255,7 +258,7 @@ def _set_gradients(model: CanModel, dataset: WindowedDataset, batch, phi: float,
     n_i / N, summed on the calling thread in micro-batch order.  A lone
     micro-batch has weight 1.0, and its gradients are handed over uncopied.
     """
-    for p in model.parameters():
+    for p in params:
         p.grad = None
 
     def micro_batch(indices):

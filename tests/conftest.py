@@ -146,13 +146,15 @@ def full_slot_forward(x: np.ndarray, model):
         squeezed = embeddings if model.bottleneck is None else [
             bottleneck_ae(e, model.bottleneck) for e in embeddings]
         pre_out = decode(model._lift(zero_slot, 1), squeezed, model.pre_decoder, 1)
-        y_pred = (matmul(pre_out, model.pred_weight) + model.pred_bias).reshape(lead + (n,))
+        head = model.pred_head
+        y_pred = (matmul(pre_out, head.weight) + head.bias).reshape(lead + (n,))
         y_rec = None
         if model.rec_decoder is not None:
             history = x[..., :k - 1].reshape(lead + (n, k - 1, 1))
             rec_seed = model._lift(concat([zero_slot, history], axis=-2), k)
             rec_out = decode(rec_seed, squeezed, model.rec_decoder, k)
-            y_rec = (matmul(rec_out, model.rec_weight) + model.rec_bias).reshape(lead + (n, k))
+            head = model.rec_head
+            y_rec = (matmul(rec_out, head.weight) + head.bias).reshape(lead + (n, k))
     return (y_pred.data, None if y_rec is None else y_rec.data,
             [e.data for e in embeddings])
 

@@ -4,6 +4,7 @@ import pytest
 from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_attention,
                              sinusoid_table)
+from canet.model import _named_tensors
 from conftest import assert_grads_match, causal_mask, future_bias
 
 
@@ -179,7 +180,7 @@ class TestMultiHead:
         gen = np.random.default_rng(7)
         params = AttentionParams.create(4, 2, gen, dtype=np.float64)
         seq = Tensor(gen.standard_normal((3, 4)), requires_grad=True)
-        tensors = [seq] + [p for _, p in params.named("p")]
+        tensors = [seq] + [p for _, p in _named_tensors(params, "p")]
         assert_grads_match(
             lambda: (multi_head_attention(seq, params, causal=True)
                      * multi_head_attention(seq, params, causal=True)).sum(),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from canet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from canet.model import CanModel, ModelConfig, can_forward
+from canet.model import ABLATIONS, CanModel, ModelConfig, can_forward
 from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
 
 
@@ -50,6 +50,103 @@ class TestRoundtrip:
         loaded, _ = load_checkpoint(path)
         assert loaded.rec_decoder is None
         assert loaded.num_parameters() == model.num_parameters()
+
+
+# The checkpoint layout, which is also Adam's parameter order: (name, shape)
+# of every parameter of LAYOUT_CONFIG in order, as the ablation "none" with
+# learned positions writes it plus each layer's "dense" of "no-graph-conv".
+LAYOUT_CONFIG = dict(n_sensors=3, window=3, layers=2, heads=2, model_dim=6, embed_dim=4,
+                     neighbor_k=2, local_dim=5)
+LAYOUT = [
+    ("embedding", (3, 4)),
+    ("input.weight", (1, 6)),
+    ("input.bias", (6,)),
+    ("positions.values", (4, 6)),
+    ("encoder.0.attention.w_query", (6, 6)),
+    ("encoder.0.attention.w_key", (6, 6)),
+    ("encoder.0.attention.w_value", (6, 6)),
+    ("encoder.0.attention.w_out", (6, 6)),
+    ("encoder.0.graph.feature_map", (6, 5)),
+    ("encoder.0.graph.attn_vector", (40, 1)),
+    ("encoder.0.graph.propagation", (6, 6)),
+    ("encoder.0.dense", (6, 6)),
+    ("encoder.0.ln_attn_gain", (6,)),
+    ("encoder.0.ln_attn_bias", (6,)),
+    ("encoder.0.ln_graph_gain", (6,)),
+    ("encoder.0.ln_graph_bias", (6,)),
+    ("encoder.1.attention.w_query", (6, 6)),
+    ("encoder.1.attention.w_key", (6, 6)),
+    ("encoder.1.attention.w_value", (6, 6)),
+    ("encoder.1.attention.w_out", (6, 6)),
+    ("encoder.1.graph.feature_map", (6, 5)),
+    ("encoder.1.graph.attn_vector", (40, 1)),
+    ("encoder.1.graph.propagation", (6, 6)),
+    ("encoder.1.dense", (6, 6)),
+    ("encoder.1.ln_attn_gain", (6,)),
+    ("encoder.1.ln_attn_bias", (6,)),
+    ("encoder.1.ln_graph_gain", (6,)),
+    ("encoder.1.ln_graph_bias", (6,)),
+    ("bottleneck.0.weight", (6, 8)),
+    ("bottleneck.0.bias", (8,)),
+    ("bottleneck.1.weight", (8, 4)),
+    ("bottleneck.1.bias", (4,)),
+    ("bottleneck.2.weight", (4, 8)),
+    ("bottleneck.2.bias", (8,)),
+    ("bottleneck.3.weight", (8, 6)),
+    ("bottleneck.3.bias", (6,)),
+    ("pre_decoder.0.attention.w_query", (6, 6)),
+    ("pre_decoder.0.attention.w_key", (6, 6)),
+    ("pre_decoder.0.attention.w_value", (6, 6)),
+    ("pre_decoder.0.attention.w_out", (6, 6)),
+    ("pre_decoder.0.ln_gain", (6,)),
+    ("pre_decoder.0.ln_bias", (6,)),
+    ("pre_decoder.1.attention.w_query", (6, 6)),
+    ("pre_decoder.1.attention.w_key", (6, 6)),
+    ("pre_decoder.1.attention.w_value", (6, 6)),
+    ("pre_decoder.1.attention.w_out", (6, 6)),
+    ("pre_decoder.1.ln_gain", (6,)),
+    ("pre_decoder.1.ln_bias", (6,)),
+    ("rec_decoder.0.attention.w_query", (6, 6)),
+    ("rec_decoder.0.attention.w_key", (6, 6)),
+    ("rec_decoder.0.attention.w_value", (6, 6)),
+    ("rec_decoder.0.attention.w_out", (6, 6)),
+    ("rec_decoder.0.ln_gain", (6,)),
+    ("rec_decoder.0.ln_bias", (6,)),
+    ("rec_decoder.1.attention.w_query", (6, 6)),
+    ("rec_decoder.1.attention.w_key", (6, 6)),
+    ("rec_decoder.1.attention.w_value", (6, 6)),
+    ("rec_decoder.1.attention.w_out", (6, 6)),
+    ("rec_decoder.1.ln_gain", (6,)),
+    ("rec_decoder.1.ln_bias", (6,)),
+    ("pred_head.weight", (6, 1)),
+    ("pred_head.bias", (1,)),
+    ("rec_head.weight", (6, 1)),
+    ("rec_head.bias", (1,)),
+]
+
+
+def expected_layout(ablation, learned_positions):
+    """LAYOUT without the entries a variant has no parameter for."""
+    absent = {"positions.values": not learned_positions,
+              ".graph.": ablation == "no-graph-conv",
+              ".dense": ablation != "no-graph-conv",
+              "bottleneck.": ablation == "no-ae",
+              "rec_": ablation == "no-rec-decoder"}
+    return [(name, shape) for name, shape in LAYOUT
+            if not any(part in name for part, gone in absent.items() if gone)]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("learned_positions", [False, True], ids=["fixed", "learned"])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_names_shapes_and_order(self, tmp_path, ablation, learned_positions):
+        model = CanModel(ModelConfig(**LAYOUT_CONFIG, ablation=ablation,
+                                     learned_positions=learned_positions), seed=0)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        with open(tmp_path / "m.ckpt", "rb") as handle:
+            header = json.loads(handle.readline())
+        written = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        assert written == expected_layout(ablation, learned_positions)
 
 
 class TestVersion1:

@@ -598,6 +598,22 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(base, bad) == 3
         assert f"bad run metadata in {bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("score_sensors", 2.5), ("downsample", 2.5), ("can_plus", "no")])
+    def test_mistyped_stored_config_value_exits_3(self, checkpoint, tmp_path, capsys,
+                                                  key, value):
+        base, ckpt = checkpoint
+        bad = tmp_path / "bad.ckpt"
+
+        def store(header):
+            header["extra"]["train_config"][key] = value
+            return header
+
+        rewrite_header(ckpt, store, bad)
+        assert self.evaluate(base, bad) == 3
+        err = capsys.readouterr().err
+        assert f"bad run metadata in {bad}" in err and f"config key '{key}'" in err
+
 
 @pytest.fixture(scope="module")
 def no_rec_checkpoint(tmp_path_factory):

@@ -9,8 +9,9 @@ from canet.attention import sinusoid_table
 from canet.data import RawSeries, make_windows
 from canet.detection import predict_series
 from canet.graph import SensorGraph
-from canet.model import (ABLATIONS, BottleneckParams, CanModel, ModelConfig, bottleneck_ae,
-                         cam_forward, can_forward, decoder_forward, encoder_forward)
+from canet.model import (ABLATIONS, BOTTLENECK_DIMS, CanModel, Linear, ModelConfig,
+                         bottleneck_ae, cam_forward, can_forward, decoder_forward,
+                         encoder_forward)
 from canet.train import _batch_loss
 from conftest import assert_grads_match, full_slot_forward
 
@@ -96,8 +97,8 @@ class TestEncoder:
         w_conv = np.array([[0.7, 0.2], [-0.1, 0.9]])
         emb = np.array([[0.8, -0.6]])
 
-        model.input_weight.data = w_in.copy()
-        model.input_bias.data = b_in.copy()
+        model.input.weight.data = w_in.copy()
+        model.input.bias.data = b_in.copy()
         layer = model.encoder[0]
         layer.attention.w_query.data = w_q.copy()
         layer.attention.w_key.data = w_k.copy()
@@ -132,22 +133,27 @@ class TestEncoder:
         np.testing.assert_allclose(embeddings[0].data[0], expected, rtol=1e-10)
 
 
+def bottleneck(width, rng, dtype=np.float32):
+    dims = (width,) + BOTTLENECK_DIMS + (width,)
+    return [Linear.create(a, b, rng, dtype) for a, b in zip(dims, dims[1:])]
+
+
 class TestBottleneck:
     def test_zero_weights_give_zero_output(self, rng):
-        ae = BottleneckParams.create(8, rng)
-        for w in ae.weights:
-            w.data = np.zeros_like(w.data)
+        ae = bottleneck(8, rng)
+        for layer in ae:
+            layer.weight.data = np.zeros_like(layer.weight.data)
         out = bottleneck_ae(Tensor(rng.standard_normal((5, 8))), ae)
         np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
     def test_shape_preserved(self, rng):
-        ae = BottleneckParams.create(16, rng)
+        ae = bottleneck(16, rng)
         out = bottleneck_ae(Tensor(rng.standard_normal((7, 16))), ae)
         assert out.shape == (7, 16)
 
     def test_jacobian_rank_bounded_by_bottleneck_width(self):
         gen = np.random.default_rng(2)
-        ae = BottleneckParams.create(16, gen, dtype=np.float64)
+        ae = bottleneck(16, gen, dtype=np.float64)
         x = Tensor(gen.standard_normal((1, 16)), requires_grad=True)
         rows = [backward(bottleneck_ae(x, ae)[0, i])[x][0] for i in range(16)]
         singular = np.linalg.svd(np.stack(rows), compute_uv=False)
@@ -329,6 +335,37 @@ class TestParameterAccounting:
         names = [n for n, _ in model.named_parameters()]
         assert len(names) == len(set(names))
         assert names == [n for n, _ in model.named_parameters()]
+
+    @staticmethod
+    def reachable_parameters(root):
+        """Every ``requires_grad`` tensor reachable from ``root`` through
+        object attributes, lists, tuples and dict values."""
+        found, seen, stack = [], set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, Tensor):
+                if node.requires_grad:
+                    found.append(node)
+            elif isinstance(node, dict):
+                stack.extend(node.values())
+            elif isinstance(node, (list, tuple)):
+                stack.extend(node)
+            elif hasattr(node, "__dict__") and not isinstance(node, type):
+                stack.extend(vars(node).values())
+        return found
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["fixed", "learned"])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_every_parameter_is_named_once(self, ablation, learned):
+        # a tensor the walk misses would be neither saved nor trained
+        model = CanModel(small_config(ablation=ablation, learned_positions=learned), seed=0)
+        named = [id(p) for _, p in model.named_parameters()]
+        reachable = [id(p) for p in self.reachable_parameters(model)]
+        assert len(named) == len(set(named))
+        assert sorted(named) == sorted(reachable)
 
 
 class TestEveryOpIsReachable:

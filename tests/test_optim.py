@@ -46,6 +46,22 @@ class TestAdam:
         with pytest.raises(ShapeError):
             Adam([p]).step()
 
+    def test_failed_step_changes_nothing(self):
+        good = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        bad = Tensor(np.zeros(3), requires_grad=True)
+        good.grad, bad.grad = np.array([0.5, 0.25]), np.ones(3)
+        opt = Adam([good, bad], lr=0.1)
+        opt.step()
+
+        def state():
+            return [opt.t] + [a.tobytes() for a in (good.data, bad.data, *opt.m, *opt.v)]
+
+        before = state()
+        bad.grad = np.ones(2)
+        with pytest.raises(ShapeError):
+            opt.step()
+        assert state() == before
+
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = Adam([p], lr=0.1)

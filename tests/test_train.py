@@ -1,8 +1,10 @@
 import importlib
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,17 @@ class TestConfigParsing:
     def test_bad_ablation_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(ablation="nothing")
+
+    @pytest.mark.parametrize("key, value", [
+        ("score_sensors", 2.5), ("downsample", 2.5), ("can_plus", "no"), ("window", True),
+        ("can_plus", 1), ("lr", "0.1"), ("ablation", None), ("retain", 1j),
+    ])
+    def test_value_of_another_type_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be of type"):
+            TrainConfig(**{key: value})
+
+    def test_int_serves_as_float(self):
+        assert TrainConfig(lr=1, retain=0).lr == 1
 
     def test_can_plus_needs_rec_decoder(self):
         with pytest.raises(ConfigError, match="'can_plus'.*'ablation'"):
@@ -300,7 +313,7 @@ class TestMicroBatches:
     def test_weighted_sum_matches_one_pass(self, micro):
         model, dataset, batch = self.float64_setup()
         loss, expected = self.one_pass(model, dataset, batch)
-        value = _set_gradients(model, dataset, batch, 0.2, 0.8, micro)
+        value = _set_gradients(model, model.parameters(), dataset, batch, 0.2, 0.8, micro)
         np.testing.assert_allclose(value, loss, rtol=1e-10)
         for name, p in model.named_parameters():
             np.testing.assert_allclose(p.grad, expected[name], rtol=1e-10, err_msg=name)
@@ -308,7 +321,8 @@ class TestMicroBatches:
     def test_one_micro_batch_is_one_pass_bit_for_bit(self):
         model, dataset, batch = self.float64_setup()
         loss, expected = self.one_pass(model, dataset, batch)
-        assert _set_gradients(model, dataset, batch, 0.2, 0.8, len(batch)) == loss
+        assert _set_gradients(model, model.parameters(), dataset, batch, 0.2, 0.8,
+                              len(batch)) == loss
         for name, p in model.named_parameters():
             assert p.grad.tobytes() == expected[name].tobytes(), name
 
@@ -318,13 +332,14 @@ class TestMicroBatches:
         dataset = tiny_dataset(n_sensors=12, length=60)
         model = CanModel(tiny_config().model_config(12), seed=1)
         batch = np.arange(37)
-        serial = _set_gradients(model, dataset, batch, 0.2, 0.8, 4)
+        serial = _set_gradients(model, model.parameters(), dataset, batch, 0.2, 0.8, 4)
         grads = [p.grad for p in model.parameters()]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with window_map(len(os.sched_getaffinity(0)) + 2) as map_windows:
-                threaded = _set_gradients(model, dataset, batch, 0.2, 0.8, 4, map_windows)
+                threaded = _set_gradients(model, model.parameters(), dataset, batch, 0.2, 0.8,
+                                          4, map_windows)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -372,7 +387,7 @@ class TestUnreachedParameters:
             return [a.tobytes() for a in (model.embedding.data, optimizer.m[i], optimizer.v[i])]
 
         before = state()
-        _set_gradients(model, dataset, np.arange(37), 0.2, 0.8, 16)
+        _set_gradients(model, model.parameters(), dataset, np.arange(37), 0.2, 0.8, 16)
         grad = model.embedding.grad
         optimizer.step()
         return grad, before, state(), optimizer.t
@@ -387,6 +402,36 @@ class TestUnreachedParameters:
         assert np.abs(grad).sum() > 0
         assert all(a != b for a, b in zip(after, before)) and t == 1
 
+
+# A paper-width library call to train() in a fresh interpreter, which
+# prints a digest of the trained parameters.
+LIBRARY_TRAIN = """
+import hashlib
+from canet.data import make_windows, minmax_apply, minmax_fit
+from canet.synth import synth_generate
+from canet.train import TrainConfig, train
+series = synth_generate(51, 100, 0).train
+dataset = make_windows(minmax_apply(series, minmax_fit(series)), 5)
+cfg = TrainConfig(window=5, layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10,
+                  batch_size=40, max_epochs=1, seed=1)
+model, _ = train(dataset, cfg)
+print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest())
+"""
+
+
+class TestLibraryThreadPolicy:
+    def test_train_bytes_never_depend_on_blas_threads(self):
+        # train() itself puts BLAS on one thread; no CLI entry point runs here
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = set()
+        for blas in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas,
+                       CAN_THREADS="1")
+            done = subprocess.run([sys.executable, "-c", LIBRARY_TRAIN], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 class TestStepMemory:
     # tracemalloc peak of the two steps below: 3.71 MiB with a tape that
@@ -405,7 +450,8 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             for start in (0, 16):       # as train() steps
-                _set_gradients(model, dataset, np.arange(start, start + 16), 0.2, 0.8, 16)
+                _set_gradients(model, model.parameters(), dataset,
+                               np.arange(start, start + 16), 0.2, 0.8, 16)
                 optimizer.step()
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
