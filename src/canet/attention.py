@@ -12,8 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from canet.initializers import glorot_uniform
-from canet.tensor import Attention, Tensor, matmul, row_matmul
+from canet.tensor import Attention, Tensor, glorot_uniform, matmul, row_matmul
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Prediction deviations are normalized per sensor by mean and interquartile
 range, the largest few per timestamp are summed into a score, a global
-threshold is grid-searched for the best point-adjusted F1, and the report
-carries the per-timestamp trail.
+threshold is grid-searched for the best point-adjusted F1.  ``report.json``
+holds the run's summary and ``scores.csv`` its per-timestamp table.
 """
 
 import json
@@ -95,8 +95,6 @@ class DetectionReport:
     fn: int
     timestamps: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
-    raw_pred: Optional[np.ndarray] = None
-    adjusted_pred: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
 
 
@@ -116,9 +114,10 @@ def confusion_metrics(pred: np.ndarray, truth: np.ndarray) -> DetectionReport:
                            f1=f1, tp=tp, fp=fp, fn=fn)
 
 
-def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
+def threshold_grid_search(scores: np.ndarray, truth: np.ndarray) -> DetectionReport:
     """Sort-and-sweep search for the separating threshold with the best
-    point-adjusted F1; ties resolve toward the higher threshold.
+    point-adjusted F1; ties resolve toward the higher threshold.  Returns
+    the point-adjusted counts and metrics at that threshold.
 
     Candidates are the midpoints between consecutive distinct score values
     plus a sentinel below the minimum (predict everything), at any
@@ -166,13 +165,9 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray):
                       2 * precision * recall / (precision + recall), 0.0)
     best_threshold = candidates[np.flatnonzero(f1 == f1.max())[-1]]
 
-    pred = values > best_threshold
-    adjusted = point_adjust(pred, truth)
-    best = confusion_metrics(adjusted, truth)
+    best = confusion_metrics(point_adjust(values > best_threshold, truth), truth)
     best.threshold = float(best_threshold)
-    best.raw_pred = pred.astype(np.int64)
-    best.adjusted_pred = adjusted
-    return best_threshold, best
+    return best
 
 
 def predict_series(model: CanModel, dataset: WindowedDataset,
@@ -256,7 +251,7 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         score_values = score_values + REC_FUSE_WEIGHT * aligned
 
     scored_truth = truth[k:]
-    threshold, report = threshold_grid_search(score_values, scored_truth)
+    report = threshold_grid_search(score_values, scored_truth)
     report.timestamps = np.arange(k, length)
     report.scores = score_values
     report.extras = {"scored_from": int(k), "score_sensors": int(scored.k),
@@ -265,50 +260,25 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
     return report
 
 
-def _trail_columns(report: DetectionReport):
-    """The report's t and score columns as Python ints and floats."""
-    return (np.asarray(report.timestamps).astype(np.int64).tolist(),
-            np.asarray(report.scores, dtype=np.float64).tolist())
-
-
 def write_report_json(path, report: DetectionReport) -> None:
-    """``report.json``: the bytes of ``json.dumps(d, sort_keys=True,
-    indent=2) + "\n"`` for a dict ``d`` of the report's threshold,
-    precision, recall, f1, counts and extras, plus, when the report has
-    scores, a ``per_timestamp`` list of ``{t, score, raw_pred,
-    adjusted_pred}`` objects.  That list is formatted column-wise and
-    spliced in, so no per-timestamp dict is built."""
+    """``report.json``: the run's summary, the report's threshold, precision,
+    recall, f1, counts and extras as ``json.dumps(..., sort_keys=True,
+    indent=2)``.  The per-timestamp table is ``scores.csv``."""
     summary = {
         "threshold": float(report.threshold),
         "precision": float(report.precision),
         "recall": float(report.recall),
         "f1": float(report.f1),
         "counts": {"tp": int(report.tp), "fp": int(report.fp), "fn": int(report.fn)},
+        **report.extras,
     }
-    if report.scores is not None:
-        summary["per_timestamp"] = None      # placeholder, replaced below
-    summary.update(report.extras)
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if report.scores is not None:
-        times, scores = _trail_columns(report)
-        # json writes a float as float.__repr__ does, except the non-finite ones
-        number = float.__repr__ if np.isfinite(report.scores).all() else json.dumps
-        raw = np.asarray(report.raw_pred).astype(np.int64).tolist()
-        adjusted = np.asarray(report.adjusted_pred).astype(np.int64).tolist()
-        items = ",\n".join(
-            f'    {{\n      "adjusted_pred": {a},\n      "raw_pred": {r},\n'
-            f'      "score": {s},\n      "t": {t}\n    }}'
-            for t, s, r, a in zip(times, map(number, scores), raw, adjusted))
-        trail = f"[\n{items}\n  ]" if items else "[]"
-        # top-level keys are the only ones indented by exactly two spaces
-        head, tail = text.split('\n  "per_timestamp": null', 1)
-        text = f'{head}\n  "per_timestamp": {trail}{tail}'
-    Path(path).write_text(text)
+    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
     """(t, score, label) rows for external plotting."""
-    times, scores = _trail_columns(report)
+    times = np.asarray(report.timestamps).astype(np.int64).tolist()
+    scores = np.asarray(report.scores, dtype=np.float64).tolist()
     labels = np.asarray(truth).astype(int)[times].tolist()
     with open(path, "w", newline="") as handle:
         handle.write("t,score,label\n" + "".join(

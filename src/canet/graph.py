@@ -12,9 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from canet.initializers import glorot_uniform
-from canet.tensor import (Tensor, leaky_relu, matmul, relu, row_matmul, row_normalize,
-                          softmax, Pow)
+from canet.tensor import (Tensor, glorot_uniform, leaky_relu, matmul, relu, row_matmul,
+                          row_normalize, softmax, Pow)
 
 
 def init_sensor_embedding(n_sensors: int, embed_dim: int,

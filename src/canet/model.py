@@ -22,8 +22,8 @@ import numpy as np
 from canet.attention import AttentionParams, multi_head_attention, sinusoid_table
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_local_conv, init_sensor_embedding, local_adjacency)
-from canet.initializers import glorot_uniform, ones, zeros
-from canet.tensor import ShapeError, Tensor, concat, layer_norm, matmul, relu, row_matmul
+from canet.tensor import (ShapeError, Tensor, concat, glorot_uniform, layer_norm, matmul, ones,
+                          relu, row_matmul, zeros)
 
 BOTTLENECK_DIMS = (8, 4, 8)
 

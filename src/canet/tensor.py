@@ -590,6 +590,22 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Concat.apply(*tensors, axis=axis)
 
 
+def glorot_uniform(rng: np.random.Generator, shape: tuple, dtype=np.float32) -> Tensor:
+    """Fan-balanced uniform init for weight matrices."""
+    fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
+    fan_out = shape[-1]
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
+
+
+def zeros(shape: tuple, dtype=np.float32) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+
+def ones(shape: tuple, dtype=np.float32) -> Tensor:
+    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+
+
 def backward(loss: Tensor) -> dict:
     """The gradient of ``loss`` for every leaf it depends on, as ``{leaf: array}``.
 

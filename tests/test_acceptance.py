@@ -237,7 +237,7 @@ class TestCriterion5DetectionOracles:
             truth = (gen.random(t) < 0.25).astype(int)
             if not truth.any():
                 truth[int(gen.integers(0, t))] = 1
-            _, rep = threshold_grid_search(scores, truth)
+            rep = threshold_grid_search(scores, truth)
             assert rep.f1 == pytest.approx(brute_force_best_f1(scores, truth))
         announce(5, "point-adjust, confusion counts and threshold search match "
                     "their brute-force oracles")

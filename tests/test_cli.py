@@ -11,6 +11,7 @@ import pytest
 
 from canet.cli import main, parse_config_file
 from canet.data import load_csv
+from canet.detection import confusion_metrics, point_adjust
 from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
 
 
@@ -246,9 +247,9 @@ class TestTrainCommand:
         code = run("evaluate", "--data", str(tmp_path / "test.csv"),
                    "--checkpoint", str(out / "model.ckpt"), "--out", str(eval_dir))
         assert code == 0
-        report = json.loads((eval_dir / "report.json").read_text())
+        rows = (eval_dir / "scores.csv").read_text().splitlines()
         # 600 test rows downsampled by 2 leave 300, minus the 4-step window
-        assert len(report["per_timestamp"]) == 300 - 4
+        assert len(rows) == 1 + 300 - 4
 
     def test_thread_env_var_does_not_change_results(self, tmp_path, monkeypatch):
         run(*synth_args(tmp_path, length=400, spikes=2))
@@ -375,7 +376,28 @@ class TestEvaluateCommand:
         assert {"tp", "fp", "fn"} == set(report["counts"])
         lines = (out / "scores.csv").read_text().strip().splitlines()
         assert lines[0] == "t,score,label"
-        assert len(lines) == 1 + len(report["per_timestamp"])
+        # 400 test rows minus the 4-step window
+        assert len(lines) == 1 + 400 - 4
+
+    @pytest.mark.parametrize("flags", [(), ("--can-plus",)], ids=["plain", "can-plus"])
+    def test_report_is_the_summary_of_scores_csv(self, trained, flags):
+        base, ckpt = trained
+        out = base / "eval"
+        assert run("evaluate", "--data", str(base / "test.csv"),
+                   "--checkpoint", str(ckpt), "--out", str(out), *flags) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"threshold", "precision", "recall", "f1", "counts",
+                               "scored_from", "score_sensors", "calibration", "can_plus"}
+        rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(report["scored_from"], 400))
+        scores = np.array([float(row[1]) for row in rows])
+        labels = np.array([int(row[2]) for row in rows])
+        # the raw and point-adjusted predictions, rebuilt from the table
+        adjusted = point_adjust(scores > report["threshold"], labels)
+        again = confusion_metrics(adjusted, labels)
+        assert report["counts"] == {"tp": again.tp, "fp": again.fp, "fn": again.fn}
+        assert (report["f1"], report["precision"], report["recall"]) == (
+            again.f1, again.precision, again.recall)
 
     def test_sensor_count_mismatch_exits_3(self, trained, tmp_path, capsys):
         base, ckpt = trained

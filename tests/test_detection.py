@@ -37,7 +37,7 @@ def brute_force_point_adjust(pred, truth):
 
 
 def reference_report_json(report) -> str:
-    """report.json as one json.dumps over a dict with one dict per timestamp."""
+    """report.json as one json.dumps over the summary dict."""
     out = {
         "threshold": float(report.threshold),
         "precision": float(report.precision),
@@ -45,12 +45,6 @@ def reference_report_json(report) -> str:
         "f1": float(report.f1),
         "counts": {"tp": int(report.tp), "fp": int(report.fp), "fn": int(report.fn)},
     }
-    if report.scores is not None:
-        out["per_timestamp"] = [
-            {"t": int(t), "score": float(s), "raw_pred": int(r), "adjusted_pred": int(a)}
-            for t, s, r, a in zip(report.timestamps, report.scores,
-                                  report.raw_pred, report.adjusted_pred)
-        ]
     out.update(report.extras)
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
@@ -87,20 +81,12 @@ def loop_threshold_search(scores, truth):
         for a, b in zip(distinct[:-1], distinct[1:]):
             candidates.append((a + b) / 2.0 if np.isfinite(a + b) else a / 2.0 + b / 2.0)
     best = None
-    best_threshold = None
     for theta in candidates:
-        pred = values > theta
-        adjusted = point_adjust(pred, truth)
-        report = confusion_metrics(adjusted, truth)
-        if best is None or report.f1 > best.f1 or (report.f1 == best.f1 and theta > best_threshold):
+        report = confusion_metrics(point_adjust(values > theta, truth), truth)
+        if best is None or report.f1 > best.f1 or (report.f1 == best.f1 and theta > best.threshold):
             best = report
-            best_threshold = theta
-            best_raw = pred.astype(np.int64)
-            best_adjusted = adjusted
-    best.threshold = float(best_threshold)
-    best.raw_pred = best_raw
-    best.adjusted_pred = best_adjusted
-    return best_threshold, best
+            best.threshold = float(theta)
+    return best
 
 
 @st.composite
@@ -279,19 +265,19 @@ class TestThresholdSearch:
     def test_midpoint_threshold(self):
         scores = np.array([0.1, 0.9, 0.2])
         truth = np.array([0, 1, 0])
-        theta, rep = threshold_grid_search(scores, truth)
+        rep = threshold_grid_search(scores, truth)
         assert rep.f1 == 1.0
-        np.testing.assert_allclose(theta, 0.55)
+        np.testing.assert_allclose(rep.threshold, 0.55)
 
     def test_all_anomalous_truth(self):
         # point-adjust fills the single all-covering segment for any candidate
         # that predicts at least one point, so every candidate ties at F1=1
         # and the tie rule keeps the highest threshold (fewest raw alarms)
         scores = np.array([0.3, 0.5, 0.4])
-        theta, rep = threshold_grid_search(scores, np.ones(3))
+        rep = threshold_grid_search(scores, np.ones(3))
         assert rep.f1 == 1.0
-        np.testing.assert_allclose(theta, 0.45)
-        assert rep.adjusted_pred.all()
+        np.testing.assert_allclose(rep.threshold, 0.45)
+        assert (rep.tp, rep.fp, rep.fn) == (3, 0, 0)
 
     def test_all_normal_truth_rejected(self):
         with pytest.raises(ValueError):
@@ -304,50 +290,46 @@ class TestThresholdSearch:
             truth = (rng.random(t) < 0.3).astype(int)
             if truth.sum() == 0:
                 truth[int(rng.integers(0, t))] = 1
-            _, rep = threshold_grid_search(scores, truth)
+            rep = threshold_grid_search(scores, truth)
             assert rep.f1 == pytest.approx(brute_force_best_f1(scores, truth))
 
     def test_ties_resolve_to_higher_threshold(self):
         scores = np.array([0.1, 0.9, 0.9, 0.1])
         truth = np.array([0, 1, 1, 0])
-        theta, rep = threshold_grid_search(scores, truth)
+        rep = threshold_grid_search(scores, truth)
         assert rep.f1 == 1.0
-        np.testing.assert_allclose(theta, 0.5)      # highest candidate with F1=1
+        np.testing.assert_allclose(rep.threshold, 0.5)      # highest candidate with F1=1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(scores_and_truth())
     @settings(max_examples=300, deadline=None)
     def test_sweep_equals_loop_oracle(self, case):
         scores, truth = case
-        theta, rep = threshold_grid_search(scores, truth)
-        expected_theta, expected = loop_threshold_search(scores, truth)
-        assert type(theta) is type(expected_theta) and theta == expected_theta
+        rep = threshold_grid_search(scores, truth)
+        expected = loop_threshold_search(scores, truth)
         for name in ("threshold", "f1", "precision", "recall", "tp", "fp", "fn"):
-            assert getattr(rep, name) == getattr(expected, name), name
-        assert rep.raw_pred.dtype == expected.raw_pred.dtype
-        np.testing.assert_array_equal(rep.raw_pred, expected.raw_pred)
-        assert rep.adjusted_pred.dtype == expected.adjusted_pred.dtype
-        np.testing.assert_array_equal(rep.adjusted_pred, expected.adjusted_pred)
+            value, wanted = getattr(rep, name), getattr(expected, name)
+            assert type(value) is type(wanted) and value == wanted, name
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scores", [[1e17, 2e17], [-2e17, -1e17], [1.0, 2.0],
                                         [-np.finfo(np.float64).max, 0.0]])
     def test_sentinel_predicts_everything_at_any_magnitude(self, scores):
         # anomaly at the minimum: only the sentinel below it detects it
-        theta, rep = threshold_grid_search(np.array(scores), np.array([1, 0]))
-        assert theta < scores[0]
+        rep = threshold_grid_search(np.array(scores), np.array([1, 0]))
+        assert rep.threshold < scores[0]
         assert rep.f1 == pytest.approx(2 / 3)
-        assert rep.raw_pred.tolist() == [1, 1]
+        assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_midpoints_near_float_max_stay_finite(self):
         scores = np.array([1.7e308, 1.79e308])
-        theta, rep = threshold_grid_search(scores, np.array([0, 1]))
-        assert theta == 1.7e308 / 2 + 1.79e308 / 2
-        assert 1.7e308 < theta < 1.79e308
+        rep = threshold_grid_search(scores, np.array([0, 1]))
+        assert rep.threshold == 1.7e308 / 2 + 1.79e308 / 2
+        assert 1.7e308 < rep.threshold < 1.79e308
         assert rep.f1 == 1.0
-        theta, rep = threshold_grid_search(-scores, np.array([1, 0]))
-        assert -1.79e308 < theta < -1.7e308
+        rep = threshold_grid_search(-scores, np.array([1, 0]))
+        assert -1.79e308 < rep.threshold < -1.7e308
         assert rep.f1 == 1.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -359,7 +341,7 @@ class TestThresholdSearch:
             truth[0] = 1
             distinct = np.unique(scores)
             old = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0])
-            theta, _ = threshold_grid_search(scores, truth)
+            theta = np.float64(threshold_grid_search(scores, truth).threshold)
             assert theta.tobytes() in {c.tobytes() for c in old}
 
     def test_point_adjust_runs_once_at_scale(self, rng, monkeypatch):
@@ -376,7 +358,7 @@ class TestThresholdSearch:
         truth = np.zeros(10**5, dtype=int)
         for start in range(500, 10**5, 1000):
             truth[start:start + 10] = 1
-        _, rep = threshold_grid_search(scores, truth)
+        rep = threshold_grid_search(scores, truth)
         assert len(calls) == 1
         assert rep.tp + rep.fn == truth.sum()
 
@@ -394,12 +376,9 @@ class TestReportFiles:
     @staticmethod
     def report(scores, extras=None, threshold=0.5):
         scores = np.asarray(scores, dtype=np.float64)
-        gen = np.random.default_rng(scores.size)
         return DetectionReport(
             threshold=threshold, precision=0.25, recall=1.0, f1=0.4, tp=1, fp=3, fn=0,
-            timestamps=np.arange(5, 5 + scores.size), scores=scores,
-            raw_pred=gen.integers(0, 2, scores.size), adjusted_pred=gen.integers(0, 2, scores.size),
-            extras=dict(extras or {}))
+            timestamps=np.arange(5, 5 + scores.size), scores=scores, extras=dict(extras or {}))
 
     @pytest.mark.parametrize("scores", [
         [-0.0, 5e-324, 1e308, 3.0, -2.5, 1 / 3, 0.1, -1e-300, 123456789.0, 1e16],
