@@ -19,7 +19,6 @@ from canet.data import (DataError, downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
 from canet.detection import evaluate, write_report_json, write_scores_csv
 from canet.graph import write_embeddings_csv
-from canet.model import _one_blas_thread
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
 
@@ -295,7 +294,6 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -275,6 +275,19 @@ PAPER_FLAGS = ("--window", "5", "--layers", "3", "--heads", "8", "--model-dim", 
                "--embed-dim", "10", "--neighbor-k", "10")
 
 
+# ``canet`` trains in this interpreter, then the script prints the number
+# of threads numpy's bundled OpenBLAS is left with.
+BLAS_AFTER_TRAIN = """
+import ctypes
+from numpy._core import _multiarray_umath
+from canet.cli import main
+assert main({argv!r}) == 0
+count = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+count.restype = ctypes.c_int
+print("blas threads", count())
+"""
+
+
 def run_process(*argv, blas_threads="1", threads="1"):
     """``canet`` in a fresh process, where the BLAS thread count still takes
     effect; returns the finished process."""
@@ -287,7 +300,7 @@ def run_process(*argv, blas_threads="1", threads="1"):
 class TestThreadPolicy:
     def test_paper_outputs_never_depend_on_thread_counts(self, tmp_path):
         # 95 windows, 10 held out: optimizer batches of 40, 40 and 5 windows,
-        # the full ones in micro-batches of 16, 16 and 8
+        # the full ones in five micro-batches of 8
         run(*synth_args(tmp_path, sensors=51, length=100))
         outputs = {}
         for blas in ("1", "2"):
@@ -345,14 +358,21 @@ class TestThreadPolicy:
                    for key in ("train_loss", "val_loss"))
 
     def test_blas_runs_on_one_thread(self, tmp_path):
+        # a fresh interpreter asks for 2 BLAS threads; the train must leave 1
         try:
             from numpy._core import _multiarray_umath
-            count = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+            ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
         except (ImportError, AttributeError):
             pytest.skip("numpy does not bundle scipy-openblas here")
-        count.restype = ctypes.c_int
         assert run(*synth_args(tmp_path)) == 0
-        assert count() == 1
+        argv = train_args(tmp_path / "train.csv", tmp_path / "out", max_epochs=1)
+        script = BLAS_AFTER_TRAIN.format(argv=argv)
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2",
+                   CAN_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "blas threads 1"
 
 
 class TestEvaluateCommand:

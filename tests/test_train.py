@@ -346,10 +346,16 @@ class TestMicroBatches:
         for before, p in zip(grads, model.parameters()):
             assert p.grad.dtype == np.float32 and p.grad.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("sensors, knobs, size", [(51, PAPER, 16), (5, DESK, 256)],
-                             ids=["paper", "desk"])
-    def test_size_depends_on_the_model_only(self, monkeypatch, sensors, knobs, size):
-        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0)
+    # one power of two at most inference_batch_size // layers, and at least 1
+    @pytest.mark.parametrize("sensors, knobs, dtype, size", [
+        (51, PAPER, np.float32, 8),
+        (5, DESK, np.float32, 256),
+        (51, dict(PAPER, layers=1), np.float32, 16),
+        (51, PAPER, np.float64, 4),
+        (2000, PAPER, np.float32, 1),
+    ], ids=["paper", "desk", "paper-1-layer", "paper-float64", "2000-sensors"])
+    def test_size_depends_on_the_model_only(self, monkeypatch, sensors, knobs, dtype, size):
+        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0, dtype=dtype)
         for threads in ("1", "3"):
             monkeypatch.setenv("CAN_THREADS", threads)
             assert micro_batch_size(model) == size
@@ -457,6 +463,23 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_BOUND_MIB, f"peak {peak:.2f} MiB"
+
+    # tracemalloc peak of one paper-width step of 32 windows: 23.6 MiB in
+    # micro-batches of 8 (sized by depth), 46.7 MiB in micro-batches of 16
+    PAPER_PEAK_BOUND_MIB = 32.0
+
+    def test_paper_step_peak_under_bound(self):
+        series = synth_generate(51, 100, 0).train
+        dataset = make_windows(minmax_apply(series, minmax_fit(series)), 5)
+        model = CanModel(ModelConfig(window=5, n_sensors=51, **TestMicroBatches.PAPER), seed=0)
+        tracemalloc.start()
+        try:
+            _set_gradients(model, model.parameters(), dataset, np.arange(32), 0.2, 0.8,
+                           micro_batch_size(model))
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PAPER_PEAK_BOUND_MIB, f"peak {peak:.2f} MiB"
 
 
 class TestOpsPerStep:
