@@ -7,8 +7,7 @@ from canet.tensor import (Tensor, ShapeError, ConsumedGraphError, backward, conc
 from canet.optim import Adam
 from canet.attention import AttentionParams, multi_head_attention, scaled_dot_attention
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
-                         global_adjacency, global_local_conv, local_adjacency,
-                         normalize_adjacency, topk_mask)
+                         global_adjacency, global_local_conv, local_adjacency, topk_mask)
 from canet.model import (CanModel, ForwardOutput, ModelConfig, bottleneck_ae,
                          cam_forward, can_forward, decoder_forward,
                          encoder_forward)

@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--batch-size", type=int, default=None,
                         help="windows per forward pass (default: as many as fit in 1 MiB "
                              "at one activation of n_sensors x (window + 1) x model_dim "
-                             "floats per window, clamped to 1..256)")
+                             "floats per window, clamped to 1..256, split among the "
+                             "CAN_THREADS threads, at least 1 each)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_export = sub.add_parser("export-embeddings",

@@ -13,7 +13,9 @@ from typing import Optional
 import numpy as np
 
 from canet.tensor import (Tensor, glorot_uniform, leaky_relu, matmul, relu, row_matmul,
-                          row_normalize, softmax, Pow)
+                          row_normalize, softmax)
+
+LEAKY_SLOPE = 0.2      # of the leaky relu over the local graph's pair logits
 
 
 def init_sensor_embedding(n_sensors: int, embed_dim: int,
@@ -45,35 +47,21 @@ def topk_mask(adjacency: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def normalize_adjacency(adjacency: Tensor, mode: str = "row") -> Tensor:
-    """Normalize a non-negative adjacency; all-zero rows stay zero.
-
-    ``row`` divides each row by its sum; ``sym`` applies symmetric degree
-    scaling d^-1/2 A d^-1/2.
-    """
-    if mode == "row":
-        return row_normalize(adjacency)
-    if mode == "sym":
-        degree = adjacency.sum(axis=-1, keepdims=True)
-        inv_root = Pow.apply(degree + 1e-12, exponent=-0.5)
-        return adjacency * inv_root * inv_root.transpose()
-    raise ValueError(f"unknown adjacency normalization {mode!r}")
-
-
 @dataclass
 class SensorGraph:
-    """Global adjacency with its normalized form and the top-k neighbour mask."""
+    """Global adjacency with its row-normalized form (all-zero rows stay
+    zero) and the top-k neighbour mask."""
 
     adjacency: Tensor
     normalized: Tensor
     mask: np.ndarray
 
 
-def build_sensor_graph(embedding: Tensor, top_k: int, mode: str = "row") -> SensorGraph:
+def build_sensor_graph(embedding: Tensor, top_k: int) -> SensorGraph:
     adjacency = global_adjacency(embedding)
     return SensorGraph(
         adjacency=adjacency,
-        normalized=normalize_adjacency(adjacency, mode),
+        normalized=row_normalize(adjacency),
         mask=topk_mask(adjacency.data, top_k),
     )
 
@@ -82,20 +70,19 @@ def build_sensor_graph(embedding: Tensor, top_k: int, mode: str = "row") -> Sens
 class GraphConvParams:
     """Learnables for the local graph and the propagation step."""
 
-    feature_map: Tensor        # (width, local_dim)
-    attn_vector: Tensor        # (2 * seq * local_dim, 1)
+    feature_map: Tensor        # (width, width)
+    attn_vector: Tensor        # (2 * seq * width, 1)
     propagation: Tensor        # (width, width)
     retain: float              # share of the original state kept, in [0, 1]
-    slope: float = 0.2
 
     @staticmethod
-    def create(width: int, seq_len: int, local_dim: int, retain: float,
+    def create(width: int, seq_len: int, retain: float,
                rng: np.random.Generator, dtype=np.float32) -> "GraphConvParams":
         if not 0.0 <= retain <= 1.0:
             raise ValueError(f"retain ratio must be in [0, 1], got {retain}")
         return GraphConvParams(
-            feature_map=glorot_uniform(rng, (width, local_dim), dtype),
-            attn_vector=glorot_uniform(rng, (2 * seq_len * local_dim, 1), dtype),
+            feature_map=glorot_uniform(rng, (width, width), dtype),
+            attn_vector=glorot_uniform(rng, (2 * seq_len * width, 1), dtype),
             propagation=glorot_uniform(rng, (width, width), dtype),
             retain=retain,
         )
@@ -104,14 +91,12 @@ class GraphConvParams:
 def local_adjacency(features: Tensor, params: GraphConvParams) -> Tensor:
     """Window-dependent adjacency from pairwise attention over flattened
     per-sensor features; rows are softmax-normalized."""
-    *lead, n, seq, _ = features.shape
-    mapped = matmul(features, params.feature_map)
-    local_dim = mapped.shape[-1]
-    flat = mapped.reshape(tuple(lead) + (n, seq * local_dim))
-    half = seq * local_dim
+    *lead, n, seq, width = features.shape
+    half = seq * width
+    flat = matmul(features, params.feature_map).reshape(tuple(lead) + (n, half))
     self_score = matmul(flat, params.attn_vector[:half])      # (..., n, 1)
     peer_score = matmul(flat, params.attn_vector[half:])
-    logits = leaky_relu(self_score + peer_score.transpose(), slope=params.slope)
+    logits = leaky_relu(self_score + peer_score.transpose(), slope=LEAKY_SLOPE)
     return softmax(logits, axis=-1)
 
 

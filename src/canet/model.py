@@ -45,7 +45,6 @@ def _one_of(*choices):
 
 
 _POSITIVE = (lambda v: v >= 1), ">= 1"
-_NON_NEGATIVE = (lambda v: v >= 0), ">= 0"
 _UNIT = (lambda v: 0 <= v <= 1), "in [0, 1]"
 
 
@@ -63,9 +62,6 @@ class ModelKnobs:
     embed_dim: int = _knob(10, "sensor embedding width", _POSITIVE)
     neighbor_k: int = _knob(10, "neighbour candidates kept per sensor", _POSITIVE)
     retain: float = _knob(0.8, "share of the original state kept by graph propagation", _UNIT)
-    local_dim: int = _knob(0, "local-graph feature width, 0 for model_dim", _NON_NEGATIVE)
-    adjacency_norm: str = _knob("row", "global adjacency normalization", _one_of("row", "sym"))
-    learned_positions: bool = _knob(False, "learn the positional table instead of fixed sinusoids")
     ablation: str = _knob("none", "model variant", _one_of(*ABLATIONS))
 
     def __post_init__(self):
@@ -88,14 +84,9 @@ class ModelKnobs:
 
 @dataclass
 class ModelConfig(ModelKnobs):
-    """Everything that determines the parameter set; ``local_dim`` 0 is
-    resolved to ``model_dim``."""
+    """Everything that determines the parameter set."""
 
     n_sensors: int = _knob(MISSING, "sensors per window", _POSITIVE, kw_only=True)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.local_dim = self.local_dim or self.model_dim
 
 
 @dataclass
@@ -154,11 +145,7 @@ class CanModel:
 
         self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng, dtype)
         self.input = Linear.create(1, cfg.model_dim, rng, dtype)
-        if cfg.learned_positions:
-            self.positions = Tensor((0.1 * rng.standard_normal((seq, cfg.model_dim))).astype(dtype),
-                                    requires_grad=True)
-        else:
-            self.positions = Tensor(sinusoid_table(seq, cfg.model_dim, dtype))
+        self.positions = Tensor(sinusoid_table(seq, cfg.model_dim, dtype))
 
         self.encoder: List[CamLayerParams] = []
         for _ in range(cfg.layers):
@@ -166,8 +153,7 @@ class CanModel:
             if cfg.ablation == "no-graph-conv":
                 graph, dense = None, glorot_uniform(rng, (cfg.model_dim, cfg.model_dim), dtype)
             else:
-                graph = GraphConvParams.create(
-                    cfg.model_dim, seq, cfg.local_dim, cfg.retain, rng, dtype)
+                graph = GraphConvParams.create(cfg.model_dim, seq, cfg.retain, rng, dtype)
                 dense = None
             self.encoder.append(CamLayerParams(
                 attention=attention, graph=graph, dense=dense,
@@ -205,10 +191,9 @@ class CanModel:
         """``(name, tensor)`` for every parameter, in checkpoint and Adam
         order; a name is the path of fields and list indices to its tensor."""
         roots = (("embedding", self.embedding), ("input", self.input),
-                 ("positions.values", self.positions), ("encoder", self.encoder),
-                 ("bottleneck", self.bottleneck), ("pre_decoder", self.pre_decoder),
-                 ("rec_decoder", self.rec_decoder), ("pred_head", self.pred_head),
-                 ("rec_head", self.rec_head))
+                 ("encoder", self.encoder), ("bottleneck", self.bottleneck),
+                 ("pre_decoder", self.pre_decoder), ("rec_decoder", self.rec_decoder),
+                 ("pred_head", self.pred_head), ("rec_head", self.rec_head))
         for prefix, node in roots:
             yield from _named_tensors(node, prefix)
 
@@ -284,8 +269,7 @@ def encoder_forward(x, model: CanModel) -> List[Tensor]:
     h = model._lift(concat([expanded, placeholder], axis=-2), k + 1)
 
     needs_graph = any(layer.dense is None for layer in model.encoder)
-    graph = build_sensor_graph(model.embedding, model.config.neighbor_k,
-                               model.config.adjacency_norm) if needs_graph else None
+    graph = build_sensor_graph(model.embedding, model.config.neighbor_k) if needs_graph else None
     embeddings = []
     for layer in model.encoder[:-1]:
         h = cam_forward(h, layer, graph)

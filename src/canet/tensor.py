@@ -98,9 +98,6 @@ class Tensor:
     def __getitem__(self, key):
         return Slice.apply(self, key=key)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return Sum.apply(self, axis=axis, keepdims=keepdims)
-
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return Mean.apply(self, axis=axis, keepdims=keepdims)
 
@@ -303,19 +300,6 @@ class Concat(Function):
         return tuple(np.split(grad, self.splits, axis=self.axis))
 
 
-class Sum(Function):
-    def forward(self, a, axis=None, keepdims=False):
-        self.original = a.shape
-        self.axis = axis
-        self.keepdims = keepdims
-        return a.sum(axis=axis, keepdims=keepdims)
-
-    def backward(self, grad):
-        if self.axis is not None and not self.keepdims:
-            grad = np.expand_dims(grad, self.axis)
-        return (np.broadcast_to(grad, self.original).copy(),)
-
-
 class Mean(Function):
     def forward(self, a, axis=None, keepdims=False):
         self.original = a.shape
@@ -337,22 +321,6 @@ def _mean(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
     total = np.asarray(np.add.reduce(a, axis=axis, keepdims=True))   # a 0-d sum is a scalar
     np.true_divide(total, np.intp(a.size // max(total.size, 1)), out=total, casting="unsafe")
     return total if keepdims else total.squeeze(axis)
-
-
-class Pow(Function):
-    """Elementwise power with a constant exponent.
-
-    Non-integer exponents require positive inputs; the model only uses this
-    on eps-shifted variances, which are strictly positive.
-    """
-
-    def forward(self, a, exponent):
-        self.a = a
-        self.exponent = exponent
-        return a ** exponent
-
-    def backward(self, grad):
-        return (grad * self.exponent * self.a ** (self.exponent - 1),)
 
 
 class Sqrt(Function):

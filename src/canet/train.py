@@ -19,13 +19,14 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from canet.data import WindowedDataset
-from canet.model import (_NON_NEGATIVE, _POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig,
-                         ModelKnobs, _knob, _one_of, can_forward, micro_batch_size, window_map,
+from canet.model import (_POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig, ModelKnobs,
+                         _knob, _one_of, can_forward, micro_batch_size, window_map,
                          window_threads)
 from canet.optim import Adam
 from canet.tensor import Tensor, backward, no_grad, sqrt
 
 
+_NON_NEGATIVE = (lambda v: v >= 0), ">= 0"
 _FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf), "finite and >= 0"
 
 

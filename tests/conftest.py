@@ -33,6 +33,13 @@ def finite_difference_gradient(f, x: Tensor, step: float = 1e-5) -> Tensor:
     return Tensor(out)
 
 
+def total(t: Tensor) -> Tensor:
+    """The sum of ``t``'s elements as a 0-d tensor: the flattened ``t`` times a
+    ones column of its dtype, so every element receives a gradient of exactly 1.0."""
+    ones = Tensor(np.ones((t.size, 1), dtype=t.dtype))
+    return matmul(t.reshape((1, t.size)), ones).reshape(())
+
+
 def _scalar(value) -> float:
     if isinstance(value, Tensor):
         return value.item()
@@ -86,7 +93,7 @@ BAD_HEADERS = {
     "no-config": lambda h: {k: v for k, v in h.items() if k != "config"},
     "unknown-config-key": lambda h: {**h, "config": {**h["config"], "bogus": 1}},
     "neighbor-k-0": lambda h: {**h, "config": {**h["config"], "neighbor_k": 0}},
-    "adjacency-norm-xx": lambda h: {**h, "config": {**h["config"], "adjacency_norm": "xx"}},
+    "ablation-xx": lambda h: {**h, "config": {**h["config"], "ablation": "xx"}},
     "sensor-names-int": lambda h: {**h, "extra": {**h["extra"], "sensor_names": 3}},
     "sensor-names-too-few": lambda h: {**h, "extra": {**h["extra"], "sensor_names": ["a"]}},
     "sensor-names-repeated": lambda h: {
@@ -119,7 +126,7 @@ def full_slot_forward(x: np.ndarray, model):
     cfg = model.config
     x = Tensor(np.asarray(x, dtype=model.dtype))
     lead, (n, k) = x.shape[:-2], x.shape[-2:]
-    graph = build_sensor_graph(model.embedding, cfg.neighbor_k, cfg.adjacency_norm)
+    graph = build_sensor_graph(model.embedding, cfg.neighbor_k)
 
     def decode(seed, embeddings, layers, crop_len):
         running = seed

@@ -25,7 +25,7 @@ from canet.model import CanModel, ModelConfig, can_forward, decoder_forward, enc
 from canet.synth import place_segments, synth_generate
 from canet.train import (TrainConfig, joint_loss, prediction_loss,
                          reconstruction_loss, train)
-from conftest import finite_difference_gradient, max_rel_err
+from conftest import finite_difference_gradient, max_rel_err, total
 from test_detection import brute_force_best_f1, brute_force_point_adjust
 
 DESK_TRAIN_FLAGS = [
@@ -81,15 +81,15 @@ class TestCriterion1GradientSuite:
         bias = Tensor(gen.standard_normal(4), requires_grad=True)
         probe = Tensor(gen.standard_normal((3, 4)))
         cases = {
-            "matmul": lambda: (matmul(x, w) * probe).sum(),
-            "softmax": lambda: (softmax(matmul(x, w), axis=-1) * probe).sum(),
-            "layer_norm": lambda: (layer_norm(x, gain, bias) * probe).sum(),
-            "relu": lambda: (relu(matmul(x, w)) * probe).sum(),
-            "leaky_relu": lambda: (leaky_relu(matmul(x, w), 0.2) * probe).sum(),
-            "row_normalize": lambda: (row_normalize(relu(matmul(x, w)) + 0.3) * probe).sum(),
+            "matmul": lambda: total(matmul(x, w) * probe),
+            "softmax": lambda: total(softmax(matmul(x, w), axis=-1) * probe),
+            "layer_norm": lambda: total(layer_norm(x, gain, bias) * probe),
+            "relu": lambda: total(relu(matmul(x, w)) * probe),
+            "leaky_relu": lambda: total(leaky_relu(matmul(x, w), 0.2) * probe),
+            "row_normalize": lambda: total(row_normalize(relu(matmul(x, w)) + 0.3) * probe),
             "sqrt_mean": lambda: sqrt((x * x).mean()),
-            "concat_slice": lambda: (concat([x, x[..., :2]], axis=-1)
-                                     * concat([probe, probe[..., :2]], axis=-1)).sum(),
+            "concat_slice": lambda: total(concat([x, x[..., :2]], axis=-1)
+                                          * concat([probe, probe[..., :2]], axis=-1)),
         }
         for name, loss_fn in cases.items():
             for p, grad in backward(loss_fn()).items():
@@ -142,7 +142,7 @@ class TestCriterion2GraphProperties:
                 oracle = sorted(range(n), key=lambda j: (-adj[i, j], j))[:min(k, n)]
                 np.testing.assert_array_equal(np.flatnonzero(mask[i]), sorted(oracle))
 
-            params = GraphConvParams.create(d, 3, d, 0.8, gen)
+            params = GraphConvParams.create(d, 3, 0.8, gen)
             local = local_adjacency(Tensor(gen.standard_normal((n, 3, d))), params).data
             np.testing.assert_allclose(local.sum(axis=-1), 1.0, atol=1e-6)
         elapsed = time.time() - start
@@ -159,7 +159,7 @@ class TestCriterion3PropagationIdentity:
         eye = Tensor(np.eye(width, dtype=np.float32))
 
         # retain=1 with identity feature map: arbitrary graphs are ignored
-        params = GraphConvParams.create(width, seq, width, retain=1.0, rng=gen)
+        params = GraphConvParams.create(width, seq, retain=1.0, rng=gen)
         params.propagation = eye
         graph = SensorGraph(adjacency=Tensor(gen.random((n, n))),
                             normalized=Tensor(gen.random((n, n))),
@@ -169,7 +169,7 @@ class TestCriterion3PropagationIdentity:
         assert out.tobytes() == h.tobytes()
 
         # retain=0 with identity combined graph
-        params0 = GraphConvParams.create(width, seq, width, retain=0.0, rng=gen)
+        params0 = GraphConvParams.create(width, seq, retain=0.0, rng=gen)
         params0.propagation = eye
         graph0 = SensorGraph(adjacency=Tensor(np.eye(n)),
                              normalized=Tensor(np.eye(n, dtype=np.float32) * 0.25),
@@ -336,7 +336,7 @@ class TestCriterion9ComplexityScaling:
 
         def graph_layer(n: int):
             emb = init_sensor_embedding(n, 16, np.random.default_rng(1))
-            gp = GraphConvParams.create(16, 8, 16, 0.8, np.random.default_rng(2))
+            gp = GraphConvParams.create(16, 8, 0.8, np.random.default_rng(2))
             h = Tensor(np.random.default_rng(3).standard_normal((n, 8, 16)).astype(np.float32))
 
             def run():

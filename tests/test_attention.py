@@ -5,7 +5,7 @@ from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_attention,
                              sinusoid_table)
 from canet.model import _named_tensors
-from conftest import assert_grads_match, causal_mask, future_bias
+from conftest import assert_grads_match, causal_mask, future_bias, total
 
 
 def identity_params(width: int, heads: int = 1) -> AttentionParams:
@@ -182,8 +182,8 @@ class TestMultiHead:
         seq = Tensor(gen.standard_normal((3, 4)), requires_grad=True)
         tensors = [seq] + [p for _, p in _named_tensors(params, "p")]
         assert_grads_match(
-            lambda: (multi_head_attention(seq, params, causal=True)
-                     * multi_head_attention(seq, params, causal=True)).sum(),
+            lambda: total(multi_head_attention(seq, params, causal=True)
+                          * multi_head_attention(seq, params, causal=True)),
             tensors)
 
 

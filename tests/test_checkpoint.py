@@ -53,21 +53,20 @@ class TestRoundtrip:
 
 
 # The checkpoint layout, which is also Adam's parameter order: (name, shape)
-# of every parameter of LAYOUT_CONFIG in order, as the ablation "none" with
-# learned positions writes it plus each layer's "dense" of "no-graph-conv".
+# of every parameter of LAYOUT_CONFIG in order, as the ablation "none" writes
+# it plus each layer's "dense" of "no-graph-conv".
 LAYOUT_CONFIG = dict(n_sensors=3, window=3, layers=2, heads=2, model_dim=6, embed_dim=4,
-                     neighbor_k=2, local_dim=5)
+                     neighbor_k=2)
 LAYOUT = [
     ("embedding", (3, 4)),
     ("input.weight", (1, 6)),
     ("input.bias", (6,)),
-    ("positions.values", (4, 6)),
     ("encoder.0.attention.w_query", (6, 6)),
     ("encoder.0.attention.w_key", (6, 6)),
     ("encoder.0.attention.w_value", (6, 6)),
     ("encoder.0.attention.w_out", (6, 6)),
-    ("encoder.0.graph.feature_map", (6, 5)),
-    ("encoder.0.graph.attn_vector", (40, 1)),
+    ("encoder.0.graph.feature_map", (6, 6)),
+    ("encoder.0.graph.attn_vector", (48, 1)),
     ("encoder.0.graph.propagation", (6, 6)),
     ("encoder.0.dense", (6, 6)),
     ("encoder.0.ln_attn_gain", (6,)),
@@ -78,8 +77,8 @@ LAYOUT = [
     ("encoder.1.attention.w_key", (6, 6)),
     ("encoder.1.attention.w_value", (6, 6)),
     ("encoder.1.attention.w_out", (6, 6)),
-    ("encoder.1.graph.feature_map", (6, 5)),
-    ("encoder.1.graph.attn_vector", (40, 1)),
+    ("encoder.1.graph.feature_map", (6, 6)),
+    ("encoder.1.graph.attn_vector", (48, 1)),
     ("encoder.1.graph.propagation", (6, 6)),
     ("encoder.1.dense", (6, 6)),
     ("encoder.1.ln_attn_gain", (6,)),
@@ -125,10 +124,9 @@ LAYOUT = [
 ]
 
 
-def expected_layout(ablation, learned_positions):
+def expected_layout(ablation):
     """LAYOUT without the entries a variant has no parameter for."""
-    absent = {"positions.values": not learned_positions,
-              ".graph.": ablation == "no-graph-conv",
+    absent = {".graph.": ablation == "no-graph-conv",
               ".dense": ablation != "no-graph-conv",
               "bottleneck.": ablation == "no-ae",
               "rec_": ablation == "no-rec-decoder"}
@@ -137,16 +135,14 @@ def expected_layout(ablation, learned_positions):
 
 
 class TestLayout:
-    @pytest.mark.parametrize("learned_positions", [False, True], ids=["fixed", "learned"])
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_names_shapes_and_order(self, tmp_path, ablation, learned_positions):
-        model = CanModel(ModelConfig(**LAYOUT_CONFIG, ablation=ablation,
-                                     learned_positions=learned_positions), seed=0)
+    def test_names_shapes_and_order(self, tmp_path, ablation):
+        model = CanModel(ModelConfig(**LAYOUT_CONFIG, ablation=ablation), seed=0)
         save_checkpoint(model, tmp_path / "m.ckpt")
         with open(tmp_path / "m.ckpt", "rb") as handle:
             header = json.loads(handle.readline())
         written = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-        assert written == expected_layout(ablation, learned_positions)
+        assert written == expected_layout(ablation)
 
 
 class TestVersion1:

@@ -325,8 +325,10 @@ class TestThreadPolicy:
                 assert data == first[name], f"{key}/{name}"
 
     def test_desk_run_keeps_its_one_pass_bytes(self, tmp_path):
-        # a desk batch of 64 is one micro-batch; these digests were written by
-        # the one-pass training step that came before micro-batches
+        # a desk batch of 64 is one micro-batch; the train.log digest was written
+        # by the one-pass training step that came before micro-batches, and the
+        # checkpoint's parameter data is still that step's (its header lost the
+        # removed adjacency, position and local-width keys)
         run(*synth_args(tmp_path, sensors=5, length=600, spikes=0))
         out = tmp_path / "desk"
         assert run("train", "--data", str(tmp_path / "train.csv"), "--out", str(out),
@@ -335,7 +337,7 @@ class TestThreadPolicy:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model.ckpt", "train.log")}
         assert digests == {
-            "model.ckpt": "e581281ce7357aa87d373244ebc47e67815adf1591da71148047c4fe2bba14c2",
+            "model.ckpt": "c15283789894f7b36f6ef13f5d9b29e122bdd2bb84d89c78285480571d4b055a",
             "train.log": "a1414f1d07cb48cc2bdd54572ee6ce770cc813604d38d94385d1da200d4f9b62"}
 
     # finished: the epochs done before the fault, which train.log must keep
@@ -577,6 +579,24 @@ class TestCheckpointAndFlagChecks:
         else:
             assert run(command, "--checkpoint", str(bad),
                        "--out", str(tmp_path / "e.csv")) == 3
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_checkpoint_with_removed_keys_exits_3(self, checkpoint, tmp_path, capsys, command):
+        # a header as written before the adjacency, position and local-width
+        # variants were removed: both configs store their keys, the model
+        # config with local_dim resolved to model_dim
+        base, ckpt = checkpoint
+        removed = {"adjacency_norm": "row", "learned_positions": False, "local_dim": 0}
+        old = tmp_path / "old.ckpt"
+        rewrite_header(ckpt, lambda h: {
+            **h, "config": {**h["config"], **removed, "local_dim": h["config"]["model_dim"]},
+            "extra": {**h["extra"], "train_config": {**h["extra"]["train_config"], **removed}}},
+            old)
+        if command == "evaluate":
+            assert self.evaluate(base, old) == 3
+        else:
+            assert run(command, "--checkpoint", str(old), "--out", str(tmp_path / "e.csv")) == 3
+        assert "'adjacency_norm'" in capsys.readouterr().err
 
     def test_data_after_last_parameter_exits_3(self, checkpoint, tmp_path, capsys):
         base, ckpt = checkpoint

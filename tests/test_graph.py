@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from canet import Tensor
+from canet import Tensor, row_normalize
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv, init_sensor_embedding,
-                         local_adjacency, normalize_adjacency, topk_mask,
-                         write_embeddings_csv)
-from conftest import assert_grads_match
+                         local_adjacency, topk_mask, write_embeddings_csv)
+from conftest import assert_grads_match, total
 
 
 class TestGlobalAdjacency:
@@ -63,46 +62,36 @@ class TestTopkMask:
 
 
 class TestNormalizeAdjacency:
+    # the global graph's normalization (build_sensor_graph) divides rows by their sums
     def test_row_mode(self):
-        out = normalize_adjacency(Tensor([[2.0, 2.0], [1.0, 3.0]]), "row").data
+        out = row_normalize(Tensor([[2.0, 2.0], [1.0, 3.0]])).data
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_zero_row_stays_zero(self):
-        out = normalize_adjacency(Tensor([[0.0, 0.0], [1.0, 1.0]]), "row").data
+        out = row_normalize(Tensor([[0.0, 0.0], [1.0, 1.0]])).data
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
-
-    def test_sym_mode_symmetric_input(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        out = normalize_adjacency(Tensor(a), "sym").data
-        d = a.sum(axis=1)
-        expected = a / np.sqrt(np.outer(d, d))
-        np.testing.assert_allclose(out, expected, rtol=1e-5)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_adjacency(Tensor(np.eye(2)), "spectral")
 
 
 class TestLocalAdjacency:
     @staticmethod
-    def params(width, seq, local_dim, rng, dtype=np.float32):
-        return GraphConvParams.create(width, seq, local_dim, retain=0.8, rng=rng, dtype=dtype)
+    def params(width, seq, rng, dtype=np.float32):
+        return GraphConvParams.create(width, seq, retain=0.8, rng=rng, dtype=dtype)
 
     def test_zero_attention_vector_gives_uniform_rows(self, rng):
-        p = self.params(3, 4, 3, rng)
+        p = self.params(3, 4, rng)
         p.attn_vector = Tensor(np.zeros((2 * 4 * 3, 1)))
         out = local_adjacency(Tensor(rng.standard_normal((5, 4, 3))), p).data
         np.testing.assert_allclose(out, np.full((5, 5), 0.2), atol=1e-7)
 
     def test_single_sensor(self, rng):
-        p = self.params(2, 3, 2, rng)
+        p = self.params(2, 3, rng)
         out = local_adjacency(Tensor(rng.standard_normal((1, 3, 2))), p).data
         np.testing.assert_array_equal(out, [[1.0]])
 
     def test_two_sensors_match_scalar_arithmetic(self):
-        # seq=1, width=1, local_dim=1: v_i = w*h_i, logit_ij = lrelu(c1*v_i + c2*v_j)
+        # seq=1, width=1: v_i = w*h_i, logit_ij = lrelu(c1*v_i + c2*v_j)
         gen = np.random.default_rng(3)
-        p = GraphConvParams.create(1, 1, 1, retain=0.5, rng=gen)
+        p = GraphConvParams.create(1, 1, retain=0.5, rng=gen)
         w = 1.5
         c1, c2 = 0.7, -0.4
         p.feature_map = Tensor([[w]])
@@ -119,7 +108,7 @@ class TestLocalAdjacency:
         np.testing.assert_allclose(out, expected, rtol=1e-6)
 
     def test_rows_sum_to_one_and_depend_on_window(self, rng):
-        p = self.params(4, 3, 4, rng)
+        p = self.params(4, 3, rng)
         h = rng.standard_normal((6, 3, 4)).astype(np.float32)
         out = local_adjacency(Tensor(h), p).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
@@ -139,7 +128,7 @@ class TestGlobalLocalConv:
 
     def test_full_retention_is_identity_with_identity_map(self, rng):
         n, seq, width = 4, 3, 5
-        p = GraphConvParams.create(width, seq, width, retain=1.0, rng=rng)
+        p = GraphConvParams.create(width, seq, retain=1.0, rng=rng)
         p.propagation = Tensor(np.eye(width, dtype=np.float32))
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
         graph = self.graph_from(rng.random((n, n)))
@@ -149,7 +138,7 @@ class TestGlobalLocalConv:
 
     def test_identity_graph_zero_retention(self, rng):
         n, seq, width = 3, 2, 4
-        p = GraphConvParams.create(width, seq, width, retain=0.0, rng=rng)
+        p = GraphConvParams.create(width, seq, retain=0.0, rng=rng)
         p.propagation = Tensor(np.eye(width))
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
         # local + normalized-global == identity, mask keeps everything
@@ -161,7 +150,7 @@ class TestGlobalLocalConv:
 
     def test_hand_swap_example(self):
         gen = np.random.default_rng(0)
-        p = GraphConvParams.create(1, 1, 1, retain=0.5, rng=gen)
+        p = GraphConvParams.create(1, 1, retain=0.5, rng=gen)
         p.propagation = Tensor(np.eye(1))
         h = Tensor(np.array([[[1.0]], [[3.0]]]))
         graph = SensorGraph(adjacency=Tensor(np.zeros((2, 2))),
@@ -172,7 +161,7 @@ class TestGlobalLocalConv:
 
     def test_mask_zeroes_non_candidates(self, rng):
         n, seq, width = 3, 2, 2
-        p = GraphConvParams.create(width, seq, width, retain=0.0, rng=rng)
+        p = GraphConvParams.create(width, seq, retain=0.0, rng=rng)
         p.propagation = Tensor(np.eye(width))
         mask = np.eye(n)
         graph = SensorGraph(adjacency=Tensor(np.ones((n, n))),
@@ -186,14 +175,14 @@ class TestGlobalLocalConv:
     def test_gradients_flow_to_embedding_and_params(self):
         gen = np.random.default_rng(11)
         emb = init_sensor_embedding(3, 2, gen, dtype=np.float64)
-        p = GraphConvParams.create(2, 2, 2, retain=0.3, rng=gen, dtype=np.float64)
+        p = GraphConvParams.create(2, 2, retain=0.3, rng=gen, dtype=np.float64)
         h = Tensor(gen.standard_normal((3, 2, 2)), requires_grad=True)
 
         def loss():
             graph = build_sensor_graph(emb, top_k=2)
             local = local_adjacency(h, p)
             out = global_local_conv(h, graph, local, p)
-            return (out * out).sum()
+            return total(out * out)
 
         # smaller step: the softmax-over-leaky-relu composite has enough
         # curvature that 1e-5 truncation error shows up at this tolerance

@@ -266,24 +266,12 @@ class TestCanForward:
         assert out.y_pred.shape == (3,)
         assert out.y_rec.shape == (3, 1)
 
-    def test_learned_positions_variant(self, rng):
-        model = CanModel(small_config(learned_positions=True), seed=0)
-        names = [n for n, _ in model.named_parameters()]
-        assert "positions.values" in names
-        out = can_forward(rng.standard_normal((3, 4)), model)
-        assert np.isfinite(out.y_pred.data).all()
-        fixed = CanModel(small_config(), seed=0)
-        assert model.num_parameters() - fixed.num_parameters() == 5 * 8
-
-    def test_learned_table_is_parameter(self):
-        # (window + 1, model_dim) position rows, a parameter only when learned
-        learned = CanModel(small_config(learned_positions=True), seed=0)
-        assert learned.positions.shape == (5, 8) and learned.positions.requires_grad
-        assert dict(learned.named_parameters())["positions.values"] is learned.positions
-        fixed = CanModel(small_config(), seed=0)
-        assert not fixed.positions.requires_grad
-        assert "positions.values" not in dict(fixed.named_parameters())
-        assert fixed.positions.data.tobytes() == sinusoid_table(5, 8).tobytes()
+    def test_position_table_is_fixed_sinusoids(self):
+        # (window + 1, model_dim) position rows, a constant and not a parameter
+        model = CanModel(small_config(), seed=0)
+        assert not model.positions.requires_grad
+        assert all(p is not model.positions for p in model.parameters())
+        assert model.positions.data.tobytes() == sinusoid_table(5, 8).tobytes()
 
 
 class TestAblations:
@@ -357,11 +345,10 @@ class TestParameterAccounting:
                 stack.extend(vars(node).values())
         return found
 
-    @pytest.mark.parametrize("learned", [False, True], ids=["fixed", "learned"])
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_every_parameter_is_named_once(self, ablation, learned):
+    def test_every_parameter_is_named_once(self, ablation):
         # a tensor the walk misses would be neither saved nor trained
-        model = CanModel(small_config(ablation=ablation, learned_positions=learned), seed=0)
+        model = CanModel(small_config(ablation=ablation), seed=0)
         named = [id(p) for _, p in model.named_parameters()]
         reachable = [id(p) for p in self.reachable_parameters(model)]
         assert len(named) == len(set(named))
@@ -370,8 +357,8 @@ class TestParameterAccounting:
 
 class TestEveryOpIsReachable:
     def test_train_and_predict_apply_every_op(self, monkeypatch, rng):
-        # an op class that no training step or prediction applies, under any
-        # ablation, adjacency norm or position mode, is dead code
+        # an op class that no training step or prediction applies, under any ablation,
+        # is dead code
         apply = canet.tensor.Function.apply.__func__
         applied = set()
 
@@ -381,10 +368,8 @@ class TestEveryOpIsReachable:
 
         monkeypatch.setattr(canet.tensor.Function, "apply", classmethod(recorded))
         dataset = make_windows(RawSeries(list("abcd"), rng.random((4, 12))), 4)
-        for ablation, norm, learned in itertools.product(ABLATIONS, ("row", "sym"),
-                                                         (False, True)):
-            model = CanModel(small_config(n_sensors=4, ablation=ablation, adjacency_norm=norm,
-                                          learned_positions=learned), seed=0)
+        for ablation in ABLATIONS:
+            model = CanModel(small_config(n_sensors=4, ablation=ablation), seed=0)
             backward(_batch_loss(model, dataset, np.arange(6), 0.5, 0.5))
             predict_series(model, dataset, with_reconstruction=model.rec_decoder is not None)
         assert applied == set(canet.tensor.Function.__subclasses__())
@@ -396,11 +381,10 @@ class TestCroppedLastLayers:
         # the last encoder and decoder layers compute only the slots the model
         # reads; the numbers must be those of running every slot through them,
         # also for one sensor, whose last-slot products are one-row matrices
-        for (n_sensors, batch), ablation, norm, learned in itertools.product(
-                ((4, 6), (1, 1), (1, 6)), ABLATIONS, ("row", "sym"), (False, True)):
+        for (n_sensors, batch), ablation in itertools.product(
+                ((4, 6), (1, 1), (1, 6)), ABLATIONS):
             x = rng.random((batch, n_sensors, 4))
-            model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation,
-                                          adjacency_norm=norm, learned_positions=learned),
+            model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation),
                              seed=0, dtype=dtype)
             out = can_forward(x.astype(dtype), model)
             y_pred, y_rec, embeddings = full_slot_forward(x, model)

@@ -3,7 +3,7 @@ import pytest
 
 from canet import ShapeError, Tensor
 from canet.optim import Adam
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, total
 
 
 class TestAdam:
@@ -134,7 +134,7 @@ class TestFlatAdam:
 class TestFiniteDifferenceGradient:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, 2.0]))
-        grad = finite_difference_gradient(lambda t: (t * t).sum(), x)
+        grad = finite_difference_gradient(lambda t: total(t * t), x)
         np.testing.assert_allclose(grad.data, [2.0, 4.0], atol=1e-6)
 
     def test_constant_function(self):
@@ -150,5 +150,5 @@ class TestFiniteDifferenceGradient:
     def test_input_restored_after_differencing(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         before = x.data.copy()
-        finite_difference_gradient(lambda t: (t * t).sum(), x)
+        finite_difference_gradient(lambda t: total(t * t), x)
         np.testing.assert_array_equal(x.data, before)

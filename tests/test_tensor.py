@@ -9,17 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
-from canet.tensor import (Attention, Mul, Pow, _reduce_keepdims, _reduce_keys,
-                          _unbroadcast, row_matmul)
-from conftest import assert_grads_match, future_bias, param64, per_head_attention
+from canet.tensor import (Attention, Mul, _reduce_keepdims, _reduce_keys, _unbroadcast,
+                          row_matmul)
+from conftest import assert_grads_match, future_bias, param64, per_head_attention, total
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
-    """Layer norm as nine primitive ops: the oracle for the fused node."""
+    """Layer norm as primitive ops, its forward bytes' oracle: the inverse
+    deviation is numpy's ``(var + eps) ** -0.5``, taken as a constant."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = Pow.apply(var + eps, exponent=-0.5)
+    inv = Tensor((var.data + eps) ** -0.5)
     return centered * inv * gain + bias
 
 
@@ -68,7 +69,7 @@ class TestMatmul:
     @pytest.mark.parametrize("shape", [(1, 4), (3, 1, 4)])
     def test_row_matmul_gradients(self, rng, shape):
         a, w = param64(rng, shape), param64(rng, (4, 3))
-        assert_grads_match(lambda: (row_matmul(a, w) * row_matmul(a, w)).sum(), [a, w])
+        assert_grads_match(lambda: total(row_matmul(a, w) * row_matmul(a, w)), [a, w])
 
 
 class TestSoftmax:
@@ -166,7 +167,7 @@ class TestKeyAxisReduce:
 class TestNoGrad:
     @staticmethod
     def taped(x):
-        return (relu(x) * x).sum()
+        return total(relu(x) * x)
 
     def test_records_nothing_and_keeps_values(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -188,7 +189,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("inside")
-        np.testing.assert_array_equal(backward((x * x).sum())[x], [2.0, 2.0])
+        np.testing.assert_array_equal(backward(total(x * x))[x], [2.0, 2.0])
 
     def test_state_is_per_thread(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -245,7 +246,7 @@ class TestAttention:
         q, k = (param64(rng, (*batch, 4, 3)) for _ in range(2))
         v = param64(rng, (*batch, 4, 2))
         weights = Tensor(rng.standard_normal((*batch, 4, 2)))
-        assert_grads_match(lambda: (Attention.apply(q, k, v, causal=causal) * weights).sum(),
+        assert_grads_match(lambda: total(Attention.apply(q, k, v, causal=causal) * weights),
                            [q, k, v])
 
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -260,7 +261,7 @@ class TestAttention:
             operands = [Tensor(a, requires_grad=True) for a in arrays]
             out = attend(*operands, causal=causal)
             # the transpose hands the op a non-contiguous upstream gradient
-            grads = backward((out.transpose() * upstream).sum())
+            grads = backward(total(out.transpose() * upstream))
             results.append([out.data] + [grads[t] for t in operands])
         fused, composed = results
         assert fused[0].dtype == np.float32
@@ -274,7 +275,7 @@ class TestAttention:
                              for _ in range(4))
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = Attention.apply(*operands, causal=causal, heads=heads)
-        got = backward((out * Tensor(upstream)).sum())
+        got = backward(total(out * Tensor(upstream)))
         expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
@@ -291,7 +292,7 @@ class TestAttention:
                              for _ in range(4))
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         out = Attention.apply(*operands, causal=causal, heads=heads)
-        got = backward((out * Tensor(upstream)).sum())
+        got = backward(total(out * Tensor(upstream)))
         expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
@@ -332,7 +333,7 @@ class TestAttention:
         v = param64(rng, (2, 3, 4, 4))
         weights = Tensor(rng.standard_normal((2, 3, 4, 4)))
         assert_grads_match(
-            lambda: (Attention.apply(q, k, v, causal=causal, heads=2) * weights).sum(), [q, k, v])
+            lambda: total(Attention.apply(q, k, v, causal=causal, heads=2) * weights), [q, k, v])
 
     def test_width_not_split_by_heads_rejected(self):
         with pytest.raises(ShapeError, match="heads"):
@@ -365,19 +366,19 @@ class TestActivations:
 
     def test_relu_gradient_by_finite_difference(self):
         x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-        assert_grads_match(lambda: relu(x).sum(), [x])
-        np.testing.assert_array_equal(backward(relu(x).sum())[x], [1.0, 0.0])
+        assert_grads_match(lambda: total(relu(x)), [x])
+        np.testing.assert_array_equal(backward(total(relu(x)))[x], [1.0, 0.0])
 
 
 class TestBackward:
     def test_bilinear_form(self, rng):
         x = Tensor(rng.standard_normal(5), requires_grad=True)
         y = Tensor(rng.standard_normal(5))
-        np.testing.assert_allclose(backward((x * y).sum())[x], y.data, rtol=1e-6)
+        np.testing.assert_allclose(backward(total(x * y))[x], y.data, rtol=1e-6)
 
     def test_softmax_sum_has_zero_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        np.testing.assert_allclose(backward(softmax(x, axis=-1).sum())[x], 0.0, atol=1e-7)
+        np.testing.assert_allclose(backward(total(softmax(x, axis=-1)))[x], 0.0, atol=1e-7)
 
     def test_composite_matches_finite_differences(self, rng):
         x = param64(rng, (3, 4))
@@ -385,7 +386,7 @@ class TestBackward:
 
         def loss():
             h = relu(matmul(x, w))
-            return (softmax(h, axis=-1) * h).sum()
+            return total(softmax(h, axis=-1) * h)
 
         assert_grads_match(loss, [x, w])
 
@@ -398,8 +399,8 @@ class TestBackward:
                        for _ in range(3))
         constant = Tensor(rng.standard_normal((2, 2)))
         hidden = relu(matmul(x, w)) * constant
-        separate = (other * x).sum()        # another graph over a shared leaf
-        grads = backward(hidden.sum())
+        separate = total(other * x)         # another graph over a shared leaf
+        grads = backward(total(hidden))
         assert set(grads) == {x, w}         # no intermediate, constant or other leaf
         assert separate.creator.parents is not None     # the other graph is untouched
 
@@ -408,7 +409,7 @@ class TestBackward:
         held = np.full(3, 7.0)
         w.grad = held
         hidden = x * w
-        loss = hidden.sum()
+        loss = total(hidden)
         grads = backward(loss)
         np.testing.assert_allclose(grads[w], x.data)
         assert x.grad is None and w.grad is held
@@ -416,9 +417,9 @@ class TestBackward:
 
     def test_loss_that_needs_no_gradient_gives_an_empty_dict(self, rng):
         x = Tensor(rng.standard_normal(3), requires_grad=True)
-        assert backward((Tensor(rng.standard_normal(3)) * 2.0).sum()) == {}
+        assert backward(total(Tensor(rng.standard_normal(3)) * 2.0)) == {}
         with no_grad():
-            untaped = (x * x).sum()
+            untaped = total(x * x)
         assert backward(untaped) == {} and x.grad is None
 
     def test_sums_a_shared_tensors_gradients_in_a_fixed_order(self):
@@ -429,7 +430,7 @@ class TestBackward:
         weights = np.array([1.0, 3.0, 2.0 ** 24, -1.0], dtype=np.float32)
         x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
         m = [x * Tensor(w[None]) for w in weights]
-        grad = backward((((m[0] + m[2]) + m[3]) + m[1]).sum())[x]
+        grad = backward(total(((m[0] + m[2]) + m[3]) + m[1]))[x]
 
         def fold(order):
             total = weights[order[0]]
@@ -451,7 +452,7 @@ class TestTape:
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         h = matmul(x, w)
         r = relu(h)
-        grads = backward(r.sum())
+        grads = backward(total(r))
         assert set(grads) == {x, w}
         live = (h.data > 0).astype(h.data.dtype)
         np.testing.assert_allclose(grads[w], x.data.T @ live, rtol=1e-6)
@@ -465,7 +466,7 @@ class TestTape:
         out = layer_norm(summed, gain, bias)
         del summed
         assert alive() is None          # layer norm saves its own arrays, not its input
-        grads = backward(out.sum())
+        grads = backward(total(out))
         assert x in grads and gain in grads
 
     def test_saved_arrays_die_when_backward_returns(self, rng):
@@ -473,7 +474,7 @@ class TestTape:
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         hidden = relu(x)
         saved = weakref.ref(hidden.data)
-        loss = matmul(hidden, w).sum()
+        loss = total(matmul(hidden, w))
         del hidden
         assert saved() is not None      # MatMul keeps it for the weight's gradient
         backward(loss)
@@ -482,7 +483,7 @@ class TestTape:
 
     def test_second_backward_names_the_consumed_graph(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
-        loss = (x * x).sum()
+        loss = total(x * x)
         backward(loss)
         with pytest.raises(ConsumedGraphError, match="already ran through this graph"):
             backward(loss)
@@ -490,9 +491,9 @@ class TestTape:
     def test_backward_through_a_consumed_subgraph_raises(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         square = x * x
-        backward(square.sum())
+        backward(total(square))
         with pytest.raises(ConsumedGraphError):
-            backward((square * 2.0).sum())
+            backward(total(square * 2.0))
 
     @pytest.mark.parametrize("constant_first", [False, True])
     def test_mul_by_constant_skips_the_constant(self, rng, constant_first):
@@ -539,7 +540,7 @@ class TestTape:
             out = op(*operands)
             upstream = Tensor(np.linspace(-1.0, 1.0, out.size, dtype=np.float32)
                               .reshape(out.shape))
-            got = backward((out * upstream).sum())
+            got = backward(total(out * upstream))
             return [got.get(t) for t in operands]
 
         full = grads([True] * len(arrays))
@@ -555,32 +556,32 @@ class TestPrimitiveGradients:
     def test_add_sub_mul_broadcast(self, rng):
         a = param64(rng, (3, 4))
         b = param64(rng, (4,))
-        assert_grads_match(lambda: ((a + b) * (a - b) * b).sum(), [a, b])
+        assert_grads_match(lambda: total((a + b) * (a - b) * b), [a, b])
 
     def test_matmul_batched(self, rng):
         a = param64(rng, (2, 3, 4))
         b = param64(rng, (4, 5))
-        assert_grads_match(lambda: matmul(a, b).sum(), [a, b])
+        assert_grads_match(lambda: total(matmul(a, b)), [a, b])
 
     def test_matmul_two_dimensional(self, rng):
         a = param64(rng, (3, 4))
         w = param64(rng, (4, 5))
         weights = Tensor(rng.standard_normal((3, 5)))
-        assert_grads_match(lambda: (matmul(a, w) * weights).sum(), [a, w])
+        assert_grads_match(lambda: total(matmul(a, w) * weights), [a, w])
 
     def test_matmul_weight_with_strided_upstream_gradient(self, rng):
         # the transpose hands MatMul.backward a non-contiguous gradient
         a = param64(rng, (2, 3, 4, 5))
         w = param64(rng, (5, 6))
         weights = Tensor(rng.standard_normal((2, 3, 6, 4)))
-        assert_grads_match(lambda: (matmul(a, w).transpose() * weights).sum(), [a, w])
+        assert_grads_match(lambda: total(matmul(a, w).transpose() * weights), [a, w])
 
     def test_transpose_reshape_slice(self, rng):
         a = param64(rng, (3, 4, 5))
 
         def loss():
             t = a.transpose()[..., 1:3, :].reshape((3, 8))
-            return (t * t).sum()
+            return total(t * t)
 
         assert_grads_match(loss, [a])
 
@@ -590,14 +591,14 @@ class TestPrimitiveGradients:
 
         def loss():
             joined = concat([a, b], axis=-1)
-            return (joined * joined).sum()
+            return total(joined * joined)
 
         assert_grads_match(loss, [a, b])
 
     def test_sum_mean_axes(self, rng):
         a = param64(rng, (3, 4, 2))
-        assert_grads_match(lambda: (a.sum(axis=1) * a.sum(axis=1)).mean(), [a])
-        assert_grads_match(lambda: (a.mean(axis=(0, 2), keepdims=True) * a).sum(), [a])
+        assert_grads_match(lambda: (a.mean(axis=1) * a.mean(axis=1)).mean(), [a])
+        assert_grads_match(lambda: total(a.mean(axis=(0, 2), keepdims=True) * a), [a])
 
     def test_sqrt(self, rng):
         a = Tensor(np.abs(rng.standard_normal((4,))) + 0.5, requires_grad=True)
@@ -609,31 +610,31 @@ class TestPrimitiveGradients:
         mask[:, 0] = False
         excluded = Tensor(np.where(mask, -np.inf, 0.0))
         weights = rng.standard_normal((3, 5))
-        assert_grads_match(lambda: (softmax(a + excluded, axis=-1) * Tensor(weights)).sum(), [a])
+        assert_grads_match(lambda: total(softmax(a + excluded, axis=-1) * Tensor(weights)), [a])
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_softmax_leading_axis_gradient(self, rng, axis):
         a = param64(rng, (4, 3, 5))
         weights = Tensor(rng.standard_normal((4, 3, 5)))
-        assert_grads_match(lambda: (softmax(a, axis=axis) * weights).sum(), [a])
+        assert_grads_match(lambda: total(softmax(a, axis=axis) * weights), [a])
 
     def test_softmax_causal_attention_gradient(self, rng):
         scores = param64(rng, (2, 3, 2, 4, 4))
         weights = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
         assert_grads_match(
-            lambda: (softmax(scores + future_bias(scores), axis=-1) * weights).sum(), [scores])
+            lambda: total(softmax(scores + future_bias(scores), axis=-1) * weights), [scores])
 
     def test_row_normalize_gradient(self, rng):
         a = Tensor(rng.uniform(0.1, 2.0, (4, 4)), requires_grad=True)
         weights = rng.standard_normal((4, 4))
-        assert_grads_match(lambda: (row_normalize(a) * Tensor(weights)).sum(), [a])
+        assert_grads_match(lambda: total(row_normalize(a) * Tensor(weights)), [a])
 
     def test_layer_norm_gradient(self, rng):
         x = param64(rng, (2, 6))
         gain = Tensor(rng.standard_normal(6), requires_grad=True)
         bias = Tensor(rng.standard_normal(6), requires_grad=True)
         weights = rng.standard_normal((2, 6))
-        assert_grads_match(lambda: (layer_norm(x, gain, bias) * Tensor(weights)).sum(),
+        assert_grads_match(lambda: total(layer_norm(x, gain, bias) * Tensor(weights)),
                            [x, gain, bias])
 
     def test_layer_norm_gradient_four_dimensional(self, rng):
@@ -641,12 +642,12 @@ class TestPrimitiveGradients:
         gain = param64(rng, (6,))
         bias = param64(rng, (6,))
         weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
-        assert_grads_match(lambda: (layer_norm(x, gain, bias) * weights).sum(),
+        assert_grads_match(lambda: total(layer_norm(x, gain, bias) * weights),
                            [x, gain, bias])
 
     def test_leaky_relu_gradient(self, rng):
         a = param64(rng, (8,))
-        assert_grads_match(lambda: (leaky_relu(a, 0.2) * leaky_relu(a, 0.2)).sum(), [a])
+        assert_grads_match(lambda: total(leaky_relu(a, 0.2) * leaky_relu(a, 0.2)), [a])
 
 
 class TestInvariants:
@@ -664,8 +665,8 @@ class TestInvariants:
             softmax(tx, axis=-1).data,
             layer_norm(tx, Tensor(np.ones(4)), Tensor(np.zeros(4))).data,
             row_normalize(relu(tx)).data,
-            sqrt((tx * tx).sum()).data,
-            tx.sum(axis=0).data, tx.mean(axis=1).data,
+            sqrt(total(tx * tx)).data,
+            tx.mean(axis=0).data, tx.mean(axis=1).data,
         ]
         for out in outputs:
             assert np.isfinite(out).all()
@@ -675,7 +676,7 @@ class TestInvariants:
             gen = np.random.default_rng(99)
             x = Tensor(gen.standard_normal((4, 4)), requires_grad=True)
             y = softmax(matmul(x, x.transpose()), axis=-1)
-            return y.data.tobytes(), backward(y.sum())[x].tobytes()
+            return y.data.tobytes(), backward(total(y))[x].tobytes()
 
         assert run() == run()
 

@@ -222,11 +222,6 @@ class TestTrainLoop:
         assert model.rec_decoder is not None
         assert np.isfinite(log.epochs[-1]["train_loss"])
 
-    def test_sym_adjacency_norm_trains(self):
-        dataset = tiny_dataset()
-        _, log = train(dataset, tiny_config(adjacency_norm="sym", max_epochs=2))
-        assert np.isfinite(log.epochs[-1]["train_loss"])
-
     @pytest.mark.parametrize("ablation", ["no-local-graph", "no-graph-conv",
                                           "no-ae", "no-rec-decoder"])
     def test_every_ablation_variant_trains(self, ablation):
@@ -483,18 +478,20 @@ class TestStepMemory:
 
 
 class TestOpsPerStep:
-    # Autodiff ops recorded by one training step (the bench reports it as
+    # Autodiff ops dispatched by one training step (the bench reports it as
     # tensor.ops_per_step), one of the two numbers the roadmap tracks for
-    # design quality.  A change to these counts must be deliberate and
-    # recorded in CHANGES.md with its reason.
-    @pytest.mark.parametrize("sensors, knobs, batch, ops", [
-        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 104),
-        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 220),
+    # design quality, and how many of them record a creator on the tape; the
+    # rest act on constants only.  A change to these counts must be
+    # deliberate and recorded in CHANGES.md with its reason.
+    @pytest.mark.parametrize("sensors, knobs, batch, ops, recorded", [
+        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 104, 96),
+        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 220, 212),
     ], ids=["desk", "paper"])
     def test_training_step_records_exactly(self, rng, recorded_creators, sensors, knobs,
-                                           batch, ops):
+                                           batch, ops, recorded):
         model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0)
         series = RawSeries([f"s{i}" for i in range(sensors)], rng.random((sensors, batch + 5)))
         dataset = make_windows(series, 5)
         backward(_batch_loss(model, dataset, np.arange(batch), 0.2, 0.8))
         assert len(recorded_creators) == ops
+        assert sum(recorded_creators) == recorded
