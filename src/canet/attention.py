@@ -45,26 +45,27 @@ class AttentionParams:
                                w_out=glorot_uniform(rng, (width, width), dtype), heads=heads)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                         heads: int = 1) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis in each of
-    ``heads`` column blocks of q, k and v, as one autodiff op."""
-    return Attention.apply(q, k, v, causal=causal, heads=heads)
+def scaled_dot_attention(sequence: Tensor, params: AttentionParams,
+                         causal: bool = False) -> Tensor:
+    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis in each head, with
+    q, k and v projected from ``sequence``, as one autodiff op that keeps only
+    ``sequence`` and the attention weights for its backward."""
+    return Attention.apply(sequence, sequence, sequence, params.w_query, params.w_key,
+                           params.w_value, causal=causal, heads=params.heads)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
                          rows: Optional[int] = None) -> Tensor:
-    """Attend in every head at once: the attention op splits q, k and v
-    into heads and lays the heads' outputs side by side again before the
-    output projection.
+    """Attend in every head at once: the attention op projects q, k and v,
+    splits them into heads and lays the heads' outputs side by side again
+    before the output projection.
 
     With ``rows`` set, only the last ``rows`` positions are projected, in
     one GEMM over all of them (see :func:`canet.tensor.row_matmul`), and
     returned.  The queries are not cut: a one-row matrix stack would send
     numpy's matmul down its vector-matrix path, which sums in another order.
     """
-    q, k, v = (matmul(sequence, w) for w in (params.w_query, params.w_key, params.w_value))
-    attended = scaled_dot_attention(q, k, v, causal=causal, heads=params.heads)
+    attended = scaled_dot_attention(sequence, params, causal=causal)
     *lead, seq, width = sequence.shape
     if rows is None or rows == seq:
         return matmul(attended, params.w_out)

@@ -19,6 +19,7 @@ from canet.data import (DataError, downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv, NormStats, RawSeries)
 from canet.detection import evaluate, write_report_json, write_scores_csv
 from canet.graph import write_embeddings_csv
+from canet.model import window_threads
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
 
@@ -192,6 +193,7 @@ def _load_windows(path, window: int, downsample: int, stats: "NormStats | None" 
 
 def cmd_train(args) -> int:
     cfg = resolve_train_config(args)
+    window_threads()        # a bad CAN_THREADS is a config error, raised before --out exists
     dataset, stats = _load_windows(args.data, cfg.window, cfg.downsample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

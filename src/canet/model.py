@@ -215,7 +215,7 @@ class CanModel:
 
     def _lift(self, columns: Tensor, seq_len: int) -> Tensor:
         """Project scalar slots to model width and add position rows."""
-        return self.input(columns) + self.positions[:seq_len]
+        return self.input(columns) + self.positions.data[:seq_len]
 
 
 def _named_tensors(node, prefix: str):
@@ -261,12 +261,11 @@ def encoder_forward(x, model: CanModel) -> List[Tensor]:
     time slot; each layer's embedding is its state at that slot, and the
     last layer computes only that slot.
     """
-    x = model._as_input(x)
+    x = model._as_input(x).data            # a constant: the slots are built off the tape
     lead = x.shape[:-2]
     n, k = x.shape[-2], x.shape[-1]
-    expanded = x.reshape(x.shape + (1,))
-    placeholder = Tensor(np.zeros(lead + (n, 1, 1), dtype=x.dtype))
-    h = model._lift(concat([expanded, placeholder], axis=-2), k + 1)
+    placeholder = np.zeros(lead + (n, 1, 1), dtype=x.dtype)
+    h = model._lift(Tensor(np.concatenate([x[..., None], placeholder], axis=-2)), k + 1)
 
     needs_graph = any(layer.dense is None for layer in model.encoder)
     graph = build_sensor_graph(model.embedding, model.config.neighbor_k) if needs_graph else None
@@ -324,19 +323,15 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
     else:
         squeezed = [bottleneck_ae(e, model.bottleneck) for e in embeddings]
 
-    zero_slot = Tensor(np.zeros(lead + (n, 1, 1), dtype=x.dtype))
-    pre_seed = model._lift(zero_slot, 1)
+    zero_slot = np.zeros(lead + (n, 1, 1), dtype=x.dtype)
+    pre_seed = model._lift(Tensor(zero_slot), 1)
     pre_out = decoder_forward(pre_seed, squeezed, model.pre_decoder, crop_len=1)
     y_pred = model.pred_head(pre_out).reshape(lead + (n,))
 
     y_rec = None
     if reconstruct and model.rec_decoder is not None:
-        if k > 1:
-            history = x[..., : k - 1].reshape(lead + (n, k - 1, 1))
-            rec_cols = concat([zero_slot, history], axis=-2)
-        else:
-            rec_cols = zero_slot
-        rec_seed = model._lift(rec_cols, k)
+        history = x.data[..., : k - 1, None]
+        rec_seed = model._lift(Tensor(np.concatenate([zero_slot, history], axis=-2)), k)
         rec_out = decoder_forward(rec_seed, squeezed, model.rec_decoder, crop_len=k)
         y_rec = model.rec_head(rec_out).reshape(lead + (n, k))
 
@@ -357,8 +352,8 @@ def micro_batch_size(model: CanModel) -> int:
     most ``max(1, inference_batch_size // layers)``.  It depends on the model
     only, never on the thread count.
 
-    Every layer records its own tape, 21-27 activation-sized arrays per
-    window (16 paper-width windows record 13.3 MB at 1 layer and 45.5 MB at
+    Every layer records its own tape, 14-16 activation-sized arrays per
+    window (16 paper-width windows record 8.8 MB at 1 layer and 30.4 MB at
     3), so the size is divided by depth to bound a micro-batch's tape."""
     windows = max(1, inference_batch_size(model) // model.config.layers)
     return 1 << (windows.bit_length() - 1)

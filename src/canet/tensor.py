@@ -249,13 +249,19 @@ class MatMul(Function):
         (sa, sb), (need_a, need_b) = self.shapes, self.needs
         a, b = self.a, self.b
         if len(sb) == 2:
-            # a weight: fold every leading axis into one GEMM per gradient
-            k, n = sb
-            flat = grad.reshape(-1, n)
-            return ((flat @ b.T).reshape(sa) if need_a else None,
-                    a.reshape(-1, k).T @ flat if need_b else None)
+            return _weight_grads(grad, a, b, sa)
         return (_unbroadcast(grad @ np.swapaxes(b, -1, -2), sa) if need_a else None,
                 _unbroadcast(np.swapaxes(a, -1, -2) @ grad, sb) if need_b else None)
+
+
+def _weight_grads(grad: np.ndarray, a, b, shape_a: tuple) -> tuple:
+    """The gradients of ``a`` and of ``b`` in ``a @ b`` for a 2-D ``b`` (a
+    weight), every leading axis folded into one GEMM per gradient.  Pass
+    None for an operand whose partner needs no gradient: ``a`` is read only
+    by ``b``'s gradient and ``b`` by ``a``'s; that gradient comes back None."""
+    flat = grad.reshape(-1, grad.shape[-1])
+    return ((flat @ b.T).reshape(shape_a) if b is not None else None,
+            a.reshape(-1, shape_a[-1]).T @ flat if a is not None else None)
 
 
 class Transpose(Function):
@@ -371,63 +377,82 @@ class Softmax(Function):
 
 class Attention(Function):
     """Scaled dot-product attention ``softmax(q kᵀ s) v`` with
-    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) in every head, as one node;
-    with ``causal`` each position attends only to itself and earlier ones.
+    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) in every head, of the
+    projections ``q = x_q @ w_q``, ``k = x_k @ w_k`` and ``v = x_v @ w_v``
+    (2-D weights), as one node; with ``causal`` each position attends only
+    to itself and earlier ones.
 
     q, k and v come in the model's ``(..., seq, heads·d)`` layout, q and k
     of one shape and v differing from them only in width; head ``i`` reads
     column block ``i`` of each.  The heads run on ``(..., heads, seq, d)``
     views, and each head product is written into a fresh array of the
-    merged layout.  The arithmetic and its order are the composed ops' (scale
-    q, multiply by kᵀ, add ``-inf`` above the diagonal when causal, softmax,
-    multiply by v), so outputs keep their bytes.  The backward is the closed
-    form: with the upstream gradient ``g`` and the saved ``p`` and ``q s``,
-    ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
-    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``.
+    merged layout.  The arithmetic and its order are the composed ops'
+    (project, scale q, multiply by kᵀ, add ``-inf`` above the diagonal when
+    causal, softmax, multiply by v), so outputs keep their bytes.  Only the
+    inputs and ``p`` are saved; backward recomputes q, k and v (Chen et al.,
+    2016: compute traded for activation memory) and takes the closed form:
+    with the upstream gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
+    summed over the key axis, then ``gq = (ds k) s``, ``gk = dsᵀ (q s)``
+    and ``gv = pᵀ g``, each passed back through its projection.
     """
 
-    def forward(self, q, k, v, causal=False, heads=1):
-        if (q.ndim < 2 or q.shape != k.shape or q.shape[:-1] != v.shape[:-1]
+    def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, causal=False, heads=1):
+        for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v)):
+            if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+                raise ShapeError(f"attention projections do not fit: {x.shape} @ {w.shape}")
+        q, k, v = x_q @ w_q, x_k @ w_k, x_v @ w_v
+        if (q.shape != k.shape or q.shape[:-1] != v.shape[:-1]
                 or q.shape[-1] % heads or v.shape[-1] % heads):
             raise ShapeError(f"attention operands do not fit (heads={heads}): "
                              f"q {q.shape}, k {k.shape}, v {v.shape}")
         self.heads = heads
         q, k, v = (_split_heads(a, heads) for a in (q, k, v))
         self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-        qs = q * self.scale
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
-        scores = qs @ np.swapaxes(k, -1, -2).copy()
+        scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
         if causal:
             # x + 0 keeps the value of x, x + -inf is -inf
             scores += np.triu(np.full(scores.shape[-2:], -np.inf, scores.dtype), 1)
         scores -= _reduce_keys(np.maximum, scores)
         np.exp(scores, out=scores)
         scores /= _reduce_keys(np.add, scores)
-        need_q, need_k, _ = self.needs
-        # ds (read by gq and gk) needs v; gq reads k and gk reads q s
-        self.qs = qs if need_k else None
-        self.k = k if need_q else None
-        self.v = v if need_q or need_k else None
+        n = self.needs
+        need_q, need_k, _ = self.projected = tuple(n[i] or n[i + 3] for i in range(3))
+        # ds (read by gq and gk) recomputes v; gq recomputes k and gk q; each
+        # input's gradient reads its weight, each weight's its input
+        keep = (need_k or n[3], need_q or n[4], need_q or need_k or n[5],
+                need_k or n[0], need_q or n[1], need_q or need_k or n[2])
+        self.saved = tuple(a if kept else None
+                           for a, kept in zip((x_q, x_k, x_v, w_q, w_k, w_v), keep))
+        self.shapes = (x_q.shape, x_k.shape, x_v.shape)
         self.p = scores
         return _merged_product(scores, v, heads)
 
     def backward(self, grad):
-        need_q, need_k, need_v = self.needs
-        grad = _split_heads(grad, self.heads)
+        x_q, x_k, x_v, w_q, w_k, w_v = self.saved
+        need_q, need_k, need_v = self.projected
+        heads, n = self.heads, self.needs
+        grad = _split_heads(grad, heads)
         gq = gk = gv = None
         if need_q or need_k:
-            ds = grad @ np.swapaxes(self.v, -1, -2).copy()
+            v = _split_heads(x_v @ w_v, heads)
+            ds = grad @ np.swapaxes(v, -1, -2).copy()
             ds -= _reduce_keys(np.add, ds * self.p)
             ds *= self.p
             if need_q:
-                gq = _merged_product(ds, self.k, self.heads)
+                gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
                 gq *= self.scale
             if need_k:
-                gk = _merged_product(np.swapaxes(ds, -1, -2), self.qs, self.heads)
+                qs = _split_heads(x_q @ w_q, heads) * self.scale
+                gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
         if need_v:
-            gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, self.heads)
-        return gq, gk, gv
+            gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, heads)
+        grads = [(None, None) if g is None else
+                 _weight_grads(g, x if n[i + 3] else None, w if n[i] else None, shape)
+                 for i, (g, x, w, shape) in enumerate(zip(
+                     (gq, gk, gv), (x_q, x_k, x_v), (w_q, w_k, w_v), self.shapes))]
+        return tuple(g for g, _ in grads) + tuple(g for _, g in grads)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:

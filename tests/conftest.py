@@ -177,10 +177,19 @@ def future_bias(scores: Tensor) -> Tensor:
     return Tensor(np.where(causal_mask(scores.shape[-1]), -np.inf, 0).astype(scores.dtype))
 
 
+def qkv_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+                  heads: int = 1) -> Tensor:
+    """``Attention`` of ``q``, ``k`` and ``v`` themselves: each is projected
+    through a constant identity matrix, a GEMM that keeps every byte of the
+    operand and of its gradient."""
+    eyes = [Tensor(np.eye(t.shape[-1], dtype=t.dtype)) for t in (q, k, v)]
+    return Attention.apply(q, k, v, *eyes, causal=causal, heads=heads)
+
+
 def per_head_attention(q, k, v, upstream, heads: int, causal: bool = False):
     """Oracle for ``Attention``'s head split: the reshape/transpose chain that
-    multi-head attention once recorded around the one-head op, as the numpy
-    views and copies those ops made.
+    multi-head attention once recorded around the one-head op (here over
+    identity projections), as the numpy views and copies those ops made.
 
     ``q``, ``k``, ``v`` and ``upstream``, the gradient of the output, are
     ``(..., seq, heads·d)`` arrays.  Returns the output and the gradients of
@@ -193,9 +202,11 @@ def per_head_attention(q, k, v, upstream, heads: int, causal: bool = False):
         a = np.swapaxes(a, -2, -3)
         return a.reshape(a.shape[:-2] + (-1,))
 
-    op = Attention((True, True, True))
-    out = op.forward(split(q), split(k), split(v), causal=causal)
-    return merge(out), [merge(g) for g in op.backward(split(upstream))]
+    q, k, v = (split(a) for a in (q, k, v))
+    eyes = [np.eye(a.shape[-1], dtype=a.dtype) for a in (q, k, v)]
+    op = Attention((True,) * 3 + (False,) * 3)
+    out = op.forward(q, k, v, *eyes, causal=causal)
+    return merge(out), [merge(g) for g in op.backward(split(upstream))[:3]]
 
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:

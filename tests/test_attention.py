@@ -5,7 +5,7 @@ from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_attention,
                              sinusoid_table)
 from canet.model import _named_tensors
-from conftest import assert_grads_match, causal_mask, future_bias, total
+from conftest import assert_grads_match, causal_mask, future_bias, qkv_attention, total
 
 
 def identity_params(width: int, heads: int = 1) -> AttentionParams:
@@ -37,7 +37,8 @@ class TestProjectQkv:
         seq = Tensor(rng.standard_normal((5, 4)))
         out = multi_head_attention(seq, identity_params(4, heads=2))
         blocks = [Tensor(seq.data[:, :2]), Tensor(seq.data[:, 2:])]
-        expected = np.concatenate([scaled_dot_attention(b, b, b).data for b in blocks], axis=-1)
+        expected = np.concatenate([scaled_dot_attention(b, identity_params(2)).data
+                                   for b in blocks], axis=-1)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_zero_input(self, rng):
@@ -64,14 +65,14 @@ class TestScaledDotAttention:
         v = Tensor(rng.standard_normal((1, 4)))
         q = Tensor(rng.standard_normal((1, 2)))
         k = Tensor(rng.standard_normal((1, 2)))
-        out = scaled_dot_attention(q, k, v)
+        out = qkv_attention(q, k, v)
         np.testing.assert_allclose(out.data, v.data, rtol=1e-6)
 
     def test_identical_keys_average_values(self, rng):
         q = Tensor(rng.standard_normal((4, 3)))
         k = Tensor(np.tile(rng.standard_normal((1, 3)), (4, 1)))
         v = Tensor(rng.standard_normal((4, 5)))
-        out = scaled_dot_attention(q, k, v)
+        out = qkv_attention(q, k, v)
         expected = np.tile(v.data.mean(axis=0, keepdims=True), (4, 1))
         np.testing.assert_allclose(out.data, expected, rtol=1e-5)
 
@@ -79,33 +80,33 @@ class TestScaledDotAttention:
         q = Tensor(rng.standard_normal((5, 3)))
         k = Tensor(rng.standard_normal((5, 3)))
         v = Tensor(rng.standard_normal((5, 4)))
-        out = scaled_dot_attention(q, k, v, causal=True)
+        out = qkv_attention(q, k, v, causal=True)
         np.testing.assert_allclose(out.data[0], v.data[0], rtol=1e-6)
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                                 Tensor(np.zeros((2, 4))))
+            qkv_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
+                          Tensor(np.zeros((2, 4))))
 
     def test_key_and_value_lengths_differ(self):
         with pytest.raises(ShapeError):
-            scaled_dot_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))),
-                                 Tensor(np.zeros((4, 2))))
+            qkv_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))),
+                          Tensor(np.zeros((4, 2))))
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_batch_axes_do_not_broadcast(self, causal):
         with pytest.raises(ShapeError):
-            scaled_dot_attention(*(Tensor(np.zeros((n, 4, 3))) for n in (2, 3, 2)),
-                                 causal=causal)
+            qkv_attention(*(Tensor(np.zeros((n, 4, 3))) for n in (2, 3, 2)), causal=causal)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_records_one_op_and_none_without_tape(self, rng, recorded_creators, causal):
-        q, k, v = (Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True) for _ in range(3))
-        scaled_dot_attention(q, k, v, causal=causal)
+        seq = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+        params = AttentionParams.create(6, 2, rng)
+        scaled_dot_attention(seq, params, causal=causal)
         assert recorded_creators == [True]
         recorded_creators.clear()
         with no_grad():
-            scaled_dot_attention(q, k, v, causal=causal)
+            scaled_dot_attention(seq, params, causal=causal)
         assert recorded_creators == [False]
 
 
@@ -113,7 +114,7 @@ class TestMultiHead:
     def test_single_head_identity_reduces_to_attention(self, rng):
         seq = Tensor(rng.standard_normal((6, 4)))
         out = multi_head_attention(seq, identity_params(4))
-        direct = scaled_dot_attention(seq, seq, seq)
+        direct = qkv_attention(seq, seq, seq)
         np.testing.assert_allclose(out.data, direct.data, rtol=1e-6)
 
     def test_zero_output_projection(self, rng):
@@ -140,18 +141,19 @@ class TestMultiHead:
                                    rtol=0, atol=1e-13)
 
     def test_op_count_does_not_depend_on_heads(self, rng, recorded_creators):
-        # three projections, the attention op and the output projection; with
-        # rows < seq, a slice and the reshapes around the output GEMM on top
+        # the attention op, which projects q, k and v itself, and the output
+        # projection; with rows < seq, a slice and the reshapes around the
+        # output GEMM on top
         seq = Tensor(rng.standard_normal((2, 5, 16)), requires_grad=True)
         for heads in (1, 2, 8):
             params = AttentionParams.create(16, heads, rng)
             for causal in (False, True):
                 recorded_creators.clear()
                 multi_head_attention(seq, params, causal=causal)
-                assert recorded_creators == [True] * 5
+                assert recorded_creators == [True] * 2
                 recorded_creators.clear()
                 multi_head_attention(seq, params, causal=causal, rows=2)
-                assert recorded_creators == [True] * 8
+                assert recorded_creators == [True] * 5
 
     def test_seeded_init_draws_the_per_head_blocks_in_order(self):
         params = AttentionParams.create(8, 4, np.random.default_rng(5))

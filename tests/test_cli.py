@@ -568,6 +568,15 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(*checkpoint) == 2
         assert "CAN_THREADS" in capsys.readouterr().err
 
+    def test_bad_thread_env_var_leaves_no_train_output(self, checkpoint, monkeypatch,
+                                                       tmp_path, capsys):
+        base, _ = checkpoint
+        monkeypatch.setenv("CAN_THREADS", "abc")
+        out = tmp_path / "run"
+        assert run(*train_args(base / "train.csv", out, max_epochs=1)) == 2
+        assert "CAN_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
     @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
     def test_bad_header_exits_3(self, checkpoint, tmp_path, command, edit):

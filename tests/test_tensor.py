@@ -11,7 +11,8 @@ from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, lay
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
 from canet.tensor import (Attention, Mul, _reduce_keepdims, _reduce_keys, _unbroadcast,
                           row_matmul)
-from conftest import assert_grads_match, future_bias, param64, per_head_attention, total
+from conftest import (assert_grads_match, future_bias, param64, per_head_attention,
+                      qkv_attention, total)
 
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
@@ -246,7 +247,7 @@ class TestAttention:
         q, k = (param64(rng, (*batch, 4, 3)) for _ in range(2))
         v = param64(rng, (*batch, 4, 2))
         weights = Tensor(rng.standard_normal((*batch, 4, 2)))
-        assert_grads_match(lambda: total(Attention.apply(q, k, v, causal=causal) * weights),
+        assert_grads_match(lambda: total(qkv_attention(q, k, v, causal=causal) * weights),
                            [q, k, v])
 
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -257,7 +258,7 @@ class TestAttention:
         arrays = split.transpose(0, 1, 2, 4, 3, 5)
         upstream = Tensor(rng.standard_normal((4, 5, 2, d, 6)).astype(np.float32))
         results = []
-        for attend in (Attention.apply, composed_attention):
+        for attend in (qkv_attention, composed_attention):
             operands = [Tensor(a, requires_grad=True) for a in arrays]
             out = attend(*operands, causal=causal)
             # the transpose hands the op a non-contiguous upstream gradient
@@ -268,13 +269,53 @@ class TestAttention:
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_projections_bit_identical_to_matmuls_and_composition(self, rng, dtype, causal):
+        # x feeds the three projections and a residual Add, as in the model, so
+        # its gradient sums four parts, in the order the composed ops add them
+        x0 = rng.standard_normal((3, 5, 6, 8)).astype(dtype)
+        w0 = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(3)]
+        upstream = Tensor(rng.standard_normal((3, 5, 6, 8)).astype(dtype))
+        results = []
+        for fused in (True, False):
+            x = Tensor(x0.copy(), requires_grad=True)
+            ws = [Tensor(w.copy(), requires_grad=True) for w in w0]
+            if fused:
+                out = Attention.apply(x, x, x, *ws, causal=causal)
+            else:
+                out = composed_attention(*(matmul(x, w) for w in ws), causal=causal)
+            grads = backward(total((x + out) * upstream))
+            results.append([out.data] + [grads[t] for t in (x, *ws)])
+        fused, composed = results
+        assert fused[0].dtype == dtype
+        for a, b in zip(fused, composed):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_projection_gradients_match_finite_differences(self, rng, causal):
+        x, y = param64(rng, (2, 3, 4, 6)), param64(rng, (2, 3, 4, 5))
+        w_q, w_k, w_v = param64(rng, (6, 4)), param64(rng, (6, 4)), param64(rng, (5, 6))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
+        assert_grads_match(
+            lambda: total(Attention.apply(x, x, y, w_q, w_k, w_v, causal=causal, heads=2)
+                          * weights), [x, y, w_q, w_k, w_v])
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((4, 3), (4, 3)), ((3,), (3, 3)), ((4, 3), (3, 3, 1))],
+        ids=["inner-differs", "unbatched-input", "weight-not-2d"])
+    def test_projections_that_do_not_fit_rejected(self, x_shape, w_shape):
+        x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
+        with pytest.raises(ShapeError, match="do not fit"):
+            Attention.apply(x, x, x, w, w, w)
+
     @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("causal", [False, True])
     def test_head_split_bit_identical_to_reshape_chain(self, rng, heads, causal):
         q, k, v, upstream = (rng.standard_normal((3, 5, 6, 12)).astype(np.float32)
                              for _ in range(4))
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = Attention.apply(*operands, causal=causal, heads=heads)
+        out = qkv_attention(*operands, causal=causal, heads=heads)
         got = backward(total(out * Tensor(upstream)))
         expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
@@ -291,7 +332,7 @@ class TestAttention:
         q, k, v, upstream = (rng.standard_normal((*lead, seq, heads * 4)).astype(np.float32)
                              for _ in range(4))
         operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = Attention.apply(*operands, causal=causal, heads=heads)
+        out = qkv_attention(*operands, causal=causal, heads=heads)
         got = backward(total(out * Tensor(upstream)))
         expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
         assert out.data.dtype == np.float32
@@ -308,22 +349,24 @@ class TestAttention:
     def test_results_are_fresh_contiguous_arrays(self, rng, heads, layout, drawn):
         q, k = (rng.standard_normal((2, 3, 6, 32)).astype(np.float32) for _ in range(2))
         v = rng.standard_normal((2, 3, 6, 16)).astype(np.float32)
+        weights = [rng.standard_normal((n, n)).astype(np.float32) for n in (32, 32, 16)]
+        operands = (q, k, v, *weights)
         upstream = layout(rng.standard_normal(drawn).astype(np.float32))
         assert upstream.shape == v.shape
-        op = Attention((True, True, True))
-        out = op.forward(q, k, v, causal=True, heads=heads)
+        op = Attention((True,) * 6)
+        out = op.forward(*operands, causal=True, heads=heads)
         grads = op.backward(upstream)
         results = [out, *grads]
-        for result, operand in zip(results, (v, q, k, v)):
+        for result, operand in zip(results, (v, *operands)):
             assert result.shape == operand.shape and result.dtype == np.float32
             assert result.flags.c_contiguous
-            for other in (q, k, v, upstream):
+            for other in (*operands, upstream):
                 assert not np.shares_memory(result, other)
         for a, b in itertools.combinations(results, 2):
             assert not np.shares_memory(a, b)
         # the upstream gradient's layout does not change a byte
-        reference = Attention((True, True, True))
-        reference.forward(q, k, v, causal=True, heads=heads)
+        reference = Attention((True,) * 6)
+        reference.forward(*operands, causal=True, heads=heads)
         for got, want in zip(grads, reference.backward(np.ascontiguousarray(upstream))):
             assert got.tobytes() == want.tobytes()
 
@@ -333,11 +376,11 @@ class TestAttention:
         v = param64(rng, (2, 3, 4, 4))
         weights = Tensor(rng.standard_normal((2, 3, 4, 4)))
         assert_grads_match(
-            lambda: total(Attention.apply(q, k, v, causal=causal, heads=2) * weights), [q, k, v])
+            lambda: total(qkv_attention(q, k, v, causal=causal, heads=2) * weights), [q, k, v])
 
     def test_width_not_split_by_heads_rejected(self):
         with pytest.raises(ShapeError, match="heads"):
-            Attention.apply(*(Tensor(np.zeros((3, 6))) for _ in range(3)), heads=4)
+            qkv_attention(*(Tensor(np.zeros((3, 6))) for _ in range(3)), heads=4)
 
     # batch shapes that numpy would broadcast: the op takes one batch shape only
     @pytest.mark.parametrize("shapes", [
@@ -348,7 +391,7 @@ class TestAttention:
     @pytest.mark.parametrize("causal", [False, True])
     def test_operands_of_different_batch_shapes_rejected(self, shapes, causal):
         with pytest.raises(ShapeError, match="do not fit"):
-            Attention.apply(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
+            qkv_attention(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
 
 
 class TestActivations:
@@ -525,8 +568,8 @@ class TestTape:
         ("mul", [(2, 3, 4), (3, 4)], lambda a, b: a * b),
         ("matmul-weight", [(2, 3, 4), (4, 5)], matmul),
         ("matmul-batched", [(2, 3, 4), (2, 4, 5)], matmul),
-        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 2)],
-         lambda q, k, v: Attention.apply(q, k, v, causal=True)),
+        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2)],
+         lambda *operands: Attention.apply(*operands, causal=True, heads=2)),
         ("layer-norm", [(2, 3, 4), (4,), (4,)], layer_norm),
         ("concat", [(2, 3, 4), (2, 1, 4)], lambda a, b: concat([a, b], axis=-2)),
     ]
