@@ -304,13 +304,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:    # DataError and CheckpointError among them
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

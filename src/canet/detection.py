@@ -163,11 +163,10 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray) -> DetectionRep
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
         f1 = np.where(precision + recall > 0,
                       2 * precision * recall / (precision + recall), 0.0)
-    best_threshold = candidates[np.flatnonzero(f1 == f1.max())[-1]]
-
-    best = confusion_metrics(point_adjust(values > best_threshold, truth), truth)
-    best.threshold = float(best_threshold)
-    return best
+    i = np.flatnonzero(f1 == f1.max())[-1]
+    return DetectionReport(threshold=float(candidates[i]), precision=float(precision[i]),
+                           recall=float(recall[i]), f1=float(f1[i]),
+                           tp=int(tp[i]), fp=int(fp[i]), fn=int(fn[i]))
 
 
 def predict_series(model: CanModel, dataset: WindowedDataset,

@@ -130,7 +130,6 @@ class DecoderLayerParams:
 class ForwardOutput:
     y_pred: Tensor                     # (..., n_sensors)
     y_rec: Optional[Tensor]            # (..., n_sensors, window)
-    embeddings: List[Tensor] = field(default_factory=list)
 
 
 class CanModel:
@@ -188,13 +187,9 @@ class CanModel:
         )
 
     def named_parameters(self):
-        """``(name, tensor)`` for every parameter, in checkpoint and Adam
-        order; a name is the path of fields and list indices to its tensor."""
-        roots = (("embedding", self.embedding), ("input", self.input),
-                 ("encoder", self.encoder), ("bottleneck", self.bottleneck),
-                 ("pre_decoder", self.pre_decoder), ("rec_decoder", self.rec_decoder),
-                 ("pred_head", self.pred_head), ("rec_head", self.rec_head))
-        for prefix, node in roots:
+        """``(name, tensor)`` for every parameter, in checkpoint and Adam order (that of
+        ``__init__``'s assignments); a name is its path of attributes, fields and indices."""
+        for prefix, node in vars(self).items():
             yield from _named_tensors(node, prefix)
 
     def parameters(self) -> List[Tensor]:
@@ -318,10 +313,8 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
     n, k = x.shape[-2], x.shape[-1]
 
     embeddings = encoder_forward(x, model)
-    if model.bottleneck is None:
-        squeezed = list(embeddings)
-    else:
-        squeezed = [bottleneck_ae(e, model.bottleneck) for e in embeddings]
+    squeezed = embeddings if model.bottleneck is None else [
+        bottleneck_ae(e, model.bottleneck) for e in embeddings]
 
     zero_slot = np.zeros(lead + (n, 1, 1), dtype=x.dtype)
     pre_seed = model._lift(Tensor(zero_slot), 1)
@@ -335,7 +328,7 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
         rec_out = decoder_forward(rec_seed, squeezed, model.rec_decoder, crop_len=k)
         y_rec = model.rec_head(rec_out).reshape(lead + (n, k))
 
-    return ForwardOutput(y_pred=y_pred, y_rec=y_rec, embeddings=embeddings)
+    return ForwardOutput(y_pred=y_pred, y_rec=y_rec)
 
 
 def inference_batch_size(model: CanModel) -> int:

@@ -140,12 +140,14 @@ class no_grad:
 class Function:
     """One differentiable operation; saves only what its backward reads.
 
-    ``needs[i]`` tells whether input ``i`` needs a gradient.  Forward saves
-    no array that only the other inputs' gradients would read, and backward
-    returns None in their place.  A recorded op's ``parents`` hold, per
-    input, the input's creator, the input itself when it is a leaf, or None
-    when it needs no gradient, so an op output that no backward reads dies
-    with its last Python reference.
+    ``needs[i]`` tells whether input ``i`` needs a gradient.  ``Add``,
+    ``Sub``, ``Mul`` and ``MatMul``, the ops that meet constants in the
+    model, save no array read only by the gradient of an input that needs
+    none and return None for that input; the others save all and return
+    every gradient, which :func:`backward` drops where the parent is None.
+    A recorded op's ``parents`` hold, per input, the input's creator, the
+    input itself when it is a leaf, or None when it needs no gradient, so an
+    op output that no backward reads dies with its last Python reference.
     """
 
     parents = None      # None until recorded, and again once backward consumed the op
@@ -417,41 +419,24 @@ class Attention(Function):
         scores -= _reduce_keys(np.maximum, scores)
         np.exp(scores, out=scores)
         scores /= _reduce_keys(np.add, scores)
-        n = self.needs
-        need_q, need_k, _ = self.projected = tuple(n[i] or n[i + 3] for i in range(3))
-        # ds (read by gq and gk) recomputes v; gq recomputes k and gk q; each
-        # input's gradient reads its weight, each weight's its input
-        keep = (need_k or n[3], need_q or n[4], need_q or need_k or n[5],
-                need_k or n[0], need_q or n[1], need_q or need_k or n[2])
-        self.saved = tuple(a if kept else None
-                           for a, kept in zip((x_q, x_k, x_v, w_q, w_k, w_v), keep))
-        self.shapes = (x_q.shape, x_k.shape, x_v.shape)
+        self.saved = (x_q, x_k, x_v, w_q, w_k, w_v)
         self.p = scores
         return _merged_product(scores, v, heads)
 
     def backward(self, grad):
         x_q, x_k, x_v, w_q, w_k, w_v = self.saved
-        need_q, need_k, need_v = self.projected
-        heads, n = self.heads, self.needs
+        heads = self.heads
         grad = _split_heads(grad, heads)
-        gq = gk = gv = None
-        if need_q or need_k:
-            v = _split_heads(x_v @ w_v, heads)
-            ds = grad @ np.swapaxes(v, -1, -2).copy()
-            ds -= _reduce_keys(np.add, ds * self.p)
-            ds *= self.p
-            if need_q:
-                gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
-                gq *= self.scale
-            if need_k:
-                qs = _split_heads(x_q @ w_q, heads) * self.scale
-                gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
-        if need_v:
-            gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, heads)
-        grads = [(None, None) if g is None else
-                 _weight_grads(g, x if n[i + 3] else None, w if n[i] else None, shape)
-                 for i, (g, x, w, shape) in enumerate(zip(
-                     (gq, gk, gv), (x_q, x_k, x_v), (w_q, w_k, w_v), self.shapes))]
+        ds = grad @ np.swapaxes(_split_heads(x_v @ w_v, heads), -1, -2).copy()
+        ds -= _reduce_keys(np.add, ds * self.p)
+        ds *= self.p
+        gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
+        gq *= self.scale
+        qs = _split_heads(x_q @ w_q, heads) * self.scale
+        gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
+        gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, heads)
+        grads = [_weight_grads(g, x, w, x.shape)
+                 for g, x, w in zip((gq, gk, gv), (x_q, x_k, x_v), (w_q, w_k, w_v))]
         return tuple(g for g, _ in grads) + tuple(g for _, g in grads)
 
 
@@ -497,23 +482,17 @@ class LayerNorm(Function):
         centered = x - _mean(x, -1, True)
         inv = (_mean(centered * centered, -1, True) + eps) ** -0.5
         normed = centered * inv
-        need_x, need_gain, _ = self.needs
         self.shapes = (x.shape, gain.shape, bias.shape)
-        # x's gradient reads inv, normed and gain; gain's reads normed
-        self.inv, self.gain = (inv, gain) if need_x else (None, None)
-        self.normed = normed if need_x or need_gain else None
+        self.inv, self.normed, self.gain = inv, normed, gain
         return normed * gain + bias
 
     def backward(self, grad):
-        (sx, sg, sb), (need_x, need_gain, need_bias) = self.shapes, self.needs
-        gx = None
-        if need_x:
-            g = grad * self.gain
-            gx = self.inv * (g - _mean(g, -1, True)
-                             - self.normed * _mean(g * self.normed, -1, True))
-            gx = _unbroadcast(gx, sx)
-        return (gx, _unbroadcast(grad * self.normed, sg) if need_gain else None,
-                _unbroadcast(grad, sb) if need_bias else None)
+        sx, sg, sb = self.shapes
+        g = grad * self.gain
+        gx = self.inv * (g - _mean(g, -1, True)
+                         - self.normed * _mean(g * self.normed, -1, True))
+        return (_unbroadcast(gx, sx), _unbroadcast(grad * self.normed, sg),
+                _unbroadcast(grad, sb))
 
 
 class RowNormalize(Function):

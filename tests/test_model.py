@@ -226,10 +226,11 @@ class TestDecoder:
 class TestCanForward:
     def test_output_shapes(self, rng):
         model = CanModel(small_config(n_sensors=4, window=5), seed=0)
-        out = can_forward(rng.standard_normal((4, 5)), model)
+        x = rng.standard_normal((4, 5))
+        out = can_forward(x, model)
         assert out.y_pred.shape == (4,)
         assert out.y_rec.shape == (4, 5)
-        assert len(out.embeddings) == model.config.layers
+        assert len(encoder_forward(x, model)) == model.config.layers
 
     def test_batched_matches_single(self, rng):
         model = CanModel(small_config(), seed=9)
@@ -375,6 +376,28 @@ class TestEveryOpIsReachable:
         assert applied == set(canet.tensor.Function.__subclasses__())
 
 
+class TestFusedOpsGetNoConstant:
+    @pytest.mark.parametrize("retain", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_training_step_needs_every_gradient(self, monkeypatch, rng, ablation, retain):
+        # Attention and LayerNorm save and compute the gradient of every input;
+        # a constant fed into either would make that work a waste
+        needs = {canet.tensor.Attention: [], canet.tensor.LayerNorm: []}
+        init = canet.tensor.Function.__init__
+
+        def recorded(op, op_needs):
+            if type(op) in needs:
+                needs[type(op)].append(op_needs)
+            init(op, op_needs)
+
+        monkeypatch.setattr(canet.tensor.Function, "__init__", recorded)
+        dataset = make_windows(RawSeries(list("abcd"), rng.random((4, 12))), 4)
+        model = CanModel(small_config(n_sensors=4, ablation=ablation, retain=retain), seed=0)
+        backward(_batch_loss(model, dataset, np.arange(6), 0.5, 0.5))
+        for cls, seen in needs.items():
+            assert seen and all(all(n) for n in seen), cls.__name__
+
+
 class TestCroppedLastLayers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_matches_full_slot_oracle_bytes(self, rng, dtype):
@@ -387,9 +410,10 @@ class TestCroppedLastLayers:
             model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation),
                              seed=0, dtype=dtype)
             out = can_forward(x.astype(dtype), model)
+            encoded = encoder_forward(x.astype(dtype), model)
             y_pred, y_rec, embeddings = full_slot_forward(x, model)
             assert out.y_pred.data.tobytes() == y_pred.tobytes()
             assert (out.y_rec is None) == (y_rec is None)
             if y_rec is not None:
                 assert out.y_rec.data.tobytes() == y_rec.tobytes()
-            assert [e.data.tobytes() for e in out.embeddings] == [e.tobytes() for e in embeddings]
+            assert [e.data.tobytes() for e in encoded] == [e.tobytes() for e in embeddings]
