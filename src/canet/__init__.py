@@ -19,9 +19,8 @@ from canet.synth import AnomalySegment, SynthResult, synth_generate
 from canet.train import (ConfigError, DivergenceError, EarlyStopper,
                          TrainConfig, TrainLog, joint_loss, prediction_loss,
                          reconstruction_loss, train)
-from canet.detection import (DetectionReport, ScoreSeries, anomaly_scores,
-                             confusion_metrics, evaluate, normalize_errors,
-                             point_adjust, prediction_errors, predict_series,
-                             threshold_grid_search)
+from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
+                             evaluate, normalize_errors, point_adjust,
+                             prediction_errors, predict_series, threshold_grid_search)
 
 __version__ = "0.1.0"

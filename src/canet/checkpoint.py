@@ -44,9 +44,9 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
 
     Round-trips every parameter bit-exactly; rejects unknown versions,
     truncated files, offsets other than the packed layout ``save_checkpoint``
-    writes, data bytes after the last parameter, and
-    ``extra["sensor_names"]``, when present, unless it is ``n_sensors``
-    distinct strings.
+    writes, data bytes after the last parameter, a NaN or infinite parameter
+    value, and ``extra["sensor_names"]``, when present, unless it is
+    ``n_sensors`` distinct strings.
     """
     try:
         with open(path, "rb") as handle:
@@ -98,6 +98,8 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
         if value.shape != params[name].shape:
             raise CheckpointError(
                 f"parameter {name} has shape {value.shape}, model expects {params[name].shape}")
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"parameter {name} in {path} holds a non-finite value")
         params[name].data = value.astype(np.float32)
     extra = header.get("extra", {})
     names = extra.get("sensor_names")

@@ -23,12 +23,11 @@ REC_FUSE_WEIGHT = 0.1
 
 
 def prediction_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Elementwise absolute deviation."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
-    return np.abs(predicted - actual)
+    """Elementwise absolute deviation, as one new float64 array."""
+    if np.shape(predicted) != np.shape(actual):
+        raise ValueError(f"shape mismatch: {np.shape(predicted)} vs {np.shape(actual)}")
+    errors = np.subtract(predicted, actual, dtype=np.float64)
+    return np.abs(errors, out=errors)
 
 
 def normalize_errors(errors: np.ndarray, calibration: np.ndarray) -> np.ndarray:
@@ -37,34 +36,25 @@ def normalize_errors(errors: np.ndarray, calibration: np.ndarray) -> np.ndarray:
     Quantiles interpolate linearly between order statistics; an IQR below
     the floor is clamped so constant rows stay finite.
     """
-    errors = np.asarray(errors, dtype=np.float64)
     calibration = np.asarray(calibration, dtype=np.float64)
     mu = calibration.mean(axis=1, keepdims=True)
-    q1 = np.quantile(calibration, 0.25, axis=1, keepdims=True)
-    q3 = np.quantile(calibration, 0.75, axis=1, keepdims=True)
-    iqr = np.maximum(q3 - q1, IQR_FLOOR)
-    return (errors - mu) / iqr
+    q1, q3 = np.quantile(calibration, [0.25, 0.75], axis=1, keepdims=True)
+    normalized = np.subtract(errors, mu, dtype=np.float64)
+    return np.divide(normalized, np.maximum(q3 - q1, IQR_FLOOR), out=normalized)
 
 
-@dataclass
-class ScoreSeries:
-    """Per-timestamp anomaly scores plus the sensors that produced them."""
-
-    values: np.ndarray                  # (T,)
-    top_sensors: np.ndarray             # (T, k) sensor indices, ties to lower index
-    k: int
-
-
-def anomaly_scores(normalized: np.ndarray, k: int) -> ScoreSeries:
-    """Sum the k largest normalized deviations per timestamp."""
+def anomaly_scores(normalized: np.ndarray, k: int) -> np.ndarray:
+    """The ``(T,)`` sums of the k largest normalized deviations per timestamp,
+    added largest first; a NaN deviation ranks above every number."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     normalized = np.asarray(normalized, dtype=np.float64)
-    n = normalized.shape[0]
-    keep = min(k, n)
-    order = np.argsort(-normalized, axis=0, kind="stable")[:keep]     # (keep, T)
-    picked = np.take_along_axis(normalized, order, axis=0)
-    return ScoreSeries(values=picked.sum(axis=0), top_sensors=order.T, k=keep)
+    keep = min(k, normalized.shape[0])
+    top = np.sort(np.partition(normalized, -keep, axis=0)[-keep:], axis=0)
+    scores = np.zeros(normalized.shape[1])
+    for row in top[::-1]:       # one row at a time: .sum's order depends on the layout
+        scores += row
+    return scores
 
 
 def point_adjust(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -93,7 +83,6 @@ class DetectionReport:
     tp: int
     fp: int
     fn: int
-    timestamps: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
 
@@ -232,11 +221,13 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         predictions, rec_last = predict_series(model, windows, batch_size, with_reconstruction)
         return prediction_errors(predictions, windows.values[:, windows.window:]), rec_last
 
+    # each stage allocates one (n, T) array; its input goes once it is used
     errors, rec_last = errors_of(dataset, can_plus)
     reference = errors if calibration is None else errors_of(calibration)[0]
     normalized = normalize_errors(errors, reference)
-    scored = anomaly_scores(normalized, score_sensors)
-    score_values = scored.values
+    del errors, reference
+    scores = anomaly_scores(normalized, score_sensors)
+    del normalized
 
     if can_plus:
         # rec_last[:, j] reconstructs column j+k-1; align to the scored
@@ -244,16 +235,18 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         # Reconstruction deviations always self-calibrate: the train-mode
         # calibration stream carries prediction errors, not these.
         rec_errors = prediction_errors(rec_last, dataset.values[:, k - 1:length - 1])
+        del rec_last
         rec_norm = normalize_errors(rec_errors, rec_errors)
-        rec_scores = anomaly_scores(rec_norm, score_sensors).values
+        del rec_errors
+        rec_scores = anomaly_scores(rec_norm, score_sensors)
+        del rec_norm
         aligned = np.concatenate([rec_scores[1:], rec_scores[-1:]])
-        score_values = score_values + REC_FUSE_WEIGHT * aligned
+        scores = scores + REC_FUSE_WEIGHT * aligned
 
-    scored_truth = truth[k:]
-    report = threshold_grid_search(score_values, scored_truth)
-    report.timestamps = np.arange(k, length)
-    report.scores = score_values
-    report.extras = {"scored_from": int(k), "score_sensors": int(scored.k),
+    report = threshold_grid_search(scores, truth[k:])
+    report.scores = scores
+    report.extras = {"scored_from": int(k),
+                     "score_sensors": min(score_sensors, dataset.n_sensors),
                      "calibration": "self" if calibration is None else "train",
                      "can_plus": bool(can_plus)}
     return report
@@ -275,10 +268,10 @@ def write_report_json(path, report: DetectionReport) -> None:
 
 
 def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
-    """(t, score, label) rows for external plotting."""
-    times = np.asarray(report.timestamps).astype(np.int64).tolist()
+    """(t, score, label) rows for external plotting; the scores belong to
+    the last ``len(report.scores)`` timestamps of ``truth``."""
     scores = np.asarray(report.scores, dtype=np.float64).tolist()
-    labels = np.asarray(truth).astype(int)[times].tolist()
+    labels = np.asarray(truth).astype(int).tolist()
     with open(path, "w", newline="") as handle:
         handle.write("t,score,label\n" + "".join(
-            f"{t},{s!r},{label}\n" for t, s, label in zip(times, scores, labels)))
+            f"{t},{s!r},{labels[t]}\n" for t, s in enumerate(scores, len(labels) - len(scores))))

@@ -195,6 +195,17 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    @pytest.mark.parametrize("name, index, bad", [
+        ("embedding", (1, 2), np.nan), ("input.weight", (0, 3), np.inf)])
+    def test_non_finite_parameter_rejected(self, tmp_path, name, index, bad):
+        model = random_model()
+        dict(model.named_parameters())[name].data[index] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"parameter {name} in {path} holds a non-finite value"
+
     @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"

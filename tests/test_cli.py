@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canet.checkpoint import load_checkpoint, save_checkpoint
 from canet.cli import main, parse_config_file
 from canet.data import load_csv
 from canet.detection import confusion_metrics, point_adjust
@@ -606,6 +607,20 @@ class TestCheckpointAndFlagChecks:
         else:
             assert run(command, "--checkpoint", str(old), "--out", str(tmp_path / "e.csv")) == 3
         assert "'adjacency_norm'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_non_finite_parameter_exits_3(self, checkpoint, tmp_path, capsys, command):
+        base, ckpt = checkpoint
+        model, extra = load_checkpoint(ckpt)
+        model.embedding.data[0, 0] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(model, bad, extra)
+        if command == "evaluate":
+            assert self.evaluate(base, bad) == 3
+        else:
+            assert run(command, "--checkpoint", str(bad), "--out", str(tmp_path / "e.csv")) == 3
+        assert capsys.readouterr().err == \
+            f"error: parameter embedding in {bad} holds a non-finite value\n"
 
     def test_data_after_last_parameter_exits_3(self, checkpoint, tmp_path, capsys):
         base, ckpt = checkpoint
