@@ -182,21 +182,25 @@ def write_csv(path, series: RawSeries) -> None:
 
     The header goes through ``csv.writer``, which quotes names as needed;
     the data rows, whose cells never need quoting, are joined column by
-    column and written at once, with the writer's ``\\r\\n`` line ends.
+    column, with the writer's ``\\r\\n`` line ends, and written in blocks of
+    ``CSV_BLOCK_ROWS`` rows, so at most one block is held as text.
     """
     header: List[str] = []
-    columns = []
+    parts = []          # (cell formatter, (columns, length) array)
     if series.timestamps is not None:
         header.append("timestamp")
-        columns.append(map(repr, np.asarray(series.timestamps, dtype=np.float64).tolist()))
+        parts.append((repr, np.asarray(series.timestamps, dtype=np.float64)[None]))
     header.extend(series.sensor_names)
-    columns.extend(map(repr, row) for row in np.asarray(series.values, dtype=np.float64).tolist())
+    parts.append((repr, np.asarray(series.values, dtype=np.float64)))
     if series.labels is not None:
         header.append("label")
-        columns.append(map(str, np.asarray(series.labels).astype(np.int64).tolist()))
+        parts.append((str, np.asarray(series.labels).astype(np.int64)[None]))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        handle.write("".join(",".join(cells) + "\r\n" for cells in zip(*columns)))
+        for start in range(0, series.length, CSV_BLOCK_ROWS):
+            columns = [map(cell, row) for cell, array in parts
+                       for row in array[:, start:start + CSV_BLOCK_ROWS].tolist()]
+            handle.write("".join(",".join(cells) + "\r\n" for cells in zip(*columns)))
 
 
 def downsample_median(series: RawSeries, factor: int) -> RawSeries:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from canet.data import WindowedDataset
+from canet.data import CSV_BLOCK_ROWS, WindowedDataset
 from canet.model import (CanModel, can_forward, inference_batch_size, window_map,
                          window_threads)
 from canet.tensor import Tensor, no_grad
@@ -269,9 +269,14 @@ def write_report_json(path, report: DetectionReport) -> None:
 
 def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
     """(t, score, label) rows for external plotting; the scores belong to
-    the last ``len(report.scores)`` timestamps of ``truth``."""
-    scores = np.asarray(report.scores, dtype=np.float64).tolist()
-    labels = np.asarray(truth).astype(int).tolist()
+    the last ``len(report.scores)`` timestamps of ``truth``.  Rows are
+    written in blocks of ``CSV_BLOCK_ROWS``, so at most one block is held as text."""
+    scores = np.asarray(report.scores, dtype=np.float64)
+    labels = np.asarray(truth, dtype=int).tolist()
+    first = len(labels) - len(scores)
     with open(path, "w", newline="") as handle:
-        handle.write("t,score,label\n" + "".join(
-            f"{t},{s!r},{labels[t]}\n" for t, s in enumerate(scores, len(labels) - len(scores))))
+        handle.write("t,score,label\n")
+        for start in range(0, len(scores), CSV_BLOCK_ROWS):
+            block = scores[start:start + CSV_BLOCK_ROWS].tolist()
+            handle.write("".join(f"{t},{s!r},{labels[t]}\n"
+                                 for t, s in enumerate(block, first + start)))

@@ -396,23 +396,33 @@ class Attention(Function):
     with the upstream gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
     summed over the key axis, then ``gq = (ds k) s``, ``gk = dsᵀ (q s)``
     and ``gv = pᵀ g``, each passed back through its projection.
+
+    Every array goes at its last read: forward copies kᵀ and drops k, scales
+    q in place, drops q and kᵀ once the scores exist and projects v only
+    after the softmax; backward finishes v's, then q's, then k's input and
+    weight gradients, dropping each head-space array before the next.
     """
 
     def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, causal=False, heads=1):
         for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v)):
             if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
                 raise ShapeError(f"attention projections do not fit: {x.shape} @ {w.shape}")
-        q, k, v = x_q @ w_q, x_k @ w_k, x_v @ w_v
-        if (q.shape != k.shape or q.shape[:-1] != v.shape[:-1]
-                or q.shape[-1] % heads or v.shape[-1] % heads):
+        q, k = x_q @ w_q, x_k @ w_k
+        v_shape = x_v.shape[:-1] + w_v.shape[1:]
+        if (q.shape != k.shape or q.shape[:-1] != v_shape[:-1]
+                or q.shape[-1] % heads or v_shape[-1] % heads):
             raise ShapeError(f"attention operands do not fit (heads={heads}): "
-                             f"q {q.shape}, k {k.shape}, v {v.shape}")
+                             f"q {q.shape}, k {k.shape}, v {v_shape}")
         self.heads = heads
-        q, k, v = (_split_heads(a, heads) for a in (q, k, v))
-        self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
-        scores = (q * self.scale) @ np.swapaxes(k, -1, -2).copy()
+        kt = np.swapaxes(_split_heads(k, heads), -1, -2).copy()
+        del k
+        q = _split_heads(q, heads)
+        self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+        q *= self.scale
+        scores = q @ kt
+        del q, kt
         if causal:
             # x + 0 keeps the value of x, x + -inf is -inf
             scores += np.triu(np.full(scores.shape[-2:], -np.inf, scores.dtype), 1)
@@ -421,23 +431,27 @@ class Attention(Function):
         scores /= _reduce_keys(np.add, scores)
         self.saved = (x_q, x_k, x_v, w_q, w_k, w_v)
         self.p = scores
-        return _merged_product(scores, v, heads)
+        return _merged_product(scores, _split_heads(x_v @ w_v, heads), heads)
 
     def backward(self, grad):
         x_q, x_k, x_v, w_q, w_k, w_v = self.saved
-        heads = self.heads
+        heads, p = self.heads, self.p
         grad = _split_heads(grad, heads)
+        gx_v, gw_v = _weight_grads(_merged_product(np.swapaxes(p, -1, -2), grad, heads),
+                                   x_v, w_v, x_v.shape)
         ds = grad @ np.swapaxes(_split_heads(x_v @ w_v, heads), -1, -2).copy()
-        ds -= _reduce_keys(np.add, ds * self.p)
-        ds *= self.p
+        ds -= _reduce_keys(np.add, ds * p)
+        ds *= p
         gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
         gq *= self.scale
-        qs = _split_heads(x_q @ w_q, heads) * self.scale
+        gx_q, gw_q = _weight_grads(gq, x_q, w_q, x_q.shape)
+        del gq
+        qs = _split_heads(x_q @ w_q, heads)
+        qs *= self.scale
         gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
-        gv = _merged_product(np.swapaxes(self.p, -1, -2), grad, heads)
-        grads = [_weight_grads(g, x, w, x.shape)
-                 for g, x, w in zip((gq, gk, gv), (x_q, x_k, x_v), (w_q, w_k, w_v))]
-        return tuple(g for g, _ in grads) + tuple(g for _, g in grads)
+        del ds, qs
+        gx_k, gw_k = _weight_grads(gk, x_k, w_k, x_k.shape)
+        return gx_q, gx_k, gx_v, gw_q, gw_k, gw_v
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -474,23 +488,28 @@ class LayerNorm(Function):
 
     The backward is the closed form: with ``g = grad * gain`` and the
     normalized input ``x̂``, the input gradient is
-    ``inv * (g - mean(g) - x̂ * mean(g * x̂))``.
+    ``inv * (g - mean(g) - x̂ * mean(g * x̂))``.  Forward centres and scales
+    in place into ``x̂`` and adds the bias in place to ``x̂ * gain``; backward
+    builds the input gradient in place.
     """
 
     def forward(self, x, gain, bias, eps):
         # the composed ops' arithmetic in their order, so outputs keep their bytes
-        centered = x - _mean(x, -1, True)
-        inv = (_mean(centered * centered, -1, True) + eps) ** -0.5
-        normed = centered * inv
+        normed = x - _mean(x, -1, True)
+        inv = (_mean(normed * normed, -1, True) + eps) ** -0.5
+        normed *= inv
         self.shapes = (x.shape, gain.shape, bias.shape)
         self.inv, self.normed, self.gain = inv, normed, gain
-        return normed * gain + bias
+        out = normed * gain
+        out += bias
+        return out
 
     def backward(self, grad):
         sx, sg, sb = self.shapes
         g = grad * self.gain
-        gx = self.inv * (g - _mean(g, -1, True)
-                         - self.normed * _mean(g * self.normed, -1, True))
+        gx = g - _mean(g, -1, True)
+        gx -= self.normed * _mean(g * self.normed, -1, True)
+        gx *= self.inv
         return (_unbroadcast(gx, sx), _unbroadcast(grad * self.normed, sg),
                 _unbroadcast(grad, sb))
 
@@ -591,6 +610,11 @@ def backward(loss: Tensor) -> dict:
     pass runs and is gone when it returns, even while ``loss`` is held.  A
     second pass through any of it raises :class:`ConsumedGraphError`; run
     the forward again instead.
+
+    A node's second gradient is added into a new array and its third and
+    later ones into that array in place, never into an array an op returned
+    (``Add`` hands one array to both operands), so the bytes are those of
+    out-of-place sums; each node's gradients are dropped before the next runs.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -625,6 +649,7 @@ def backward(loss: Tensor) -> dict:
     # every consumer of a node comes after it in ``ops``, so a node's
     # gradient is complete when the reversed walk reaches it
     pending: dict = {root: np.ones_like(loss.data)}
+    summed = set()      # nodes whose pending gradient is a sum allocated here
     for node in reversed(ops):
         grad = pending.pop(node, None)
         parents = node.parents
@@ -633,5 +658,14 @@ def backward(loss: Tensor) -> dict:
         for parent, pgrad in zip(parents, grads):
             if pgrad is not None and parent is not None:
                 total = pending.get(parent)
-                pending[parent] = pgrad if total is None else total + pgrad
+                # in place only into a sum allocated here, and only where the
+                # out-of-place sum would have its dtype and C layout
+                if parent in summed and total.dtype == pgrad.dtype and total.flags.c_contiguous:
+                    total += pgrad
+                elif total is not None:
+                    pending[parent] = total + pgrad
+                    summed.add(parent)
+                else:
+                    pending[parent] = pgrad
+        grad = grads = pgrad = total = None     # gone before the next node runs
     return {leaf: pending[leaf] for leaf in reversed(leaves) if leaf in pending}

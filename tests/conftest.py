@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def _scalar(value) -> float:
     if isinstance(value, Tensor):
         return value.item()
     return float(value)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of what ``fn()`` allocates; tracing
+    starts just before the call and stops after it, whatever it raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def max_rel_err(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-6) -> float:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import canet.data
 from canet.data import (CSV_BLOCK_ROWS, DataError, RawSeries, downsample_median, load_csv,
                         make_windows, minmax_apply, minmax_fit, write_csv)
 from conftest import window_history, window_target
@@ -342,6 +343,21 @@ class TestWriteCsv:
         write_csv(got, series)
         reference_write_csv(want, series)
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7])
+    def test_blocks_match_row_writer_and_load_back(self, tmp_path, rng, monkeypatch, length):
+        monkeypatch.setattr(canet.data, "CSV_BLOCK_ROWS", 3)
+        values = rng.standard_normal((4, length)) * 10.0 ** rng.integers(-300, 300, (4, length))
+        series = RawSeries(["a", "b,c", "d", "e"], values, np.arange(length) * 60.0 - 5,
+                           rng.integers(0, 2, length))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, series)
+        reference_write_csv(want, series)
+        assert got.read_bytes() == want.read_bytes()
+        back = load_csv(got)
+        assert back.sensor_names == series.sensor_names
+        for name in ("values", "timestamps", "labels"):
+            assert getattr(back, name).tobytes() == getattr(series, name).tobytes(), name
 
     def test_float_timestamps_and_edge_values(self, tmp_path):
         series = RawSeries(["a"], np.array([[-0.0, 5e-324, 1e308]]),

@@ -1,13 +1,13 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canet.data
 import canet.detection
 import canet.model
-from canet.data import RawSeries, make_windows
+from canet.data import RawSeries, load_csv, make_windows
 from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
                              evaluate, inference_batch_size, normalize_errors, point_adjust,
                              prediction_errors, predict_series,
@@ -15,6 +15,7 @@ from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
 from canet.model import CanModel, ModelConfig, can_forward
 from canet.tensor import Tensor, backward
 from canet.train import _batch_loss
+from conftest import traced_peak
 
 
 def brute_force_point_adjust(pred, truth):
@@ -455,6 +456,36 @@ class TestReportFiles:
         assert (tmp_path / "scores.csv").read_bytes() == \
             reference_scores_csv(report, truth).encode()
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+    def test_scores_csv_in_blocks_matches_row_writer_and_loads(self, tmp_path, monkeypatch,
+                                                                count):
+        monkeypatch.setattr(canet.detection, "CSV_BLOCK_ROWS", 3)
+        monkeypatch.setattr(canet.data, "CSV_BLOCK_ROWS", 3)
+        gen = np.random.default_rng(count)
+        report = self.report(gen.standard_normal(count) * 10.0 ** gen.integers(-300, 300, count))
+        truth = gen.integers(0, 2, 4 + count)
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, report, truth)
+        assert path.read_bytes() == reference_scores_csv(report, truth).encode()
+        if count:       # load_csv rejects a header without data rows
+            table = load_csv(path)
+            assert table.sensor_names == ["t", "score"]
+            np.testing.assert_array_equal(table.values[0], np.arange(4, 4 + count))
+            assert table.values[1].tobytes() == report.scores.tobytes()
+            np.testing.assert_array_equal(table.labels, truth[4:])
+
+    # tracemalloc peak of writing 2*10^5 scores: 29.2 MiB when every row was
+    # joined into one string, 2.1 MiB in blocks of CSV_BLOCK_ROWS rows (1.5 MiB
+    # of it the list of labels)
+    WRITE_BOUND_MIB = 4.0
+
+    def test_scores_csv_peak_under_bound(self, tmp_path):
+        gen = np.random.default_rng(0)
+        report = self.report(gen.standard_normal(200_000))
+        truth = gen.integers(0, 2, 200_005)
+        peak = traced_peak(lambda: write_scores_csv(tmp_path / "scores.csv", report, truth))
+        assert peak / 2 ** 20 < self.WRITE_BOUND_MIB, f"peak {peak / 2 ** 20:.2f} MiB"
+
 
 class TestScoringMemory:
     # tracemalloc peak of evaluate on 51 sensors x 2*10^4 scored windows, the
@@ -475,12 +506,8 @@ class TestScoringMemory:
         rec_last = gen.random((n, scored)) if can_plus else None
         monkeypatch.setattr(canet.detection, "predict_series", lambda *args: (
             predictions.copy(), None if rec_last is None else rec_last.copy()))
-        tracemalloc.start()
-        try:
-            evaluate(None, dataset, labels, can_plus=can_plus)
-            peak = tracemalloc.get_traced_memory()[1] / predictions.nbytes
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: evaluate(None, dataset, labels, can_plus=can_plus))
+        peak /= predictions.nbytes
         assert peak < bound, f"peak {peak:.2f} arrays"
 
 

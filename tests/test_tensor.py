@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canet.tensor
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
 from canet.tensor import (Attention, Mul, _reduce_keepdims, _reduce_keys, _unbroadcast,
@@ -485,6 +486,85 @@ class TestBackward:
         others = {fold(order) for order in itertools.permutations(range(4))
                   if order[2:] != (3, 1)}
         assert grad.tobytes() not in others
+
+    def test_in_place_sums_keep_every_byte_and_share_no_memory(self, rng, monkeypatch):
+        # x feeds four ops, one of them the Add x + y, which hands one array to
+        # both x and y; backward adds x's third and fourth gradients in place,
+        # which must never reach the array y's gradient is
+        arrivals = []       # (op type, parent, copy of its gradient) in backward's order
+
+        def recorded(method):
+            def backward_and_record(op, grad):
+                grads = method(op, grad)
+                arrivals.extend((type(op), parent, g.copy())
+                                for parent, g in zip(op.parents, grads)
+                                if parent is not None and g is not None)
+                return grads
+            return backward_and_record
+
+        for cls in canet.tensor.Function.__subclasses__():
+            monkeypatch.setattr(cls, "backward", recorded(cls.backward))
+        f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+        add_positions = set()
+        for order in itertools.permutations(range(4)):
+            x, y, w = (Tensor(f32(*s), requires_grad=True) for s in ((3, 4), (3, 4), (4, 2)))
+            terms = [x + y, x * Tensor(f32(3, 4)), matmul(x, w), x.transpose()]
+            parts = [total(t * Tensor(f32(*t.shape))) for t in terms]
+            arrivals.clear()
+            grads = backward(((parts[order[0]] + parts[order[1]]) + parts[order[2]])
+                             + parts[order[3]])
+            want = {}
+            for _, parent, g in arrivals:
+                want[parent] = g if parent not in want else want[parent] + g
+            for leaf in (x, y, w):
+                assert grads[leaf].dtype == want[leaf].dtype
+                assert grads[leaf].tobytes() == want[leaf].tobytes()
+            for a, b in itertools.combinations(grads.values(), 2):
+                assert not np.shares_memory(a, b)
+            into_x = [op for op, parent, _ in arrivals if parent is x]
+            assert len(into_x) == 4
+            add_positions.add(into_x.index(canet.tensor.Add))
+        assert 0 in add_positions       # the shared array came first, then was summed
+
+    # (op, operand shapes, keyword arguments): every op class
+    READ_ONLY = [
+        (canet.tensor.Add, [(2, 3, 4), (4,)], {}),
+        (canet.tensor.Sub, [(2, 3, 4), (3, 1)], {}),
+        (Mul, [(2, 3, 4), (3, 4)], {}),
+        (canet.tensor.MatMul, [(2, 3, 4), (4, 5)], {}),
+        (canet.tensor.MatMul, [(2, 3, 4), (2, 4, 5)], {}),
+        (canet.tensor.Transpose, [(2, 3, 4)], {}),
+        (canet.tensor.Reshape, [(2, 3, 4)], dict(shape=(6, 4))),
+        (canet.tensor.Slice, [(2, 3, 4)], dict(key=(slice(None), 1))),
+        (canet.tensor.Concat, [(2, 3, 4), (2, 1, 4)], dict(axis=-2)),
+        (canet.tensor.Mean, [(2, 3, 4)], dict(axis=1)),
+        (canet.tensor.Sqrt, [(2, 3, 4)], {}),
+        (canet.tensor.Relu, [(2, 3, 4)], {}),
+        (canet.tensor.LeakyRelu, [(2, 3, 4)], dict(slope=0.2)),
+        (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=-1)),
+        (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=0)),
+        (Attention, [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2)],
+         dict(causal=True, heads=2)),
+        (Attention, [(4, 3), (4, 3), (4, 3), (3, 8), (3, 8), (3, 4)], dict(heads=4)),
+        (canet.tensor.LayerNorm, [(2, 3, 4), (4,), (4,)], dict(eps=1e-5)),
+        (canet.tensor.RowNormalize, [(2, 3, 4)], {}),
+    ]
+
+    @pytest.mark.parametrize("cls, shapes, kwargs", READ_ONLY,
+                             ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(READ_ONLY)])
+    def test_ops_write_no_input_and_no_gradient(self, rng, cls, shapes, kwargs):
+        def read_only(a):
+            a.setflags(write=False)
+            return a
+
+        # positive operands keep Sqrt's and RowNormalize's results finite
+        arrays = [read_only(np.abs(rng.standard_normal(s)) + 0.1) for s in shapes]
+        op = cls((True,) * len(arrays))
+        out = read_only(op.forward(*arrays, **kwargs))
+        grads = op.backward(read_only(rng.standard_normal(out.shape)))
+        assert len(grads) == len(arrays)
+        for g, a in zip(grads, arrays):
+            assert g.shape == a.shape
 
 
 class TestTape:

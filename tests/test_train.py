@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from canet.tensor import backward
 from canet.train import (ConfigError, DivergenceError, EarlyStopper,
                          TrainConfig, _batch_loss, _set_gradients, _validation_loss,
                          joint_loss, prediction_loss, reconstruction_loss, train)
+from conftest import traced_peak
 
 
 def tiny_dataset(n_sensors=3, length=120, seed=0, window=4):
@@ -448,15 +448,14 @@ class TestStepMemory:
                           neighbor_k=4, batch_size=16, seed=0)
         model = CanModel(cfg.model_config(dataset.n_sensors), seed=0)
         optimizer = Adam(model.parameters(), lr=1e-3)
-        tracemalloc.start()
-        try:
+
+        def two_steps():
             for start in (0, 16):       # as train() steps
                 _set_gradients(model, model.parameters(), dataset,
                                np.arange(start, start + 16), 0.2, 0.8, 16)
                 optimizer.step()
-            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(two_steps) / 2 ** 20
         assert peak < self.PEAK_BOUND_MIB, f"peak {peak:.2f} MiB"
 
     @staticmethod
@@ -464,13 +463,9 @@ class TestStepMemory:
         series = synth_generate(51, 100, 0).train
         dataset = make_windows(minmax_apply(series, minmax_fit(series)), 5)
         model = CanModel(ModelConfig(window=5, n_sensors=51, **TestMicroBatches.PAPER), seed=0)
-        tracemalloc.start()
-        try:
-            _set_gradients(model, model.parameters(), dataset, np.arange(32), 0.2, 0.8,
-                           micro_batch_size(model))
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: _set_gradients(
+            model, model.parameters(), dataset, np.arange(32), 0.2, 0.8,
+            micro_batch_size(model))) / 2 ** 20
 
     # tracemalloc peak of one paper-width step of 32 windows: 23.6 MiB in
     # micro-batches of 8 (sized by depth), 46.7 MiB in micro-batches of 16
@@ -487,6 +482,15 @@ class TestStepMemory:
     def test_paper_step_keeps_no_attention_projections(self):
         peak = self.paper_step_peak_mib()
         assert peak < self.PAPER_RECOMPUTE_BOUND_MIB, f"peak {peak:.2f} MiB"
+
+    # the same step: 17.5 MiB when attention, layer norm and the backward walk
+    # held each temporary until they returned, 16.3 MiB when each array goes
+    # at its last read and the walk sums a node's later gradients in place
+    PAPER_RELEASE_BOUND_MIB = 16.9
+
+    def test_paper_step_frees_temporaries_at_last_use(self):
+        peak = self.paper_step_peak_mib()
+        assert peak < self.PAPER_RELEASE_BOUND_MIB, f"peak {peak:.2f} MiB"
 
 
 class TestOpsPerStep:
