@@ -301,15 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (DivergenceError, OSError, ValueError) as exc:   # ConfigError, DataError among them
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError) as exc:    # DataError and CheckpointError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 4 if isinstance(exc, DivergenceError) else 3
 
 
 if __name__ == "__main__":

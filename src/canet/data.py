@@ -186,19 +186,19 @@ def write_csv(path, series: RawSeries) -> None:
     ``CSV_BLOCK_ROWS`` rows, so at most one block is held as text.
     """
     header: List[str] = []
-    parts = []          # (cell formatter, (columns, length) array)
+    arrays = []         # (columns, length) each, float64 or int64: repr writes every cell
     if series.timestamps is not None:
         header.append("timestamp")
-        parts.append((repr, np.asarray(series.timestamps, dtype=np.float64)[None]))
+        arrays.append(np.asarray(series.timestamps, dtype=np.float64)[None])
     header.extend(series.sensor_names)
-    parts.append((repr, np.asarray(series.values, dtype=np.float64)))
+    arrays.append(np.asarray(series.values, dtype=np.float64))
     if series.labels is not None:
         header.append("label")
-        parts.append((str, np.asarray(series.labels).astype(np.int64)[None]))
+        arrays.append(np.asarray(series.labels).astype(np.int64)[None])
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
         for start in range(0, series.length, CSV_BLOCK_ROWS):
-            columns = [map(cell, row) for cell, array in parts
+            columns = [map(repr, row) for array in arrays
                        for row in array[:, start:start + CSV_BLOCK_ROWS].tolist()]
             handle.write("".join(",".join(cells) + "\r\n" for cells in zip(*columns)))
 

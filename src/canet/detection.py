@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from canet.data import CSV_BLOCK_ROWS, WindowedDataset
+import canet.data
+from canet.data import WindowedDataset
 from canet.model import (CanModel, can_forward, inference_batch_size, window_map,
                          window_threads)
 from canet.tensor import Tensor, no_grad
@@ -271,12 +272,11 @@ def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
     """(t, score, label) rows for external plotting; the scores belong to
     the last ``len(report.scores)`` timestamps of ``truth``.  Rows are
     written in blocks of ``CSV_BLOCK_ROWS``, so at most one block is held as text."""
-    scores = np.asarray(report.scores, dtype=np.float64)
-    labels = np.asarray(truth, dtype=int).tolist()
-    first = len(labels) - len(scores)
+    scores, truth = np.asarray(report.scores, dtype=np.float64), np.asarray(truth)
+    rows, first = canet.data.CSV_BLOCK_ROWS, len(truth) - len(scores)
     with open(path, "w", newline="") as handle:
         handle.write("t,score,label\n")
-        for start in range(0, len(scores), CSV_BLOCK_ROWS):
-            block = scores[start:start + CSV_BLOCK_ROWS].tolist()
-            handle.write("".join(f"{t},{s!r},{labels[t]}\n"
-                                 for t, s in enumerate(block, first + start)))
+        for t0 in range(first, len(truth), rows):
+            block = zip(scores[t0 - first:t0 - first + rows].tolist(),
+                        truth[t0:t0 + rows].astype(int).tolist())
+            handle.write("".join(f"{t},{s!r},{label}\n" for t, (s, label) in enumerate(block, t0)))

@@ -395,34 +395,28 @@ class Attention(Function):
     2016: compute traded for activation memory) and takes the closed form:
     with the upstream gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
     summed over the key axis, then ``gq = (ds k) s``, ``gk = dsᵀ (q s)``
-    and ``gv = pᵀ g``, each passed back through its projection.
-
-    Every array goes at its last read: forward copies kᵀ and drops k, scales
-    q in place, drops q and kᵀ once the scores exist and projects v only
-    after the softmax; backward finishes v's, then q's, then k's input and
-    weight gradients, dropping each head-space array before the next.
+    and ``gv = pᵀ g``, each passed back through its projection in turn.
+    Every array is dropped at its last read.
     """
 
     def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, causal=False, heads=1):
         for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v)):
             if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
                 raise ShapeError(f"attention projections do not fit: {x.shape} @ {w.shape}")
-        q, k = x_q @ w_q, x_k @ w_k
-        v_shape = x_v.shape[:-1] + w_v.shape[1:]
-        if (q.shape != k.shape or q.shape[:-1] != v_shape[:-1]
-                or q.shape[-1] % heads or v_shape[-1] % heads):
+        q, k = x_q @ w_q, x_k @ w_k         # v only after the softmax
+        if (q.shape != k.shape or q.shape[:-1] != x_v.shape[:-1]
+                or q.shape[-1] % heads or w_v.shape[1] % heads):
             raise ShapeError(f"attention operands do not fit (heads={heads}): "
-                             f"q {q.shape}, k {k.shape}, v {v_shape}")
+                             f"q {q.shape}, k {k.shape}, v {x_v.shape[:-1] + w_v.shape[1:]}")
         self.heads = heads
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
-        kt = np.swapaxes(_split_heads(k, heads), -1, -2).copy()
-        del k
+        k = np.swapaxes(_split_heads(k, heads), -1, -2).copy()
         q = _split_heads(q, heads)
         self.scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
         q *= self.scale
-        scores = q @ kt
-        del q, kt
+        scores = q @ k
+        del q, k
         if causal:
             # x + 0 keeps the value of x, x + -inf is -inf
             scores += np.triu(np.full(scores.shape[-2:], -np.inf, scores.dtype), 1)
@@ -488,9 +482,8 @@ class LayerNorm(Function):
 
     The backward is the closed form: with ``g = grad * gain`` and the
     normalized input ``x̂``, the input gradient is
-    ``inv * (g - mean(g) - x̂ * mean(g * x̂))``.  Forward centres and scales
-    in place into ``x̂`` and adds the bias in place to ``x̂ * gain``; backward
-    builds the input gradient in place.
+    ``inv * (g - mean(g) - x̂ * mean(g * x̂))``; it, ``x̂`` and the output
+    are built in place.
     """
 
     def forward(self, x, gain, bias, eps):
@@ -611,10 +604,9 @@ def backward(loss: Tensor) -> dict:
     second pass through any of it raises :class:`ConsumedGraphError`; run
     the forward again instead.
 
-    A node's second gradient is added into a new array and its third and
-    later ones into that array in place, never into an array an op returned
-    (``Add`` hands one array to both operands), so the bytes are those of
-    out-of-place sums; each node's gradients are dropped before the next runs.
+    A node's third and later gradients are added in place into the sum of
+    its first two, never into an array an op returned (``Add`` hands one
+    array to both operands), so the bytes are those of out-of-place sums.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -658,14 +650,14 @@ def backward(loss: Tensor) -> dict:
         for parent, pgrad in zip(parents, grads):
             if pgrad is not None and parent is not None:
                 total = pending.get(parent)
-                # in place only into a sum allocated here, and only where the
-                # out-of-place sum would have its dtype and C layout
-                if parent in summed and total.dtype == pgrad.dtype and total.flags.c_contiguous:
+                # in place only into an array summed here (two 0-d arrays sum
+                # to a numpy scalar), with the out-of-place dtype and C layout
+                if (parent in summed and type(total) is np.ndarray
+                        and total.dtype == pgrad.dtype and total.flags.c_contiguous):
                     total += pgrad
                 elif total is not None:
                     pending[parent] = total + pgrad
                     summed.add(parent)
                 else:
                     pending[parent] = pgrad
-        grad = grads = pgrad = total = None     # gone before the next node runs
     return {leaf: pending[leaf] for leaf in reversed(leaves) if leaf in pending}

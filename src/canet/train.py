@@ -97,16 +97,12 @@ def _coerce(raw, annotation, key):
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {key!r} expects true/false, got {raw!r}")
-    if annotation is int:
+    if annotation in (int, float):
         try:
-            return int(text)
+            return annotation(text)
         except ValueError:
-            raise ConfigError(f"config key {key!r} expects an integer, got {raw!r}") from None
-    if annotation is float:
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} expects a number, got {raw!r}") from None
+            kind = "an integer" if annotation is int else "a number"
+            raise ConfigError(f"config key {key!r} expects {kind}, got {raw!r}") from None
     return text
 
 

@@ -459,7 +459,6 @@ class TestReportFiles:
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
     def test_scores_csv_in_blocks_matches_row_writer_and_loads(self, tmp_path, monkeypatch,
                                                                 count):
-        monkeypatch.setattr(canet.detection, "CSV_BLOCK_ROWS", 3)
         monkeypatch.setattr(canet.data, "CSV_BLOCK_ROWS", 3)
         gen = np.random.default_rng(count)
         report = self.report(gen.standard_normal(count) * 10.0 ** gen.integers(-300, 300, count))
@@ -475,9 +474,8 @@ class TestReportFiles:
             np.testing.assert_array_equal(table.labels, truth[4:])
 
     # tracemalloc peak of writing 2*10^5 scores: 29.2 MiB when every row was
-    # joined into one string, 2.1 MiB in blocks of CSV_BLOCK_ROWS rows (1.5 MiB
-    # of it the list of labels)
-    WRITE_BOUND_MIB = 4.0
+    # joined into one string, 0.5 MiB in blocks of CSV_BLOCK_ROWS rows
+    WRITE_BOUND_MIB = 1.0
 
     def test_scores_csv_peak_under_bound(self, tmp_path):
         gen = np.random.default_rng(0)

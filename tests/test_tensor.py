@@ -492,9 +492,11 @@ class TestBackward:
         # both x and y; backward adds x's third and fourth gradients in place,
         # which must never reach the array y's gradient is
         arrivals = []       # (op type, parent, copy of its gradient) in backward's order
+        received = {}       # op: copy of the gradient it was handed
 
         def recorded(method):
             def backward_and_record(op, grad):
+                received[op] = grad.copy()
                 grads = method(op, grad)
                 arrivals.extend((type(op), parent, g.copy())
                                 for parent, g in zip(op.parents, grads)
@@ -504,27 +506,37 @@ class TestBackward:
 
         for cls in canet.tensor.Function.__subclasses__():
             monkeypatch.setattr(cls, "backward", recorded(cls.backward))
+
+        def check(loss):
+            arrivals.clear()
+            grads = backward(loss)
+            want = {}
+            for _, parent, g in arrivals:
+                want[parent] = g if parent not in want else want[parent] + g
+            for node, g in want.items():     # each op's and each leaf's gradient
+                got = received[node] if node in received else grads[node]
+                assert got.dtype == g.dtype
+                assert got.tobytes() == g.tobytes()
+            for a, b in itertools.combinations(grads.values(), 2):
+                assert not np.shares_memory(a, b)
+
         f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)
         add_positions = set()
         for order in itertools.permutations(range(4)):
             x, y, w = (Tensor(f32(*s), requires_grad=True) for s in ((3, 4), (3, 4), (4, 2)))
             terms = [x + y, x * Tensor(f32(3, 4)), matmul(x, w), x.transpose()]
             parts = [total(t * Tensor(f32(*t.shape))) for t in terms]
-            arrivals.clear()
-            grads = backward(((parts[order[0]] + parts[order[1]]) + parts[order[2]])
-                             + parts[order[3]])
-            want = {}
-            for _, parent, g in arrivals:
-                want[parent] = g if parent not in want else want[parent] + g
-            for leaf in (x, y, w):
-                assert grads[leaf].dtype == want[leaf].dtype
-                assert grads[leaf].tobytes() == want[leaf].tobytes()
-            for a, b in itertools.combinations(grads.values(), 2):
-                assert not np.shares_memory(a, b)
+            check(((parts[order[0]] + parts[order[1]]) + parts[order[2]]) + parts[order[3]])
             into_x = [op for op, parent, _ in arrivals if parent is x]
             assert len(into_x) == 4
             add_positions.add(into_x.index(canet.tensor.Add))
         assert 0 in add_positions       # the shared array came first, then was summed
+        # s gets a 0-d array from Add and two from Mul: the first sum is a
+        # numpy scalar, which has no memory to add the third gradient into
+        x = Tensor(f32(3, 4), requires_grad=True)
+        s = x.mean()
+        check(s * s + s)
+        assert [parent is s.creator for _, parent, _ in arrivals].count(True) == 3
 
     # (op, operand shapes, keyword arguments): every op class
     READ_ONLY = [
