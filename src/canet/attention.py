@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from canet.tensor import Attention, Tensor, glorot_uniform, matmul, row_matmul
+from canet.tensor import Attention, Tensor, glorot_uniform
 
 
 @dataclass
@@ -45,32 +45,23 @@ class AttentionParams:
                                w_out=glorot_uniform(rng, (width, width), dtype), heads=heads)
 
 
-def scaled_dot_attention(sequence: Tensor, params: AttentionParams,
-                         causal: bool = False) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v along the sequence axis in each head, with
-    q, k and v projected from ``sequence``, as one autodiff op that keeps only
-    ``sequence`` and the attention weights for its backward."""
-    return Attention.apply(sequence, sequence, sequence, params.w_query, params.w_key,
-                           params.w_value, causal=causal, heads=params.heads)
+def scaled_dot_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
+                         rows: Optional[int] = None) -> Tensor:
+    """softmax(q kᵀ / sqrt(d_k)) v w_out in each head, q, k and v projected from
+    ``sequence``, of the last ``rows`` positions only when ``rows`` is set: one
+    autodiff op that keeps only ``sequence`` and the attention weights for backward."""
+    return Attention.apply(*[sequence] * 3, params.w_query, params.w_key, params.w_value,
+                           params.w_out, causal=causal, heads=params.heads, rows=rows)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
                          rows: Optional[int] = None) -> Tensor:
-    """Attend in every head at once: the attention op projects q, k and v,
-    splits them into heads and lays the heads' outputs side by side again
-    before the output projection.
-
-    With ``rows`` set, only the last ``rows`` positions are projected, in
-    one GEMM over all of them (see :func:`canet.tensor.row_matmul`), and
-    returned.  The queries are not cut: a one-row matrix stack would send
-    numpy's matmul down its vector-matrix path, which sums in another order.
-    """
-    attended = scaled_dot_attention(sequence, params, causal=causal)
-    *lead, seq, width = sequence.shape
-    if rows is None or rows == seq:
-        return matmul(attended, params.w_out)
-    kept = attended[..., seq - rows:, :].reshape((-1, width))
-    return row_matmul(kept, params.w_out).reshape(tuple(lead) + (rows, width))
+    """Attend in every head at once and project the heads' outputs, of the
+    last ``rows`` positions only when ``rows`` is set, in one GEMM over all
+    of them (see :func:`scaled_dot_attention`).  The queries are not cut: a
+    one-row matrix stack would send numpy's matmul down its vector-matrix
+    path, which sums in another order."""
+    return scaled_dot_attention(sequence, params, causal=causal, rows=rows)
 
 
 def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:

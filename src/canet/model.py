@@ -345,8 +345,8 @@ def micro_batch_size(model: CanModel) -> int:
     most ``max(1, inference_batch_size // layers)``.  It depends on the model
     only, never on the thread count.
 
-    Every layer records its own tape, 14-16 activation-sized arrays per
-    window (16 paper-width windows record 8.8 MB at 1 layer and 30.4 MB at
+    Every layer records its own tape, 12-14 activation-sized arrays per
+    window (16 paper-width windows record 7.5 MB at 1 layer and 25.7 MB at
     3), so the size is divided by depth to bound a micro-batch's tape."""
     windows = max(1, inference_batch_size(model) // model.config.layers)
     return 1 << (windows.bit_length() - 1)

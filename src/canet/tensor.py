@@ -378,11 +378,11 @@ class Softmax(Function):
 
 
 class Attention(Function):
-    """Scaled dot-product attention ``softmax(q kᵀ s) v`` with
-    ``s = 1/sqrt(d)`` (Vaswani et al., 2017) in every head, of the
-    projections ``q = x_q @ w_q``, ``k = x_k @ w_k`` and ``v = x_v @ w_v``
-    (2-D weights), as one node; with ``causal`` each position attends only
-    to itself and earlier ones.
+    """Multi-head scaled dot-product attention ``softmax(q kᵀ s) v @ w_out``
+    with ``s = 1/sqrt(d)`` (Vaswani et al., 2017), of ``q = x_q @ w_q``,
+    ``k = x_k @ w_k`` and ``v = x_v @ w_v`` (2-D weights), as one node; with
+    ``causal`` each position attends only to itself and earlier ones, and
+    with ``rows`` only the last ``rows`` positions are projected and returned.
 
     q, k and v come in the model's ``(..., seq, heads·d)`` layout, q and k
     of one shape and v differing from them only in width; head ``i`` reads
@@ -390,25 +390,26 @@ class Attention(Function):
     views, and each head product is written into a fresh array of the
     merged layout.  The arithmetic and its order are the composed ops'
     (project, scale q, multiply by kᵀ, add ``-inf`` above the diagonal when
-    causal, softmax, multiply by v), so outputs keep their bytes.  Only the
-    inputs and ``p`` are saved; backward recomputes q, k and v (Chen et al.,
+    causal, softmax, multiply by v, crop, project), so outputs keep their
+    bytes.  Only the inputs and ``p`` are saved; backward recomputes v, the
+    heads' output ``p v`` for ``w_out``'s gradient, q and k (Chen et al.,
     2016: compute traded for activation memory) and takes the closed form:
-    with the upstream gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
+    with the heads' output gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
     summed over the key axis, then ``gq = (ds k) s``, ``gk = dsᵀ (q s)``
     and ``gv = pᵀ g``, each passed back through its projection in turn.
     Every array is dropped at its last read.
     """
 
-    def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, causal=False, heads=1):
-        for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v)):
+    def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, w_out, causal=False, heads=1, rows=None):
+        for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v), (w_v, w_out)):
             if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
                 raise ShapeError(f"attention projections do not fit: {x.shape} @ {w.shape}")
         q, k = x_q @ w_q, x_k @ w_k         # v only after the softmax
-        if (q.shape != k.shape or q.shape[:-1] != x_v.shape[:-1]
-                or q.shape[-1] % heads or w_v.shape[1] % heads):
-            raise ShapeError(f"attention operands do not fit (heads={heads}): "
+        if (q.shape != k.shape or q.shape[:-1] != x_v.shape[:-1] or q.shape[-1] % heads
+                or w_v.shape[1] % heads or (rows is not None and not 0 < rows <= q.shape[-2])):
+            raise ShapeError(f"attention operands do not fit (heads={heads}, rows={rows}): "
                              f"q {q.shape}, k {k.shape}, v {x_v.shape[:-1] + w_v.shape[1:]}")
-        self.heads = heads
+        self.heads, self.rows = heads, None if rows == q.shape[-2] else rows
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
         k = np.swapaxes(_split_heads(k, heads), -1, -2).copy()
@@ -423,17 +424,36 @@ class Attention(Function):
         scores -= _reduce_keys(np.maximum, scores)
         np.exp(scores, out=scores)
         scores /= _reduce_keys(np.add, scores)
-        self.saved = (x_q, x_k, x_v, w_q, w_k, w_v)
+        self.saved = (x_q, x_k, x_v, w_q, w_k, w_v, w_out)
         self.p = scores
-        return _merged_product(scores, _split_heads(x_v @ w_v, heads), heads)
+        attended = _merged_product(scores, _split_heads(x_v @ w_v, heads), heads)
+        if self.rows is None:
+            return attended @ w_out
+        kept = attended[..., -self.rows:, :].reshape(-1, attended.shape[-1])
+        out = kept @ w_out if len(kept) > 1 else (  # a lone row folded as row_matmul folds it
+            np.concatenate([kept, _zero_row(kept)]) @ w_out)[:-1]
+        return out.reshape(attended.shape[:-2] + (self.rows, w_out.shape[1]))
 
     def backward(self, grad):
-        x_q, x_k, x_v, w_q, w_k, w_v = self.saved
-        heads, p = self.heads, self.p
+        x_q, x_k, x_v, w_q, w_k, w_v, w_out = self.saved
+        heads, p, rows = self.heads, self.p, self.rows
+        v = _split_heads(x_v @ w_v, heads)
+        kept = _merged_product(p, v, heads)
+        shape = kept.shape
+        if rows is not None:                # the crop and lone-row fold the forward ran
+            kept = kept[..., -rows:, :].reshape(-1, shape[-1])
+            grad, n = grad.reshape(-1, grad.shape[-1]), len(kept)
+            kept, grad = (np.concatenate([a, _zero_row(a)]) if n == 1 else a for a in (kept, grad))
+        grad, gw_out = _weight_grads(grad, kept, w_out, kept.shape)
+        if rows is not None:                # zero-filled around the kept rows
+            kept, grad = grad[:n], np.zeros(shape, grad.dtype)
+            grad[..., -rows:, :] = kept.reshape(shape[:-2] + (rows, shape[-1]))
+        del kept
         grad = _split_heads(grad, heads)
         gx_v, gw_v = _weight_grads(_merged_product(np.swapaxes(p, -1, -2), grad, heads),
                                    x_v, w_v, x_v.shape)
-        ds = grad @ np.swapaxes(_split_heads(x_v @ w_v, heads), -1, -2).copy()
+        ds = grad @ np.swapaxes(v, -1, -2).copy()
+        del grad, v
         ds -= _reduce_keys(np.add, ds * p)
         ds *= p
         gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
@@ -445,7 +465,7 @@ class Attention(Function):
         gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
         del ds, qs
         gx_k, gw_k = _weight_grads(gk, x_k, w_k, x_k.shape)
-        return gx_q, gx_k, gx_v, gw_q, gw_k, gw_v
+        return gx_q, gx_k, gx_v, gw_q, gw_k, gw_v, gw_out
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -500,7 +520,7 @@ class LayerNorm(Function):
     def backward(self, grad):
         sx, sg, sb = self.shapes
         g = grad * self.gain
-        gx = g - _mean(g, -1, True)
+        gx = np.subtract(g, _mean(g, -1, True), order="C")    # C whatever grad's layout
         gx -= self.normed * _mean(g * self.normed, -1, True)
         gx *= self.inv
         return (_unbroadcast(gx, sx), _unbroadcast(grad * self.normed, sg),
@@ -536,9 +556,13 @@ def row_matmul(a: Tensor, w: Tensor) -> Tensor:
     a zero row below them, which a lone row needs to make two."""
     if a.shape[-2] > 1:
         return matmul(a, w)
-    rows = concat([a.reshape((-1, a.shape[-1])), Tensor(np.zeros((1, a.shape[-1]), a.dtype))],
-                  axis=0)
+    rows = concat([a.reshape((-1, a.shape[-1])), Tensor(_zero_row(a.data))], axis=0)
     return matmul(rows, w)[:-1].reshape(a.shape[:-1] + (w.shape[-1],))
+
+
+def _zero_row(a: np.ndarray) -> np.ndarray:
+    """The zero row :func:`row_matmul` and :class:`Attention` fold below a lone row."""
+    return np.zeros((1, a.shape[-1]), a.dtype)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -191,10 +191,10 @@ def future_bias(scores: Tensor) -> Tensor:
 
 def qkv_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                   heads: int = 1) -> Tensor:
-    """``Attention`` of ``q``, ``k`` and ``v`` themselves: each is projected
-    through a constant identity matrix, a GEMM that keeps every byte of the
-    operand and of its gradient."""
-    eyes = [Tensor(np.eye(t.shape[-1], dtype=t.dtype)) for t in (q, k, v)]
+    """``Attention`` of ``q``, ``k`` and ``v`` themselves: each, and the
+    output, is projected through a constant identity matrix, a GEMM that
+    keeps every byte of the operand and of its gradient."""
+    eyes = [Tensor(np.eye(t.shape[-1], dtype=t.dtype)) for t in (q, k, v, v)]
     return Attention.apply(q, k, v, *eyes, causal=causal, heads=heads)
 
 
@@ -215,8 +215,8 @@ def per_head_attention(q, k, v, upstream, heads: int, causal: bool = False):
         return a.reshape(a.shape[:-2] + (-1,))
 
     q, k, v = (split(a) for a in (q, k, v))
-    eyes = [np.eye(a.shape[-1], dtype=a.dtype) for a in (q, k, v)]
-    op = Attention((True,) * 3 + (False,) * 3)
+    eyes = [np.eye(a.shape[-1], dtype=a.dtype) for a in (q, k, v, v)]
+    op = Attention((True,) * 3 + (False,) * 4)
     out = op.forward(q, k, v, *eyes, causal=causal)
     return merge(out), [merge(g) for g in op.backward(split(upstream))[:3]]
 

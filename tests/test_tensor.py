@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import canet.tensor
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
                    leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
-from canet.tensor import (Attention, Mul, _reduce_keepdims, _reduce_keys, _unbroadcast,
-                          row_matmul)
+from canet.tensor import (Attention, Mul, _mean, _reduce_keepdims, _reduce_keys,
+                          _unbroadcast, row_matmul)
 from conftest import (assert_grads_match, future_bias, param64, per_head_attention,
                       qkv_attention, total)
 
@@ -234,6 +234,22 @@ class TestLayerNorm:
         assert fused.dtype == dtype
         assert fused.tobytes() == composed_layer_norm(x, gain, bias).data.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [4, 32])
+    def test_input_gradient_of_a_transposed_upstream_is_c_ordered(self, rng, dtype, width):
+        # the closed form as one expression, the composed ops' arithmetic: its
+        # means reduce g in the upstream's layout, and its last step makes a C array
+        x = (rng.standard_normal((3, 5, 6, width)) * 2 + 0.5).astype(dtype)
+        gain, bias = (rng.standard_normal(width).astype(dtype) for _ in range(2))
+        upstream = np.swapaxes(rng.standard_normal((3, 5, width, 6)).astype(dtype), -1, -2)
+        op = canet.tensor.LayerNorm((True,) * 3)
+        op.forward(x, gain, bias, eps=1e-5)
+        g = upstream * gain
+        want = op.inv * (g - _mean(g, -1, True) - op.normed * _mean(g * op.normed, -1, True))
+        got = op.backward(upstream)[0]
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides and got.flags.c_contiguous
+
     def test_records_one_op(self, rng, recorded_creators):
         x, gain, bias = (param64(rng, s) for s in [(2, 3, 4), (4,), (4,)])
         layer_norm(x, gain, bias)
@@ -276,7 +292,7 @@ class TestAttention:
         # x feeds the three projections and a residual Add, as in the model, so
         # its gradient sums four parts, in the order the composed ops add them
         x0 = rng.standard_normal((3, 5, 6, 8)).astype(dtype)
-        w0 = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(3)]
+        w0 = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(4)]
         upstream = Tensor(rng.standard_normal((3, 5, 6, 8)).astype(dtype))
         results = []
         for fused in (True, False):
@@ -285,7 +301,8 @@ class TestAttention:
             if fused:
                 out = Attention.apply(x, x, x, *ws, causal=causal)
             else:
-                out = composed_attention(*(matmul(x, w) for w in ws), causal=causal)
+                out = matmul(composed_attention(*(matmul(x, w) for w in ws[:3]), causal=causal),
+                             ws[3])
             grads = backward(total((x + out) * upstream))
             results.append([out.data] + [grads[t] for t in (x, *ws)])
         fused, composed = results
@@ -297,18 +314,27 @@ class TestAttention:
     def test_projection_gradients_match_finite_differences(self, rng, causal):
         x, y = param64(rng, (2, 3, 4, 6)), param64(rng, (2, 3, 4, 5))
         w_q, w_k, w_v = param64(rng, (6, 4)), param64(rng, (6, 4)), param64(rng, (5, 6))
-        weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
+        w_out = param64(rng, (6, 3))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 3)))
         assert_grads_match(
-            lambda: total(Attention.apply(x, x, y, w_q, w_k, w_v, causal=causal, heads=2)
-                          * weights), [x, y, w_q, w_k, w_v])
+            lambda: total(Attention.apply(x, x, y, w_q, w_k, w_v, w_out, causal=causal, heads=2)
+                          * weights), [x, y, w_q, w_k, w_v, w_out])
 
-    @pytest.mark.parametrize("x_shape, w_shape", [
-        ((4, 3), (4, 3)), ((3,), (3, 3)), ((4, 3), (3, 3, 1))],
-        ids=["inner-differs", "unbatched-input", "weight-not-2d"])
-    def test_projections_that_do_not_fit_rejected(self, x_shape, w_shape):
+    @pytest.mark.parametrize("x_shape, w_shape, out_shape", [
+        ((4, 3), (4, 3), (3, 3)), ((3,), (3, 3), (3, 3)), ((4, 3), (3, 3, 1), (3, 3)),
+        ((4, 3), (3, 3), (2, 3)), ((4, 3), (3, 3), (3,))],
+        ids=["inner-differs", "unbatched-input", "weight-not-2d", "out-inner-differs",
+             "out-not-2d"])
+    def test_projections_that_do_not_fit_rejected(self, x_shape, w_shape, out_shape):
         x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
         with pytest.raises(ShapeError, match="do not fit"):
-            Attention.apply(x, x, x, w, w, w)
+            Attention.apply(x, x, x, w, w, w, Tensor(np.zeros(out_shape)))
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_rows_outside_the_sequence_rejected(self, rows):
+        x, w = Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3)))
+        with pytest.raises(ShapeError, match="rows"):
+            Attention.apply(x, x, x, w, w, w, w, rows=rows)
 
     @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("causal", [False, True])
@@ -350,11 +376,11 @@ class TestAttention:
     def test_results_are_fresh_contiguous_arrays(self, rng, heads, layout, drawn):
         q, k = (rng.standard_normal((2, 3, 6, 32)).astype(np.float32) for _ in range(2))
         v = rng.standard_normal((2, 3, 6, 16)).astype(np.float32)
-        weights = [rng.standard_normal((n, n)).astype(np.float32) for n in (32, 32, 16)]
+        weights = [rng.standard_normal((n, n)).astype(np.float32) for n in (32, 32, 16, 16)]
         operands = (q, k, v, *weights)
         upstream = layout(rng.standard_normal(drawn).astype(np.float32))
         assert upstream.shape == v.shape
-        op = Attention((True,) * 6)
+        op = Attention((True,) * 7)
         out = op.forward(*operands, causal=True, heads=heads)
         grads = op.backward(upstream)
         results = [out, *grads]
@@ -366,7 +392,7 @@ class TestAttention:
         for a, b in itertools.combinations(results, 2):
             assert not np.shares_memory(a, b)
         # the upstream gradient's layout does not change a byte
-        reference = Attention((True,) * 6)
+        reference = Attention((True,) * 7)
         reference.forward(*operands, causal=True, heads=heads)
         for got, want in zip(grads, reference.backward(np.ascontiguousarray(upstream))):
             assert got.tobytes() == want.tobytes()
@@ -393,6 +419,62 @@ class TestAttention:
     def test_operands_of_different_batch_shapes_rejected(self, shapes, causal):
         with pytest.raises(ShapeError, match="do not fit"):
             qkv_attention(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
+
+
+def project_output(x, ws, causal, heads, rows):
+    """The ops the output projection and crop once were, over ``Attention``
+    with an identity output projection, which keeps every byte: ``MatMul``,
+    or ``Slice``, ``Reshape`` and :func:`row_matmul` with a crop."""
+    eye = Tensor(np.eye(ws[2].shape[1], dtype=x.dtype))
+    attended = Attention.apply(x, x, x, *ws[:3], eye, causal=causal, heads=heads)
+    *lead, seq, width = attended.shape
+    if rows is None or rows == seq:
+        return matmul(attended, ws[3])
+    kept = attended[..., seq - rows:, :].reshape((-1, width))
+    return row_matmul(kept, ws[3]).reshape(tuple(lead) + (rows, ws[3].shape[1]))
+
+
+class TestOutputProjection:
+    """``Attention``'s output projection and row crop against the ops they fold."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_bit_identical_to_matmul_slice_and_row_matmul(self, dtype, causal, heads):
+        gen = np.random.default_rng(heads + 10 * causal)
+        # B·N·rows = 1 is the lone row that row_matmul folds with a zero row
+        for lead, seq, rows in [((), 1, None), ((2, 3), 5, None), ((1, 1), 4, 1), ((1,), 3, 1),
+                                ((3, 2), 6, 1), ((2, 3), 6, 4), ((4,), 5, 5), ((), 7, 3)]:
+            d, width = int(gen.integers(1, 5)), int(gen.integers(2, 9))
+            x0 = gen.standard_normal((*lead, seq, width)).astype(dtype)
+            w0 = [gen.standard_normal(s).astype(dtype) for s in
+                  [(width, heads * d)] * 2 + [(width, heads * 2), (heads * 2, width)]]
+            kept = seq if rows is None else rows
+            upstream = Tensor(gen.standard_normal((*lead, kept, width)).astype(dtype))
+            results = []
+            for fused in (True, False):
+                x = Tensor(x0.copy(), requires_grad=True)
+                ws = [Tensor(w.copy(), requires_grad=True) for w in w0]
+                if fused:
+                    out = Attention.apply(x, x, x, *ws, causal=causal, heads=heads, rows=rows)
+                else:
+                    out = project_output(x, ws, causal, heads, rows)
+                # x also feeds a residual, as in the model, so its gradient sums five parts
+                grads = backward(total((x[..., seq - kept:, :] + out) * upstream))
+                results.append([out.data] + [grads[t] for t in (x, *ws)])
+            for a, b in zip(*results):
+                assert a.dtype == dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (lead, seq, rows)
+
+    @pytest.mark.parametrize("shape, rows", [((2, 3, 5, 4), 2), ((1, 1, 4, 4), 1), ((3, 4), 1)],
+                             ids=["rows", "lone-row", "unbatched-lone-row"])
+    def test_cropped_gradients_match_finite_differences(self, rng, shape, rows):
+        x = param64(rng, shape)
+        w_q, w_k, w_v, w_out = (param64(rng, (4, 4)) for _ in range(4))
+        weights = Tensor(rng.standard_normal(shape[:-2] + (rows, 4)))
+        assert_grads_match(
+            lambda: total(Attention.apply(x, x, x, w_q, w_k, w_v, w_out, causal=True, heads=2,
+                                          rows=rows) * weights), [x, w_q, w_k, w_v, w_out])
 
 
 class TestActivations:
@@ -555,11 +637,13 @@ class TestBackward:
         (canet.tensor.LeakyRelu, [(2, 3, 4)], dict(slope=0.2)),
         (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=-1)),
         (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=0)),
-        (Attention, [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2)],
+        (Attention, [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2), (2, 3)],
          dict(causal=True, heads=2)),
-        (Attention, [(4, 3), (4, 3), (4, 3), (3, 8), (3, 8), (3, 4)], dict(heads=4)),
+        (Attention, [(4, 3), (4, 3), (4, 3), (3, 8), (3, 8), (3, 4), (4, 5)], dict(heads=4)),
         (canet.tensor.LayerNorm, [(2, 3, 4), (4,), (4,)], dict(eps=1e-5)),
         (canet.tensor.RowNormalize, [(2, 3, 4)], {}),
+        (Attention, [(2, 4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)], dict(causal=True, rows=3)),
+        (Attention, [(4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)], dict(heads=2, rows=1)),
     ]
 
     @pytest.mark.parametrize("cls, shapes, kwargs", READ_ONLY,
@@ -660,8 +744,10 @@ class TestTape:
         ("mul", [(2, 3, 4), (3, 4)], lambda a, b: a * b),
         ("matmul-weight", [(2, 3, 4), (4, 5)], matmul),
         ("matmul-batched", [(2, 3, 4), (2, 4, 5)], matmul),
-        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2)],
+        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2), (2, 3)],
          lambda *operands: Attention.apply(*operands, causal=True, heads=2)),
+        ("attention-rows", [(2, 4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)],
+         lambda *operands: Attention.apply(*operands, causal=True, heads=2, rows=2)),
         ("layer-norm", [(2, 3, 4), (4,), (4,)], layer_norm),
         ("concat", [(2, 3, 4), (2, 1, 4)], lambda a, b: concat([a, b], axis=-2)),
     ]

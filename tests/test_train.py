@@ -492,6 +492,16 @@ class TestStepMemory:
         peak = self.paper_step_peak_mib()
         assert peak < self.PAPER_RELEASE_BOUND_MIB, f"peak {peak:.2f} MiB"
 
+    # the same step: 16.3 MiB when each attention layer's output projection
+    # kept the heads' output (or the decoders' cropped rows) for its weight
+    # gradient, 14.6 MiB when the attention op projects the output itself
+    # and recomputes p·v in backward
+    PAPER_OUTPUT_RECOMPUTE_BOUND_MIB = 15.4
+
+    def test_paper_step_keeps_no_attention_output(self):
+        peak = self.paper_step_peak_mib()
+        assert peak < self.PAPER_OUTPUT_RECOMPUTE_BOUND_MIB, f"peak {peak:.2f} MiB"
+
 
 class TestOpsPerStep:
     # Autodiff ops dispatched by one training step (the bench reports it as
@@ -500,8 +510,8 @@ class TestOpsPerStep:
     # rest act on constants only.  A change to these counts must be
     # deliberate and recorded in CHANGES.md with its reason.
     @pytest.mark.parametrize("sensors, knobs, batch, ops, recorded", [
-        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 87, 87),
-        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 185, 185),
+        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 78, 78),
+        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 170, 170),
     ], ids=["desk", "paper"])
     def test_training_step_records_exactly(self, rng, recorded_creators, sensors, knobs,
                                            batch, ops, recorded):
