@@ -47,20 +47,21 @@ class AttentionParams:
 
 def scaled_dot_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
                          rows: Optional[int] = None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v w_out in each head, q, k and v projected from
-    ``sequence``, of the last ``rows`` positions only when ``rows`` is set: one
-    autodiff op that keeps only ``sequence`` and the attention weights for backward."""
-    return Attention.apply(*[sequence] * 3, params.w_query, params.w_key, params.w_value,
+    """``sequence`` plus softmax(q kᵀ / sqrt(d_k)) v w_out in each head, q, k and v
+    projected from ``sequence``, of the last ``rows`` positions only when ``rows``
+    is set: the residual sublayer as one autodiff op that keeps only
+    ``sequence`` and the attention weights for backward."""
+    return Attention.apply(sequence, params.w_query, params.w_key, params.w_value,
                            params.w_out, causal=causal, heads=params.heads, rows=rows)
 
 
 def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
                          rows: Optional[int] = None) -> Tensor:
-    """Attend in every head at once and project the heads' outputs, of the
-    last ``rows`` positions only when ``rows`` is set, in one GEMM over all
-    of them (see :func:`scaled_dot_attention`).  The queries are not cut: a
-    one-row matrix stack would send numpy's matmul down its vector-matrix
-    path, which sums in another order."""
+    """Attend in every head at once, project the heads' outputs in one GEMM
+    over all of them and add ``sequence``, of the last ``rows`` positions
+    only when ``rows`` is set (see :func:`scaled_dot_attention`).  The
+    queries are not cut: a one-row matrix stack would send numpy's matmul
+    down its vector-matrix path, which sums in another order."""
     return scaled_dot_attention(sequence, params, causal=causal, rows=rows)
 
 

@@ -236,8 +236,8 @@ def cam_forward(features: Tensor, layer: CamLayerParams, graph: SensorGraph,
     final slot only, giving (..., n_sensors, width); attention and the
     local graph still read every slot.
     """
-    attended = multi_head_attention(features, layer.attention, causal=False)
-    h1 = layer_norm(features + attended, layer.ln_attn_gain, layer.ln_attn_bias)
+    h1 = layer_norm(multi_head_attention(features, layer.attention, causal=False),
+                    layer.ln_attn_gain, layer.ln_attn_bias)
     local = local_adjacency(h1, layer.graph) if layer.dense is None and layer.use_local else None
     if last_slot:
         h1 = h1[..., -1, :]
@@ -296,10 +296,8 @@ def decoder_forward(seed: Tensor, layer_embeddings: List[Tensor],
         slot = emb.reshape(emb.shape[:-1] + (1, emb.shape[-1]))
         running = concat([slot, running], axis=-2)
         rows = crop_len if i == len(layers) - 1 else None
-        attended = multi_head_attention(running, layer.attention, causal=True, rows=rows)
-        if rows is not None and rows < running.shape[-2]:
-            running = running[..., -rows:, :]
-        running = layer_norm(running + attended, layer.ln_gain, layer.ln_bias)
+        running = layer_norm(multi_head_attention(running, layer.attention, causal=True, rows=rows),
+                             layer.ln_gain, layer.ln_bias)
     return running
 
 

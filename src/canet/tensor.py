@@ -378,38 +378,41 @@ class Softmax(Function):
 
 
 class Attention(Function):
-    """Multi-head scaled dot-product attention ``softmax(q kᵀ s) v @ w_out``
-    with ``s = 1/sqrt(d)`` (Vaswani et al., 2017), of ``q = x_q @ w_q``,
-    ``k = x_k @ w_k`` and ``v = x_v @ w_v`` (2-D weights), as one node; with
+    """The residual self-attention sublayer ``x + softmax(q kᵀ s) v @ w_out``
+    with ``s = 1/sqrt(d)`` (Vaswani et al., 2017), of ``q = x @ w_q``,
+    ``k = x @ w_k`` and ``v = x @ w_v`` (2-D weights), as one node; with
     ``causal`` each position attends only to itself and earlier ones, and
-    with ``rows`` only the last ``rows`` positions are projected and returned.
+    with ``rows`` only the last ``rows`` positions are projected and returned,
+    each plus its own row of ``x``.
 
-    q, k and v come in the model's ``(..., seq, heads·d)`` layout, q and k
-    of one shape and v differing from them only in width; head ``i`` reads
-    column block ``i`` of each.  The heads run on ``(..., heads, seq, d)``
+    ``x`` comes in the model's ``(..., seq, width)`` layout; q and k have one
+    width, head ``i`` reads column block ``i`` of q, k and v, and ``w_out``
+    maps v's width back to ``x``'s.  The heads run on ``(..., heads, seq, d)``
     views, and each head product is written into a fresh array of the
     merged layout.  The arithmetic and its order are the composed ops'
     (project, scale q, multiply by kᵀ, add ``-inf`` above the diagonal when
-    causal, softmax, multiply by v, crop, project), so outputs keep their
-    bytes.  Only the inputs and ``p`` are saved; backward recomputes v, the
-    heads' output ``p v`` for ``w_out``'s gradient, q and k (Chen et al.,
-    2016: compute traded for activation memory) and takes the closed form:
-    with the heads' output gradient ``g``, ``ds = p * (g vᵀ - sum(g vᵀ * p))``
-    summed over the key axis, then ``gq = (ds k) s``, ``gk = dsᵀ (q s)``
-    and ``gv = pᵀ g``, each passed back through its projection in turn.
-    Every array is dropped at its last read.
+    causal, softmax, multiply by v, crop, project, add ``x``), so outputs
+    keep their bytes.  Only the inputs and ``p`` are saved; backward
+    recomputes v, the heads' output ``p v`` for ``w_out``'s gradient, q and
+    k (Chen et al., 2016: compute traded for activation memory) and takes
+    the closed form: with the heads' output gradient ``g``,
+    ``ds = p * (g vᵀ - sum(g vᵀ * p))`` summed over the key axis, then
+    ``gq = (ds k) s``, ``gk = dsᵀ (q s)`` and ``gv = pᵀ g``, each passed back
+    through its projection in turn.  ``x``'s gradient is the residual's plus
+    q's, k's and v's, summed in that order.  Every array is dropped at its
+    last read.
     """
 
-    def forward(self, x_q, x_k, x_v, w_q, w_k, w_v, w_out, causal=False, heads=1, rows=None):
-        for x, w in ((x_q, w_q), (x_k, w_k), (x_v, w_v), (w_v, w_out)):
-            if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-                raise ShapeError(f"attention projections do not fit: {x.shape} @ {w.shape}")
-        q, k = x_q @ w_q, x_k @ w_k         # v only after the softmax
-        if (q.shape != k.shape or q.shape[:-1] != x_v.shape[:-1] or q.shape[-1] % heads
-                or w_v.shape[1] % heads or (rows is not None and not 0 < rows <= q.shape[-2])):
-            raise ShapeError(f"attention operands do not fit (heads={heads}, rows={rows}): "
-                             f"q {q.shape}, k {k.shape}, v {x_v.shape[:-1] + w_v.shape[1:]}")
-        self.heads, self.rows = heads, None if rows == q.shape[-2] else rows
+    def forward(self, x, w_q, w_k, w_v, w_out, causal=False, heads=1, rows=None):
+        if (x.ndim < 2 or any(w.ndim != 2 for w in (w_q, w_k, w_v, w_out))
+                or not x.shape[-1] == w_q.shape[0] == w_k.shape[0] == w_v.shape[0] == w_out.shape[1]
+                or w_q.shape[1] != w_k.shape[1] or w_v.shape[1] != w_out.shape[0]
+                or w_q.shape[1] % heads or w_v.shape[1] % heads
+                or (rows is not None and not 0 < rows <= x.shape[-2])):
+            raise ShapeError(f"attention operands do not fit (heads={heads}, rows={rows}): x "
+                             f"{x.shape}, weights {w_q.shape} {w_k.shape} {w_v.shape} {w_out.shape}")
+        self.heads, self.rows = heads, None if rows == x.shape[-2] else rows
+        q, k = x @ w_q, x @ w_k             # v only after the softmax
         # kᵀ and vᵀ are copied before their products: numpy multiplies stacks of
         # small matrices given as transposed strided views several times slower
         k = np.swapaxes(_split_heads(k, heads), -1, -2).copy()
@@ -424,20 +427,24 @@ class Attention(Function):
         scores -= _reduce_keys(np.maximum, scores)
         np.exp(scores, out=scores)
         scores /= _reduce_keys(np.add, scores)
-        self.saved = (x_q, x_k, x_v, w_q, w_k, w_v, w_out)
+        self.saved = (x, w_q, w_k, w_v, w_out)
         self.p = scores
-        attended = _merged_product(scores, _split_heads(x_v @ w_v, heads), heads)
+        attended = _merged_product(scores, _split_heads(x @ w_v, heads), heads)
         if self.rows is None:
-            return attended @ w_out
-        kept = attended[..., -self.rows:, :].reshape(-1, attended.shape[-1])
-        out = kept @ w_out if len(kept) > 1 else (  # a lone row folded as row_matmul folds it
-            np.concatenate([kept, _zero_row(kept)]) @ w_out)[:-1]
-        return out.reshape(attended.shape[:-2] + (self.rows, w_out.shape[1]))
+            out = attended @ w_out
+        else:
+            kept = attended[..., -self.rows:, :].reshape(-1, attended.shape[-1])
+            out = kept @ w_out if len(kept) > 1 else (  # a lone row folded as row_matmul folds it
+                np.concatenate([kept, _zero_row(kept)]) @ w_out)[:-1]
+            x = x[..., -self.rows:, :]
+        out = out.reshape(x.shape)
+        out += x                            # the residual: a + x is x + a, bit for bit
+        return out
 
     def backward(self, grad):
-        x_q, x_k, x_v, w_q, w_k, w_v, w_out = self.saved
-        heads, p, rows = self.heads, self.p, self.rows
-        v = _split_heads(x_v @ w_v, heads)
+        x, w_q, w_k, w_v, w_out = self.saved
+        heads, p, rows, residual = self.heads, self.p, self.rows, grad
+        v = _split_heads(x @ w_v, heads)
         kept = _merged_product(p, v, heads)
         shape = kept.shape
         if rows is not None:                # the crop and lone-row fold the forward ran
@@ -451,21 +458,26 @@ class Attention(Function):
         del kept
         grad = _split_heads(grad, heads)
         gx_v, gw_v = _weight_grads(_merged_product(np.swapaxes(p, -1, -2), grad, heads),
-                                   x_v, w_v, x_v.shape)
+                                   x, w_v, x.shape)
         ds = grad @ np.swapaxes(v, -1, -2).copy()
         del grad, v
         ds -= _reduce_keys(np.add, ds * p)
         ds *= p
-        gq = _merged_product(ds, _split_heads(x_k @ w_k, heads), heads)
+        gq = _merged_product(ds, _split_heads(x @ w_k, heads), heads)
         gq *= self.scale
-        gx_q, gw_q = _weight_grads(gq, x_q, w_q, x_q.shape)
+        gx, gw_q = _weight_grads(gq, x, w_q, x.shape)
         del gq
-        qs = _split_heads(x_q @ w_q, heads)
+        # no kept row reads a query above a crop, so gx is 0.0 there and adding
+        # the residual's zero-filled gradient (Slice's) would change no byte
+        gx[..., -residual.shape[-2]:, :] += residual
+        qs = _split_heads(x @ w_q, heads)
         qs *= self.scale
         gk = _merged_product(np.swapaxes(ds, -1, -2), qs, heads)
         del ds, qs
-        gx_k, gw_k = _weight_grads(gk, x_k, w_k, x_k.shape)
-        return gx_q, gx_k, gx_v, gw_q, gw_k, gw_v, gw_out
+        gx_k, gw_k = _weight_grads(gk, x, w_k, x.shape)
+        gx += gx_k
+        gx += gx_v
+        return gx, gw_q, gw_k, gw_v, gw_out
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -627,10 +639,6 @@ def backward(loss: Tensor) -> dict:
     pass runs and is gone when it returns, even while ``loss`` is held.  A
     second pass through any of it raises :class:`ConsumedGraphError`; run
     the forward again instead.
-
-    A node's third and later gradients are added in place into the sum of
-    its first two, never into an array an op returned (``Add`` hands one
-    array to both operands), so the bytes are those of out-of-place sums.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -665,7 +673,6 @@ def backward(loss: Tensor) -> dict:
     # every consumer of a node comes after it in ``ops``, so a node's
     # gradient is complete when the reversed walk reaches it
     pending: dict = {root: np.ones_like(loss.data)}
-    summed = set()      # nodes whose pending gradient is a sum allocated here
     for node in reversed(ops):
         grad = pending.pop(node, None)
         parents = node.parents
@@ -674,14 +681,5 @@ def backward(loss: Tensor) -> dict:
         for parent, pgrad in zip(parents, grads):
             if pgrad is not None and parent is not None:
                 total = pending.get(parent)
-                # in place only into an array summed here (two 0-d arrays sum
-                # to a numpy scalar), with the out-of-place dtype and C layout
-                if (parent in summed and type(total) is np.ndarray
-                        and total.dtype == pgrad.dtype and total.flags.c_contiguous):
-                    total += pgrad
-                elif total is not None:
-                    pending[parent] = total + pgrad
-                    summed.add(parent)
-                else:
-                    pending[parent] = pgrad
+                pending[parent] = pgrad if total is None else total + pgrad
     return {leaf: pending[leaf] for leaf in reversed(leaves) if leaf in pending}

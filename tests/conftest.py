@@ -9,7 +9,7 @@ from canet import Tensor, backward
 from canet.attention import multi_head_attention
 from canet.graph import build_sensor_graph, global_local_conv, local_adjacency
 from canet.model import bottleneck_ae
-from canet.tensor import Attention, concat, layer_norm, matmul, no_grad
+from canet.tensor import concat, layer_norm, matmul, no_grad, row_matmul, softmax
 
 GRAD_RTOL = 1e-4
 
@@ -144,8 +144,8 @@ def full_slot_forward(x: np.ndarray, model):
         running = seed
         for emb, layer in zip(embeddings, layers):
             running = concat([emb.reshape(emb.shape[:-1] + (1, -1)), running], axis=-2)
-            attended = multi_head_attention(running, layer.attention, causal=True)
-            running = layer_norm(running + attended, layer.ln_gain, layer.ln_bias)
+            running = layer_norm(multi_head_attention(running, layer.attention, causal=True),
+                                 layer.ln_gain, layer.ln_bias)
         return running[..., -crop_len:, :]
 
     with no_grad():
@@ -153,8 +153,8 @@ def full_slot_forward(x: np.ndarray, model):
         h = model._lift(concat([x.reshape(x.shape + (1,)), zero_slot], axis=-2), k + 1)
         embeddings = []
         for layer in model.encoder:
-            attended = multi_head_attention(h, layer.attention)
-            h1 = layer_norm(h + attended, layer.ln_attn_gain, layer.ln_attn_bias)
+            h1 = layer_norm(multi_head_attention(h, layer.attention),
+                            layer.ln_attn_gain, layer.ln_attn_bias)
             if layer.dense is not None:
                 sub = matmul(h1, layer.dense)
             else:
@@ -189,36 +189,44 @@ def future_bias(scores: Tensor) -> Tensor:
     return Tensor(np.where(causal_mask(scores.shape[-1]), -np.inf, 0).astype(scores.dtype))
 
 
-def qkv_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                  heads: int = 1) -> Tensor:
-    """``Attention`` of ``q``, ``k`` and ``v`` themselves: each, and the
-    output, is projected through a constant identity matrix, a GEMM that
-    keeps every byte of the operand and of its gradient."""
-    eyes = [Tensor(np.eye(t.shape[-1], dtype=t.dtype)) for t in (q, k, v, v)]
-    return Attention.apply(q, k, v, *eyes, causal=causal, heads=heads)
+def composed_attention(q, k, v, causal=False):
+    """Attention as five primitive ops (scale q, transpose k, two matmuls and
+    a softmax), plus the future positions' ``-inf`` when causal."""
+    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
+    if causal:
+        scores = scores + future_bias(scores)
+    return matmul(softmax(scores, axis=-1), v)
 
 
-def per_head_attention(q, k, v, upstream, heads: int, causal: bool = False):
-    """Oracle for ``Attention``'s head split: the reshape/transpose chain that
-    multi-head attention once recorded around the one-head op (here over
-    identity projections), as the numpy views and copies those ops made.
+def qkv_attention(x, w_q, w_k, w_v, w_out, causal=False, heads=1, rows=None):
+    """Oracle for ``Attention``, with its arguments: the residual sublayer as
+    the ops it folds.  ``MatMul`` projects ``x`` to q, k and v; ``Reshape``
+    and a ``Slice`` per head split them, :func:`composed_attention` attends
+    in each head and ``Concat`` merges the heads; ``MatMul`` projects the
+    result, or with a crop ``Slice``, ``Reshape`` and :func:`row_matmul`;
+    ``Add`` puts back ``x``, cropped by ``Slice``."""
+    def split(t):
+        t = t.reshape(t.shape[:-1] + (heads, t.shape[-1] // heads))
+        return [t[..., i, :] for i in range(heads)]
 
-    ``q``, ``k``, ``v`` and ``upstream``, the gradient of the output, are
-    ``(..., seq, heads·d)`` arrays.  Returns the output and the gradients of
-    q, k and v, in that layout.
-    """
-    def split(a):       # Reshape to (..., seq, heads, d), Transpose (seq, heads): views
-        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, -1)), -2, -3)
+    q, k, v = (split(matmul(x, w)) for w in (w_q, w_k, w_v))
+    attended = concat([composed_attention(*qkv, causal=causal) for qkv in zip(q, k, v)], axis=-1)
+    *lead, seq, width = attended.shape
+    if rows is None or rows == seq:
+        return x + matmul(attended, w_out)
+    kept = attended[..., seq - rows:, :].reshape((-1, width))
+    out = row_matmul(kept, w_out).reshape(tuple(lead) + (rows, w_out.shape[1]))
+    return x[..., seq - rows:, :] + out
 
-    def merge(a):       # Transpose back, then Reshape: a copy
-        a = np.swapaxes(a, -2, -3)
-        return a.reshape(a.shape[:-2] + (-1,))
 
-    q, k, v = (split(a) for a in (q, k, v))
-    eyes = [np.eye(a.shape[-1], dtype=a.dtype) for a in (q, k, v, v)]
-    op = Attention((True,) * 3 + (False,) * 4)
-    out = op.forward(q, k, v, *eyes, causal=causal)
-    return merge(out), [merge(g) for g in op.backward(split(upstream))[:3]]
+def per_head_attention(x, ws, upstream, causal=False, heads=1, rows=None):
+    """The output of :func:`qkv_attention` on the arrays ``x`` and ``ws``
+    (``w_q``, ``w_k``, ``w_v``, ``w_out``) and, for the output gradient
+    ``upstream``, the gradients of ``x`` and of each weight, as arrays."""
+    x, *ws = (Tensor(a, requires_grad=True) for a in (x, *ws))
+    out = qkv_attention(x, *ws, causal=causal, heads=heads, rows=rows)
+    grads = backward(total(out * Tensor(upstream)))
+    return out.data, [grads[t] for t in (x, *ws)]
 
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:

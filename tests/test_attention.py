@@ -5,6 +5,7 @@ from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_attention,
                              sinusoid_table)
 from canet.model import _named_tensors
+from canet.tensor import Attention
 from conftest import assert_grads_match, causal_mask, future_bias, qkv_attention, total
 
 
@@ -15,7 +16,7 @@ def identity_params(width: int, heads: int = 1) -> AttentionParams:
 
 
 def per_head_reference(seq: np.ndarray, params: AttentionParams, causal: bool) -> np.ndarray:
-    """Per-head attention assembled by hand from the column blocks, in numpy."""
+    """``seq`` plus per-head attention assembled by hand from the column blocks, in numpy."""
     head_dim = params.w_query.shape[1] // params.heads
     outputs = []
     for i in range(params.heads):
@@ -27,7 +28,7 @@ def per_head_reference(seq: np.ndarray, params: AttentionParams, causal: bool) -
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights /= weights.sum(axis=-1, keepdims=True)
         outputs.append(weights @ v)
-    return np.concatenate(outputs, axis=-1) @ params.w_out.data
+    return seq + np.concatenate(outputs, axis=-1) @ params.w_out.data
 
 
 class TestProjectQkv:
@@ -47,13 +48,14 @@ class TestProjectQkv:
         np.testing.assert_array_equal(out.data, np.zeros((3, 4, 6)))
 
     def test_hand_projection(self):
-        # one position attends only to itself, so each head returns its value block
+        # one position attends only to itself, so each head returns its value
+        # block, which is projected and added to the input
         params = AttentionParams(
             w_query=Tensor(np.eye(2)), w_key=Tensor(np.eye(2)),
             w_value=Tensor([[2.0, 1.0], [3.0, -1.0]]), w_out=Tensor([[1.0, 0.0], [0.0, 10.0]]),
             heads=2)
         out = multi_head_attention(Tensor([[1.0, 2.0]]), params)
-        np.testing.assert_allclose(out.data, [[8.0, -10.0]])
+        np.testing.assert_allclose(out.data, [[9.0, -8.0]])
 
     def test_head_out_of_range(self, rng):
         with pytest.raises(ValueError):
@@ -61,42 +63,48 @@ class TestProjectQkv:
 
 
 class TestScaledDotAttention:
+    @staticmethod
+    def projected(x, params, values):
+        """The sublayer's output where each position of ``x`` reads ``values``:
+        ``x`` plus ``values`` projected by ``w_out``."""
+        return x.data + values @ params.w_out.data
+
     def test_single_position_returns_value(self, rng):
-        v = Tensor(rng.standard_normal((1, 4)))
-        q = Tensor(rng.standard_normal((1, 2)))
-        k = Tensor(rng.standard_normal((1, 2)))
-        out = qkv_attention(q, k, v)
-        np.testing.assert_allclose(out.data, v.data, rtol=1e-6)
+        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        x = Tensor(rng.standard_normal((1, 4)))
+        out = scaled_dot_attention(x, params)
+        np.testing.assert_allclose(out.data, self.projected(x, params, x.data @ params.w_value.data),
+                                   rtol=1e-12)
 
     def test_identical_keys_average_values(self, rng):
-        q = Tensor(rng.standard_normal((4, 3)))
-        k = Tensor(np.tile(rng.standard_normal((1, 3)), (4, 1)))
-        v = Tensor(rng.standard_normal((4, 5)))
-        out = qkv_attention(q, k, v)
-        expected = np.tile(v.data.mean(axis=0, keepdims=True), (4, 1))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-5)
+        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        params.w_key = Tensor(np.zeros((4, 4)))       # every key is zero
+        x = Tensor(rng.standard_normal((4, 4)))
+        out = scaled_dot_attention(x, params)
+        mean = (x.data @ params.w_value.data).mean(axis=0, keepdims=True)
+        np.testing.assert_allclose(out.data, self.projected(x, params, mean), rtol=1e-12)
 
     def test_causal_first_position_sees_only_itself(self, rng):
-        q = Tensor(rng.standard_normal((5, 3)))
-        k = Tensor(rng.standard_normal((5, 3)))
-        v = Tensor(rng.standard_normal((5, 4)))
-        out = qkv_attention(q, k, v, causal=True)
-        np.testing.assert_allclose(out.data[0], v.data[0], rtol=1e-6)
+        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        x = Tensor(rng.standard_normal((5, 4)))
+        out = scaled_dot_attention(x, params, causal=True)
+        first = Tensor(x.data[:1])
+        np.testing.assert_allclose(out.data[:1], self.projected(
+            first, params, first.data @ params.w_value.data), rtol=1e-12)
 
-    def test_width_mismatch(self, rng):
+    def test_width_mismatch(self):
+        # q and k are of widths 3 and 4
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))
         with pytest.raises(ShapeError):
-            qkv_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                          Tensor(np.zeros((2, 4))))
-
-    def test_key_and_value_lengths_differ(self):
-        with pytest.raises(ShapeError):
-            qkv_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))),
-                          Tensor(np.zeros((4, 2))))
+            Attention.apply(x, w, Tensor(np.zeros((3, 4))), w, w)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_batch_axes_do_not_broadcast(self, causal):
-        with pytest.raises(ShapeError):
-            qkv_attention(*(Tensor(np.zeros((n, 4, 3))) for n in (2, 3, 2)), causal=causal)
+        # numpy's matmul would broadcast a weight's batch axes against x's
+        x, w = Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3)))
+        for batched in (Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((1, 3, 3)))):
+            with pytest.raises(ShapeError):
+                Attention.apply(x, w, batched, w, w, causal=causal)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_records_one_op_and_none_without_tape(self, rng, recorded_creators, causal):
@@ -114,14 +122,15 @@ class TestMultiHead:
     def test_single_head_identity_reduces_to_attention(self, rng):
         seq = Tensor(rng.standard_normal((6, 4)))
         out = multi_head_attention(seq, identity_params(4))
-        direct = qkv_attention(seq, seq, seq)
+        direct = qkv_attention(seq, *[Tensor(np.eye(4))] * 4)
         np.testing.assert_allclose(out.data, direct.data, rtol=1e-6)
 
     def test_zero_output_projection(self, rng):
         params = AttentionParams.create(4, 2, rng)
         params.w_out = Tensor(np.zeros((4, 4)))
-        out = multi_head_attention(Tensor(rng.standard_normal((5, 4))), params)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+        seq = Tensor(rng.standard_normal((5, 4)))
+        out = multi_head_attention(seq, params)
+        assert out.data.tobytes() == seq.data.tobytes()        # the residual alone
 
     def test_two_heads_match_hand_assembly(self, rng):
         params = AttentionParams.create(4, 2, rng)

@@ -26,16 +26,6 @@ def composed_layer_norm(x, gain, bias, eps=1e-5):
     return centered * inv * gain + bias
 
 
-def composed_attention(q, k, v, causal=False):
-    """Attention as five primitive ops (scale q, transpose k, two matmuls and
-    a softmax), plus the future positions' ``-inf`` when causal: the oracle
-    for the fused node."""
-    scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
-    if causal:
-        scores = scores + future_bias(scores)
-    return matmul(softmax(scores, axis=-1), v)
-
-
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -256,32 +246,47 @@ class TestLayerNorm:
         assert recorded_creators == [True]
 
 
+def fused_and_oracle(x0, ws0, loss, **kwargs):
+    """``[output, gradient of x, gradients of w_q, w_k, w_v and w_out]`` for the
+    scalar ``loss(output)``, from ``Attention`` and from its oracle
+    :func:`qkv_attention`, each on fresh leaves over the arrays ``x0`` and ``ws0``."""
+    results = []
+    for attend in (Attention.apply, qkv_attention):
+        x, *ws = (Tensor(a, requires_grad=True) for a in (x0, *ws0))
+        out = attend(x, *ws, **kwargs)
+        grads = backward(loss(out))
+        results.append([out.data] + [grads[t] for t in (x, *ws)])
+    return results
+
+
+def attention_params(rng, width, widths, scale=1.0):
+    """Distinct float64 leaves ``w_q``, ``w_k``, ``w_v`` and ``w_out`` mapping
+    ``width`` to q and k of ``widths[0]`` and v of ``widths[1]``, and back."""
+    qk, v = widths
+    return [param64(rng, s, scale) for s in ((width, qk), (width, qk), (width, v), (v, width))]
+
+
 class TestAttention:
-    # no batch axes (2-D operands), and (batch, sensors, heads) as multi-head attention runs it
+    # no batch axes (2-D input), and (batch, sensors) stacks as the model runs it
     @pytest.mark.parametrize("batch", [(), (2, 3, 2)])
     @pytest.mark.parametrize("causal", [False, True])
     def test_gradients_match_finite_differences(self, rng, batch, causal):
-        q, k = (param64(rng, (*batch, 4, 3)) for _ in range(2))
-        v = param64(rng, (*batch, 4, 2))
-        weights = Tensor(rng.standard_normal((*batch, 4, 2)))
-        assert_grads_match(lambda: total(qkv_attention(q, k, v, causal=causal) * weights),
-                           [q, k, v])
+        x = param64(rng, (*batch, 4, 3))
+        ws = attention_params(rng, 3, (4, 2))
+        weights = Tensor(rng.standard_normal((*batch, 4, 3)))
+        assert_grads_match(lambda: total(Attention.apply(x, *ws, causal=causal) * weights),
+                           [x, *ws])
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("causal", [False, True])
     def test_bit_identical_to_composition(self, rng, d, causal):
-        # strided (batch, sensors, heads, seq, d) views, as the head split hands them over
-        split = rng.standard_normal((3, 4, 5, 6, 2, d)).astype(np.float32)
-        arrays = split.transpose(0, 1, 2, 4, 3, 5)
-        upstream = Tensor(rng.standard_normal((4, 5, 2, d, 6)).astype(np.float32))
-        results = []
-        for attend in (qkv_attention, composed_attention):
-            operands = [Tensor(a, requires_grad=True) for a in arrays]
-            out = attend(*operands, causal=causal)
-            # the transpose hands the op a non-contiguous upstream gradient
-            grads = backward(total(out.transpose() * upstream))
-            results.append([out.data] + [grads[t] for t in operands])
-        fused, composed = results
+        # a strided (batch, sensors, seq, width) view, and weights of distinct widths
+        x0 = rng.standard_normal((4, 5, 6, 2, 7)).astype(np.float32)[..., 0, :]
+        ws0 = [rng.standard_normal(s).astype(np.float32) for s in ((7, d), (7, d), (7, 3), (3, 7))]
+        upstream = Tensor(rng.standard_normal((4, 5, 7, 6)).astype(np.float32))
+        # the transpose hands the op a non-contiguous upstream gradient
+        fused, composed = fused_and_oracle(x0, ws0, lambda out: total(out.transpose() * upstream),
+                                           causal=causal)
         assert fused[0].dtype == np.float32
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
@@ -289,62 +294,51 @@ class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("causal", [False, True])
     def test_projections_bit_identical_to_matmuls_and_composition(self, rng, dtype, causal):
-        # x feeds the three projections and a residual Add, as in the model, so
-        # its gradient sums four parts, in the order the composed ops add them
+        # x feeds the residual and the three projections, so its gradient sums
+        # four parts, in the order the composed ops add them
         x0 = rng.standard_normal((3, 5, 6, 8)).astype(dtype)
-        w0 = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(4)]
+        ws0 = [rng.standard_normal((8, 8)).astype(dtype) for _ in range(4)]
         upstream = Tensor(rng.standard_normal((3, 5, 6, 8)).astype(dtype))
-        results = []
-        for fused in (True, False):
-            x = Tensor(x0.copy(), requires_grad=True)
-            ws = [Tensor(w.copy(), requires_grad=True) for w in w0]
-            if fused:
-                out = Attention.apply(x, x, x, *ws, causal=causal)
-            else:
-                out = matmul(composed_attention(*(matmul(x, w) for w in ws[:3]), causal=causal),
-                             ws[3])
-            grads = backward(total((x + out) * upstream))
-            results.append([out.data] + [grads[t] for t in (x, *ws)])
-        fused, composed = results
+        fused, composed = fused_and_oracle(x0, ws0, lambda out: total(out * upstream),
+                                           causal=causal)
         assert fused[0].dtype == dtype
         for a, b in zip(fused, composed):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_projection_gradients_match_finite_differences(self, rng, causal):
-        x, y = param64(rng, (2, 3, 4, 6)), param64(rng, (2, 3, 4, 5))
-        w_q, w_k, w_v = param64(rng, (6, 4)), param64(rng, (6, 4)), param64(rng, (5, 6))
-        w_out = param64(rng, (6, 3))
-        weights = Tensor(rng.standard_normal((2, 3, 4, 3)))
+        x = param64(rng, (2, 3, 4, 6))
+        ws = attention_params(rng, 6, (4, 6))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
         assert_grads_match(
-            lambda: total(Attention.apply(x, x, y, w_q, w_k, w_v, w_out, causal=causal, heads=2)
-                          * weights), [x, y, w_q, w_k, w_v, w_out])
+            lambda: total(Attention.apply(x, *ws, causal=causal, heads=2) * weights), [x, *ws])
 
     @pytest.mark.parametrize("x_shape, w_shape, out_shape", [
         ((4, 3), (4, 3), (3, 3)), ((3,), (3, 3), (3, 3)), ((4, 3), (3, 3, 1), (3, 3)),
-        ((4, 3), (3, 3), (2, 3)), ((4, 3), (3, 3), (3,))],
+        ((4, 3), (3, 3), (2, 3)), ((4, 3), (3, 3), (3,)), ((4, 3), (3, 3), (3, 2))],
         ids=["inner-differs", "unbatched-input", "weight-not-2d", "out-inner-differs",
-             "out-not-2d"])
+             "out-not-2d", "out-width-differs"])
     def test_projections_that_do_not_fit_rejected(self, x_shape, w_shape, out_shape):
+        # out-width-differs: w_out maps v back to a width the residual does not have
         x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
         with pytest.raises(ShapeError, match="do not fit"):
-            Attention.apply(x, x, x, w, w, w, Tensor(np.zeros(out_shape)))
+            Attention.apply(x, w, w, w, Tensor(np.zeros(out_shape)))
 
     @pytest.mark.parametrize("rows", [0, 5])
     def test_rows_outside_the_sequence_rejected(self, rows):
         x, w = Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3)))
         with pytest.raises(ShapeError, match="rows"):
-            Attention.apply(x, x, x, w, w, w, w, rows=rows)
+            Attention.apply(x, w, w, w, w, rows=rows)
 
     @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("causal", [False, True])
     def test_head_split_bit_identical_to_reshape_chain(self, rng, heads, causal):
-        q, k, v, upstream = (rng.standard_normal((3, 5, 6, 12)).astype(np.float32)
-                             for _ in range(4))
-        operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = qkv_attention(*operands, causal=causal, heads=heads)
+        x, upstream = (rng.standard_normal((3, 5, 6, 12)).astype(np.float32) for _ in range(2))
+        ws = [rng.standard_normal((12, 12)).astype(np.float32) for _ in range(4)]
+        operands = [Tensor(a, requires_grad=True) for a in (x, *ws)]
+        out = Attention.apply(*operands, causal=causal, heads=heads)
         got = backward(total(out * Tensor(upstream)))
-        expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
+        expected, grads = per_head_attention(x, ws, upstream, causal, heads)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
         for t, g in zip(operands, grads):
@@ -356,12 +350,13 @@ class TestAttention:
     @pytest.mark.parametrize("causal", [False, True])
     def test_head_split_bit_identical_at_model_shapes(self, rng, lead, seq, causal):
         heads = 8
-        q, k, v, upstream = (rng.standard_normal((*lead, seq, heads * 4)).astype(np.float32)
-                             for _ in range(4))
-        operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = qkv_attention(*operands, causal=causal, heads=heads)
+        x, upstream = (rng.standard_normal((*lead, seq, heads * 4)).astype(np.float32)
+                       for _ in range(2))
+        ws = [rng.standard_normal((heads * 4, heads * 4)).astype(np.float32) for _ in range(4)]
+        operands = [Tensor(a, requires_grad=True) for a in (x, *ws)]
+        out = Attention.apply(*operands, causal=causal, heads=heads)
         got = backward(total(out * Tensor(upstream)))
-        expected, grads = per_head_attention(q, k, v, upstream, heads, causal)
+        expected, grads = per_head_attention(x, ws, upstream, causal, heads)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == expected.tobytes()
         for t, g in zip(operands, grads):
@@ -369,22 +364,22 @@ class TestAttention:
 
     @pytest.mark.parametrize("heads", [1, 8])
     @pytest.mark.parametrize("layout, drawn", [
-        (lambda a: a, (2, 3, 6, 16)),
-        (lambda a: a[..., ::2], (2, 3, 6, 32)),
-        (lambda a: np.swapaxes(a, -1, -2), (2, 3, 16, 6)),
+        (lambda a: a, (2, 3, 6, 32)),
+        (lambda a: a[..., ::2], (2, 3, 6, 64)),
+        (lambda a: np.swapaxes(a, -1, -2), (2, 3, 32, 6)),
     ], ids=["contiguous", "strided", "transposed"])
     def test_results_are_fresh_contiguous_arrays(self, rng, heads, layout, drawn):
-        q, k = (rng.standard_normal((2, 3, 6, 32)).astype(np.float32) for _ in range(2))
-        v = rng.standard_normal((2, 3, 6, 16)).astype(np.float32)
-        weights = [rng.standard_normal((n, n)).astype(np.float32) for n in (32, 32, 16, 16)]
-        operands = (q, k, v, *weights)
+        x = rng.standard_normal((2, 3, 6, 32)).astype(np.float32)
+        weights = [rng.standard_normal(s).astype(np.float32)
+                   for s in ((32, 32), (32, 32), (32, 16), (16, 32))]
+        operands = (x, *weights)
         upstream = layout(rng.standard_normal(drawn).astype(np.float32))
-        assert upstream.shape == v.shape
-        op = Attention((True,) * 7)
+        assert upstream.shape == x.shape
+        op = Attention((True,) * 5)
         out = op.forward(*operands, causal=True, heads=heads)
         grads = op.backward(upstream)
         results = [out, *grads]
-        for result, operand in zip(results, (v, *operands)):
+        for result, operand in zip(results, (x, *operands)):
             assert result.shape == operand.shape and result.dtype == np.float32
             assert result.flags.c_contiguous
             for other in (*operands, upstream):
@@ -392,50 +387,27 @@ class TestAttention:
         for a, b in itertools.combinations(results, 2):
             assert not np.shares_memory(a, b)
         # the upstream gradient's layout does not change a byte
-        reference = Attention((True,) * 7)
+        reference = Attention((True,) * 5)
         reference.forward(*operands, causal=True, heads=heads)
         for got, want in zip(grads, reference.backward(np.ascontiguousarray(upstream))):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_gradients_in_heads_match_finite_differences(self, rng, causal):
-        q, k = (param64(rng, (2, 3, 4, 6)) for _ in range(2))
-        v = param64(rng, (2, 3, 4, 4))
-        weights = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        x = param64(rng, (2, 3, 4, 6))
+        ws = attention_params(rng, 6, (6, 4))
+        weights = Tensor(rng.standard_normal((2, 3, 4, 6)))
         assert_grads_match(
-            lambda: total(qkv_attention(q, k, v, causal=causal, heads=2) * weights), [q, k, v])
+            lambda: total(Attention.apply(x, *ws, causal=causal, heads=2) * weights), [x, *ws])
 
     def test_width_not_split_by_heads_rejected(self):
+        x, w = Tensor(np.zeros((3, 6))), Tensor(np.zeros((6, 6)))
         with pytest.raises(ShapeError, match="heads"):
-            qkv_attention(*(Tensor(np.zeros((3, 6))) for _ in range(3)), heads=4)
-
-    # batch shapes that numpy would broadcast: the op takes one batch shape only
-    @pytest.mark.parametrize("shapes", [
-        [(2, 1, 4, 3), (4, 3), (3, 4, 2)],
-        [(2, 4, 3), (1, 4, 3), (2, 4, 2)],
-        [(2, 4, 3), (2, 4, 3), (4, 2)],
-    ], ids=["all-differ", "key-batch-1", "value-unbatched"])
-    @pytest.mark.parametrize("causal", [False, True])
-    def test_operands_of_different_batch_shapes_rejected(self, shapes, causal):
-        with pytest.raises(ShapeError, match="do not fit"):
-            qkv_attention(*(Tensor(np.zeros(s)) for s in shapes), causal=causal)
-
-
-def project_output(x, ws, causal, heads, rows):
-    """The ops the output projection and crop once were, over ``Attention``
-    with an identity output projection, which keeps every byte: ``MatMul``,
-    or ``Slice``, ``Reshape`` and :func:`row_matmul` with a crop."""
-    eye = Tensor(np.eye(ws[2].shape[1], dtype=x.dtype))
-    attended = Attention.apply(x, x, x, *ws[:3], eye, causal=causal, heads=heads)
-    *lead, seq, width = attended.shape
-    if rows is None or rows == seq:
-        return matmul(attended, ws[3])
-    kept = attended[..., seq - rows:, :].reshape((-1, width))
-    return row_matmul(kept, ws[3]).reshape(tuple(lead) + (rows, ws[3].shape[1]))
+            Attention.apply(x, w, w, w, w, heads=4)
 
 
 class TestOutputProjection:
-    """``Attention``'s output projection and row crop against the ops they fold."""
+    """``Attention``'s output projection, row crop and residual against the ops they fold."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("causal", [False, True])
@@ -447,34 +419,27 @@ class TestOutputProjection:
                                 ((3, 2), 6, 1), ((2, 3), 6, 4), ((4,), 5, 5), ((), 7, 3)]:
             d, width = int(gen.integers(1, 5)), int(gen.integers(2, 9))
             x0 = gen.standard_normal((*lead, seq, width)).astype(dtype)
-            w0 = [gen.standard_normal(s).astype(dtype) for s in
-                  [(width, heads * d)] * 2 + [(width, heads * 2), (heads * 2, width)]]
+            ws0 = [gen.standard_normal(s).astype(dtype) for s in
+                   [(width, heads * d)] * 2 + [(width, heads * 2), (heads * 2, width)]]
             kept = seq if rows is None else rows
             upstream = Tensor(gen.standard_normal((*lead, kept, width)).astype(dtype))
-            results = []
-            for fused in (True, False):
-                x = Tensor(x0.copy(), requires_grad=True)
-                ws = [Tensor(w.copy(), requires_grad=True) for w in w0]
-                if fused:
-                    out = Attention.apply(x, x, x, *ws, causal=causal, heads=heads, rows=rows)
-                else:
-                    out = project_output(x, ws, causal, heads, rows)
-                # x also feeds a residual, as in the model, so its gradient sums five parts
-                grads = backward(total((x[..., seq - kept:, :] + out) * upstream))
-                results.append([out.data] + [grads[t] for t in (x, *ws)])
+            results = fused_and_oracle(x0, ws0, lambda out: total(out * upstream),
+                                       causal=causal, heads=heads, rows=rows)
             for a, b in zip(*results):
                 assert a.dtype == dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), (lead, seq, rows)
 
-    @pytest.mark.parametrize("shape, rows", [((2, 3, 5, 4), 2), ((1, 1, 4, 4), 1), ((3, 4), 1)],
-                             ids=["rows", "lone-row", "unbatched-lone-row"])
+    # x reaches the output through the residual, which the crop cuts, and the attention
+    @pytest.mark.parametrize("shape, rows", [((2, 3, 5, 4), 2), ((1, 1, 4, 4), 1), ((3, 4), 1),
+                                             ((2, 3, 5, 4), None)],
+                             ids=["rows", "lone-row", "unbatched-lone-row", "no-crop"])
     def test_cropped_gradients_match_finite_differences(self, rng, shape, rows):
         x = param64(rng, shape)
-        w_q, w_k, w_v, w_out = (param64(rng, (4, 4)) for _ in range(4))
-        weights = Tensor(rng.standard_normal(shape[:-2] + (rows, 4)))
+        ws = attention_params(rng, 4, (4, 4))
+        weights = Tensor(rng.standard_normal(shape[:-2] + (rows or shape[-2], 4)))
         assert_grads_match(
-            lambda: total(Attention.apply(x, x, x, w_q, w_k, w_v, w_out, causal=True, heads=2,
-                                          rows=rows) * weights), [x, w_q, w_k, w_v, w_out])
+            lambda: total(Attention.apply(x, *ws, causal=True, heads=2, rows=rows) * weights),
+            [x, *ws])
 
 
 class TestActivations:
@@ -637,13 +602,12 @@ class TestBackward:
         (canet.tensor.LeakyRelu, [(2, 3, 4)], dict(slope=0.2)),
         (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=-1)),
         (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=0)),
-        (Attention, [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2), (2, 3)],
-         dict(causal=True, heads=2)),
-        (Attention, [(4, 3), (4, 3), (4, 3), (3, 8), (3, 8), (3, 4), (4, 5)], dict(heads=4)),
+        (Attention, [(2, 4, 3), (3, 4), (3, 4), (3, 2), (2, 3)], dict(causal=True, heads=2)),
+        (Attention, [(4, 3), (3, 8), (3, 8), (3, 4), (4, 3)], dict(heads=4)),
         (canet.tensor.LayerNorm, [(2, 3, 4), (4,), (4,)], dict(eps=1e-5)),
         (canet.tensor.RowNormalize, [(2, 3, 4)], {}),
-        (Attention, [(2, 4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)], dict(causal=True, rows=3)),
-        (Attention, [(4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)], dict(heads=2, rows=1)),
+        (Attention, [(2, 4, 3)] + [(3, 4)] * 3 + [(4, 3)], dict(causal=True, rows=3)),
+        (Attention, [(4, 3)] + [(3, 4)] * 3 + [(4, 3)], dict(heads=2, rows=1)),
     ]
 
     @pytest.mark.parametrize("cls, shapes, kwargs", READ_ONLY,
@@ -744,9 +708,9 @@ class TestTape:
         ("mul", [(2, 3, 4), (3, 4)], lambda a, b: a * b),
         ("matmul-weight", [(2, 3, 4), (4, 5)], matmul),
         ("matmul-batched", [(2, 3, 4), (2, 4, 5)], matmul),
-        ("attention", [(2, 4, 3), (2, 4, 3), (2, 4, 5), (3, 4), (3, 4), (5, 2), (2, 3)],
+        ("attention", [(2, 4, 3), (3, 4), (3, 4), (3, 2), (2, 3)],
          lambda *operands: Attention.apply(*operands, causal=True, heads=2)),
-        ("attention-rows", [(2, 4, 3)] * 3 + [(3, 4)] * 3 + [(4, 4)],
+        ("attention-rows", [(2, 4, 3)] + [(3, 4)] * 3 + [(4, 3)],
          lambda *operands: Attention.apply(*operands, causal=True, heads=2, rows=2)),
         ("layer-norm", [(2, 3, 4), (4,), (4,)], layer_norm),
         ("concat", [(2, 3, 4), (2, 1, 4)], lambda a, b: concat([a, b], axis=-2)),

@@ -502,6 +502,16 @@ class TestStepMemory:
         peak = self.paper_step_peak_mib()
         assert peak < self.PAPER_OUTPUT_RECOMPUTE_BOUND_MIB, f"peak {peak:.2f} MiB"
 
+    # the same step: 14.6 MiB when attention returned q's, k's and v's input
+    # gradients apart and the residual's Add (and the decoders' Slice) handed
+    # back another, for backward() to sum; 14.2 MiB when the op adds the
+    # residual itself and sums the four into one input gradient
+    PAPER_RESIDUAL_BOUND_MIB = 14.4
+
+    def test_paper_step_sums_attention_input_gradient_in_the_op(self):
+        peak = self.paper_step_peak_mib()
+        assert peak < self.PAPER_RESIDUAL_BOUND_MIB, f"peak {peak:.2f} MiB"
+
 
 class TestOpsPerStep:
     # Autodiff ops dispatched by one training step (the bench reports it as
@@ -510,8 +520,8 @@ class TestOpsPerStep:
     # rest act on constants only.  A change to these counts must be
     # deliberate and recorded in CHANGES.md with its reason.
     @pytest.mark.parametrize("sensors, knobs, batch, ops, recorded", [
-        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 78, 78),
-        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 170, 170),
+        (5, dict(layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5), 64, 73, 73),
+        (51, dict(layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10), 32, 159, 159),
     ], ids=["desk", "paper"])
     def test_training_step_records_exactly(self, rng, recorded_creators, sensors, knobs,
                                            batch, ops, recorded):
