@@ -16,9 +16,8 @@ from canet.data import (DataError, NormStats, RawSeries, WindowedDataset,
                         downsample_median, load_csv, make_windows,
                         minmax_apply, minmax_fit, write_csv)
 from canet.synth import AnomalySegment, SynthResult, synth_generate
-from canet.train import (ConfigError, DivergenceError, EarlyStopper,
-                         TrainConfig, TrainLog, joint_loss, prediction_loss,
-                         reconstruction_loss, train)
+from canet.train import (ConfigError, DivergenceError, TrainConfig, TrainLog,
+                         joint_loss, prediction_loss, reconstruction_loss, train)
 from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
                              prediction_errors, predict_series, threshold_grid_search)

@@ -2,6 +2,7 @@
 float32 parameter data at the offsets the header declares."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +28,7 @@ def save_checkpoint(model: CanModel, path, extra: dict | None = None) -> None:
         offset += len(raw)
     header = {
         "version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "params": entries,
         "total_bytes": offset,
         "extra": extra or {},

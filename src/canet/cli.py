@@ -23,6 +23,9 @@ from canet.model import window_threads
 from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
 
+# the TrainConfig keys evaluate may override on a checkpoint's stored ones
+SCORING_KEYS = ("score_sensors", "calibration", "can_plus")
+
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -51,24 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="training CSV")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--out", default=".", help="output directory")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, [f.name for f in dataclasses.fields(TrainConfig)])
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a labelled test series")
     p_eval.add_argument("--data", required=True, help="test CSV with a label column")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--out", default=".", help="output directory")
-    p_eval.add_argument("--k-s", type=int, dest="k_s", default=None,
-                        help="override the number of aggregated sensors")
-    p_eval.add_argument("--calibration", choices=["self", "train"], default=None)
     p_eval.add_argument("--train-data", help="training CSV for calibration='train'")
-    p_eval.add_argument("--can-plus", action="store_true", default=None,
-                        help="fuse reconstruction deviation into the score")
-    p_eval.add_argument("--batch-size", type=int, default=None,
-                        help="windows per forward pass (default: as many as fit in 1 MiB "
-                             "at one activation of n_sensors x (window + 1) x model_dim "
-                             "floats per window, clamped to 1..256, split among the "
-                             "CAN_THREADS threads, at least 1 each)")
+    _add_config_flags(p_eval, SCORING_KEYS)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_export = sub.add_parser("export-embeddings",
@@ -80,16 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(TrainConfig):
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
+    for f in (f for f in dataclasses.fields(TrainConfig) if f.name in names):
         flag = "--" + f.name.replace("_", "-")
         valid = f.metadata["valid"]
         text = f.metadata["help"] + (f" ({valid[1]})" if valid else "")
-        if f.type is bool:
-            parser.add_argument(flag, dest=f.name, default=None,
-                                action=argparse.BooleanOptionalAction, help=text)
-        else:
-            parser.add_argument(flag, dest=f.name, type=f.type, default=None, help=text)
+        kind = {"action": argparse.BooleanOptionalAction} if f.type is bool else {"type": f.type}
+        parser.add_argument(flag, dest=f.name, default=None, help=text, **kind)
 
 
 def parse_config_file(path) -> dict:
@@ -197,7 +188,7 @@ def cmd_train(args) -> int:
     dataset, stats = _load_windows(args.data, cfg.window, cfg.downsample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.to_dict()
+    resolved = dataclasses.asdict(cfg)
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
     (out / "config.txt").write_text(
         "".join(f"{k}={resolved[k]}\n" for k in sorted(resolved)))
@@ -218,14 +209,12 @@ def cmd_train(args) -> int:
     }
     save_checkpoint(model, out / "model.ckpt", extra)
     print(f"best epoch {log.best_epoch} (val loss {log.best_val_loss:.6f}), "
-          f"{log.n_parameters} parameters")
+          f"{model.num_parameters()} parameters")
     print(f"wrote {out / 'model.ckpt'} and {out / 'train.log'}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    if args.batch_size is not None and args.batch_size < 1:
-        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     model, extra = load_checkpoint(args.checkpoint)
     try:
         stored = TrainConfig(**extra["train_config"])
@@ -238,11 +227,12 @@ def cmd_evaluate(args) -> int:
         names = extra["sensor_names"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad run metadata in {args.checkpoint}: {exc!r}") from exc
-    flags = {"score_sensors": args.k_s, "calibration": args.calibration,
-             "can_plus": args.can_plus}
-    cfg = dataclasses.replace(stored, **{k: v for k, v in flags.items() if v is not None})
+    cfg = dataclasses.replace(stored, **{key: getattr(args, key) for key in SCORING_KEYS
+                                         if getattr(args, key) is not None})
     if cfg.calibration == "train" and not args.train_data:
-        raise ConfigError("--calibration train needs --train-data")
+        source = ("--calibration train" if args.calibration
+                  else "calibration 'train' from the checkpoint's config")
+        raise ConfigError(f"{source} needs --train-data; pass --train-data or --calibration self")
     if cfg.calibration != "train" and args.train_data is not None:
         raise ConfigError(f"--train-data needs calibration 'train', not {cfg.calibration!r}")
 
@@ -255,8 +245,7 @@ def cmd_evaluate(args) -> int:
         calibration, _ = _load_windows(args.train_data, window, cfg.downsample, stats, names)
 
     report = evaluate(model, dataset, dataset.labels, score_sensors=cfg.score_sensors,
-                      calibration=calibration, can_plus=cfg.can_plus,
-                      batch_size=args.batch_size)
+                      calibration=calibration, can_plus=cfg.can_plus)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

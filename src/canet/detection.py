@@ -160,23 +160,20 @@ def threshold_grid_search(scores: np.ndarray, truth: np.ndarray) -> DetectionRep
 
 
 def predict_series(model: CanModel, dataset: WindowedDataset,
-                   batch_size: Optional[int] = None, with_reconstruction: bool = False):
+                   with_reconstruction: bool = False):
     """Run the prediction decoder over every window.
 
     Returns ``(predictions, rec_last)`` with one column per window: the
     prediction targets column ``j + window`` and, when requested, the
     reconstruction of the window's last history column.  The reconstruction
-    decoder runs only when requested.  Batches of ``batch_size`` windows run
-    without an autodiff tape on :func:`window_threads` threads; by default
-    each thread takes ``inference_batch_size // threads`` windows (at least
-    1), so memory grows with the batch, not with the series or the thread
-    count.  Windows are independent, so neither changes the numbers.
+    decoder runs only when requested.  Each of the :func:`window_threads`
+    threads runs batches of ``max(1, inference_batch_size // threads)``
+    windows without an autodiff tape, so memory grows with the batch, not
+    with the series or the thread count.  Windows are independent, so
+    neither changes the numbers.
     """
     threads = window_threads()
-    if batch_size is None:
-        batch_size = max(1, inference_batch_size(model) // threads)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = max(1, inference_batch_size(model) // threads)
     n_windows = len(dataset)
     n = dataset.n_sensors
     predictions = np.empty((n, n_windows), dtype=np.float64)
@@ -202,7 +199,7 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
 
 def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
              score_sensors: int = 2, calibration: Optional[WindowedDataset] = None,
-             can_plus: bool = False, batch_size: Optional[int] = None) -> DetectionReport:
+             can_plus: bool = False) -> DetectionReport:
     """Score a labelled test series and search the best threshold.
 
     ``truth`` is the full-length label vector; the first ``window``
@@ -219,7 +216,7 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         raise ValueError(f"truth length {truth.shape[0]} does not match series length {length}")
 
     def errors_of(windows: WindowedDataset, with_reconstruction: bool = False):
-        predictions, rec_last = predict_series(model, windows, batch_size, with_reconstruction)
+        predictions, rec_last = predict_series(model, windows, with_reconstruction)
         return prediction_errors(predictions, windows.values[:, windows.window:]), rec_last
 
     # each stage allocates one (n, T) array; its input goes once it is used

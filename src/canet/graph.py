@@ -49,10 +49,9 @@ def topk_mask(adjacency: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class SensorGraph:
-    """Global adjacency with its row-normalized form (all-zero rows stay
-    zero) and the top-k neighbour mask."""
+    """What propagation reads of the global adjacency: its row-normalized
+    form (all-zero rows stay zero) and its top-k neighbour mask."""
 
-    adjacency: Tensor
     normalized: Tensor
     mask: np.ndarray
 
@@ -60,7 +59,6 @@ class SensorGraph:
 def build_sensor_graph(embedding: Tensor, top_k: int) -> SensorGraph:
     adjacency = global_adjacency(embedding)
     return SensorGraph(
-        adjacency=adjacency,
         normalized=row_normalize(adjacency),
         mask=topk_mask(adjacency.data, top_k),
     )

@@ -14,7 +14,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -77,9 +77,6 @@ class ModelKnobs:
             raise ConfigError(
                 f"config key 'model_dim' ({self.model_dim}) must be divisible by "
                 f"'heads' ({self.heads})")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -127,42 +127,23 @@ def joint_loss(l_pre: Tensor, l_rec: Tensor, phi: float, psi: float) -> Tensor:
     return phi * l_pre + psi * l_rec
 
 
-class EarlyStopper:
-    """Stop after ``patience`` consecutive epochs without improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-
 @dataclass
 class TrainLog:
+    """Each epoch's record, and the lowest validation loss and its epoch."""
+
     epochs: List[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = np.inf
     stopped_early: bool = False
-    n_parameters: int = 0
 
 
 def train(dataset: WindowedDataset, cfg: TrainConfig,
           on_epoch: Callable[[dict], None] = lambda entry: None) -> Tuple[CanModel, TrainLog]:
-    """Train on a windowed series; the tail ``val_fraction`` of windows is
-    held out for early stopping and best-checkpoint selection.  Each
-    epoch's record goes to ``on_epoch`` as the epoch ends, so a run that
-    later raises :class:`DivergenceError` has already handed over the
-    epochs it finished."""
+    """Train on a windowed series, holding out its tail ``val_fraction`` of
+    windows.  Training stops after ``patience`` epochs without a lower
+    validation loss and returns the parameters of ``log.best_epoch``.  Each
+    epoch's record goes to ``on_epoch`` as it ends, so a run that later
+    raises :class:`DivergenceError` has already handed over its epochs."""
     if len(dataset) < 2:
         raise ValueError(f"dataset has {len(dataset)} windows; need at least 2")
     if dataset.window != cfg.window:
@@ -181,8 +162,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
     micro = min(cfg.batch_size, micro_batch_size(model))     # windows per forward pass
     optimizer = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    stopper = EarlyStopper(cfg.patience)
-    log = TrainLog(n_parameters=model.num_parameters())
+    log = TrainLog()
+    stale = 0       # epochs since the validation loss last fell
     best_state: Optional[list] = None
 
     # a diverging run reports itself once, through DivergenceError
@@ -214,16 +195,16 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
             log.epochs.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "phi": phi, "lr": lr_now})
             on_epoch(log.epochs[-1])
-            should_stop = stopper.update(epoch, val_loss)
-            if stopper.best_epoch == epoch:
+            if val_loss < log.best_val_loss:
+                log.best_epoch, log.best_val_loss, stale = epoch, val_loss, 0
                 best_state = [p.data.copy() for p in params]
+            else:
+                stale += 1
             optimizer.lr *= cfg.lr_decay
-            if should_stop:
+            if stale >= cfg.patience:
                 log.stopped_early = True
                 break
 
-    log.best_epoch = stopper.best_epoch
-    log.best_val_loss = stopper.best
     if best_state is not None:
         for p, data in zip(params, best_state):
             p.data = data

@@ -84,11 +84,12 @@ class TestSynthCommand:
 
 
 class TestTrainCommand:
-    def test_writes_checkpoint_and_log(self, tmp_path):
+    def test_writes_checkpoint_and_log(self, tmp_path, capsys):
         run(*synth_args(tmp_path))
         out = tmp_path / "run1"
         assert run(*train_args(tmp_path / "train.csv", out)) == 0
-        assert (out / "model.ckpt").is_file()
+        model, _ = load_checkpoint(out / "model.ckpt")
+        assert f", {model.num_parameters()} parameters\n" in capsys.readouterr().out
         lines = (out / "train.log").read_text().strip().splitlines()
         entries = [json.loads(line) for line in lines]
         assert all({"epoch", "train_loss", "val_loss", "phi", "lr"} == set(e) for e in entries)
@@ -259,12 +260,10 @@ class TestTrainCommand:
         serial_dir, threaded_dir = tmp_path / "e1", tmp_path / "e2"
         monkeypatch.setenv("CAN_THREADS", "1")
         run("evaluate", "--data", str(tmp_path / "test.csv"),
-            "--checkpoint", str(out / "model.ckpt"), "--out", str(serial_dir),
-            "--batch-size", "32")
+            "--checkpoint", str(out / "model.ckpt"), "--out", str(serial_dir))
         monkeypatch.setenv("CAN_THREADS", "4")
         run("evaluate", "--data", str(tmp_path / "test.csv"),
-            "--checkpoint", str(out / "model.ckpt"), "--out", str(threaded_dir),
-            "--batch-size", "32")
+            "--checkpoint", str(out / "model.ckpt"), "--out", str(threaded_dir))
         assert (serial_dir / "report.json").read_bytes() == \
             (threaded_dir / "report.json").read_bytes()
 
@@ -464,12 +463,14 @@ class TestEvaluateCommand:
                    "--calibration", "train", "--train-data", str(base / "train.csv"))
         assert code == 0
 
-    def test_train_calibration_without_data_exits_2(self, trained):
+    def test_train_calibration_without_data_exits_2(self, trained, capsys):
         base, ckpt = trained
         code = run("evaluate", "--data", str(base / "test.csv"),
                    "--checkpoint", str(ckpt), "--out", str(base / "e2"),
                    "--calibration", "train")
         assert code == 2
+        err = capsys.readouterr().err
+        assert "--calibration train needs --train-data" in err and "checkpoint" not in err
 
     def test_train_data_without_train_calibration_exits_2(self, trained, capsys):
         base, ckpt = trained
@@ -549,14 +550,9 @@ class TestCheckpointAndFlagChecks:
         return run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
                    "--out", str(base / "e"), *flags)
 
-    def test_k_s_below_one_exits_2(self, checkpoint, capsys):
-        assert self.evaluate(*checkpoint, "--k-s", "0") == 2
+    def test_score_sensors_below_one_exits_2(self, checkpoint, capsys):
+        assert self.evaluate(*checkpoint, "--score-sensors", "0") == 2
         assert "'score_sensors'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_batch_size_below_one_exits_2(self, checkpoint, capsys, value):
-        assert self.evaluate(*checkpoint, "--batch-size", value) == 2
-        assert "--batch-size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_thread_env_var_below_one_exits_2(self, checkpoint, monkeypatch, capsys, value):
@@ -699,6 +695,55 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(base, bad) == 3
         err = capsys.readouterr().err
         assert f"bad run metadata in {bad}" in err and f"config key '{key}'" in err
+
+
+@pytest.fixture(scope="module")
+def scoring_checkpoint(tmp_path_factory):
+    """A one-epoch checkpoint trained with ``--can-plus --calibration train``."""
+    base = tmp_path_factory.mktemp("scoring")
+    run(*synth_args(base))
+    run(*train_args(base / "train.csv", base / "run", max_epochs=1, calibration="train"),
+        "--can-plus")
+    return base, base / "run" / "model.ckpt"
+
+
+class TestScoringFlags:
+    """evaluate's overrides of the stored scoring keys are train's flags."""
+
+    # the flag and help text argparse prints for each scoring key
+    HELP = ("--score-sensors SCORE_SENSORS deviations aggregated per timestamp (>= 1)",
+            "--calibration CALIBRATION deviation calibration source (one of self, train)",
+            "--can-plus, --no-can-plus fuse reconstruction deviation into the score")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_help_shows_the_config_fields_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        shown = " ".join(capsys.readouterr().out.split())
+        for line in self.HELP:
+            assert line in shown
+        assert "--k-s" not in shown
+        assert ("--batch-size" in shown) == (command == "train")    # train's optimizer batch
+
+    def evaluate(self, base, ckpt, out, *flags):
+        return run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
+                   "--out", str(out), *flags)
+
+    def test_no_can_plus_turns_the_stored_key_off(self, scoring_checkpoint, tmp_path):
+        base, ckpt = scoring_checkpoint
+        assert self.evaluate(base, ckpt, tmp_path / "e", "--no-can-plus",
+                             "--train-data", str(base / "train.csv")) == 0
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert (report["can_plus"], report["calibration"]) == (False, "train")
+
+    def test_stored_train_calibration_without_data_names_its_source(
+            self, scoring_checkpoint, tmp_path, capsys):
+        base, ckpt = scoring_checkpoint
+        assert self.evaluate(base, ckpt, tmp_path / "e") == 2
+        err = capsys.readouterr().err
+        assert "from the checkpoint's config" in err
+        assert "pass --train-data or --calibration self" in err
+        assert not (tmp_path / "e").exists()
 
 
 @pytest.fixture(scope="module")

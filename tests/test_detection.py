@@ -18,6 +18,14 @@ from canet.train import _batch_loss
 from conftest import traced_peak
 
 
+def with_batch(monkeypatch, windows, threads=1):
+    """Make ``predict_series`` run ``threads`` threads on batches of
+    ``windows`` windows each."""
+    monkeypatch.setenv("CAN_THREADS", str(threads))
+    monkeypatch.setattr(canet.detection, "inference_batch_size",
+                        lambda model: windows * threads)
+
+
 def brute_force_point_adjust(pred, truth):
     """Reference implementation: walk segments with explicit loops."""
     pred = list(int(v) for v in pred)
@@ -570,13 +578,13 @@ class TestEvaluate:
         assert report.extras["calibration"] == "train"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_train_calibration_scores_match_oracle(self, k):
+    def test_train_calibration_scores_match_oracle(self, monkeypatch, k):
         model, dataset, labels = self.tiny_setup(seed=4)
         calib = self.calibration_windows()
-        report = evaluate(model, dataset, labels, score_sensors=k, calibration=calib,
-                          batch_size=5)
-        e_test = prediction_errors(predict_series(model, dataset, 5)[0], dataset.values[:, 4:])
-        e_cal = prediction_errors(predict_series(model, calib, 5)[0], calib.values[:, 4:])
+        with_batch(monkeypatch, 5)
+        report = evaluate(model, dataset, labels, score_sensors=k, calibration=calib)
+        e_test = prediction_errors(predict_series(model, dataset)[0], dataset.values[:, 4:])
+        e_cal = prediction_errors(predict_series(model, calib)[0], calib.values[:, 4:])
         expected = anomaly_scores(normalize_errors(e_test, e_cal), k)
         np.testing.assert_array_equal(report.scores, expected)
         assert not np.array_equal(report.scores, evaluate(model, dataset, labels,
@@ -589,18 +597,12 @@ class TestEvaluate:
 
     def test_thread_count_never_changes_results(self, monkeypatch):
         model, dataset, labels = self.tiny_setup(seed=3)
-        monkeypatch.setenv("CAN_THREADS", "1")
-        serial = evaluate(model, dataset, labels, batch_size=7)
-        monkeypatch.setenv("CAN_THREADS", "4")
-        threaded = evaluate(model, dataset, labels, batch_size=7)
+        with_batch(monkeypatch, 7)
+        serial = evaluate(model, dataset, labels)
+        with_batch(monkeypatch, 7, threads=4)
+        threaded = evaluate(model, dataset, labels)
         assert serial.scores.tobytes() == threaded.scores.tobytes()
         assert serial.threshold == threaded.threshold
-
-    @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_predict_series_rejects_batch_size_below_one(self, batch_size):
-        model, dataset, _ = self.tiny_setup()
-        with pytest.raises(ValueError, match="batch_size"):
-            predict_series(model, dataset, batch_size=batch_size)
 
     @pytest.mark.parametrize("with_reconstruction, per_batch", [(False, 1), (True, 2)])
     def test_reconstruction_decoder_runs_only_when_asked(self, monkeypatch,
@@ -613,15 +615,16 @@ class TestEvaluate:
             calls.append(args)
             return decoder_forward(*args, **kwargs)
 
-        monkeypatch.setenv("CAN_THREADS", "1")
+        with_batch(monkeypatch, 10)
         monkeypatch.setattr(canet.model, "decoder_forward", counted)
-        predict_series(model, dataset, batch_size=10, with_reconstruction=with_reconstruction)
+        predict_series(model, dataset, with_reconstruction=with_reconstruction)
         assert len(calls) == per_batch * 4          # 36 windows in batches of 10
 
-    def test_skipping_reconstruction_keeps_predictions_bit_identical(self):
+    def test_skipping_reconstruction_keeps_predictions_bit_identical(self, monkeypatch):
         model, dataset, _ = self.tiny_setup(seed=8)
-        plain, no_rec = predict_series(model, dataset, batch_size=16)
-        full, rec = predict_series(model, dataset, batch_size=16, with_reconstruction=True)
+        with_batch(monkeypatch, 16)
+        plain, no_rec = predict_series(model, dataset)
+        full, rec = predict_series(model, dataset, with_reconstruction=True)
         assert no_rec is None and rec is not None
         assert plain.tobytes() == full.tobytes()
 
@@ -631,22 +634,23 @@ class TestEvaluate:
         can_forward(Tensor(dataset.batch(range(4))[0]), model)
         assert any(recorded_creators)           # the counter sees a taped pass
         recorded_creators.clear()
-        monkeypatch.setenv("CAN_THREADS", threads)
-        predict_series(model, dataset, batch_size=10, with_reconstruction=True)
+        with_batch(monkeypatch, 10, threads=int(threads))
+        predict_series(model, dataset, with_reconstruction=True)
         assert recorded_creators and not any(recorded_creators)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_training_after_evaluate_gets_gradients(self, monkeypatch, threads):
         model, dataset, labels = self.tiny_setup(seed=7)
-        monkeypatch.setenv("CAN_THREADS", threads)
-        evaluate(model, dataset, labels, batch_size=10, can_plus=True)
+        with_batch(monkeypatch, 10, threads=int(threads))
+        evaluate(model, dataset, labels, can_plus=True)
         grads = backward(_batch_loss(model, dataset, np.arange(8), 0.5, 0.5))
         for name, p in model.named_parameters():
             assert p in grads and np.abs(grads[p]).sum() > 0, name
 
-    def test_predict_series_columns_align_with_targets(self):
+    def test_predict_series_columns_align_with_targets(self, monkeypatch):
         model, dataset, _ = self.tiny_setup(seed=5)
-        preds, rec = predict_series(model, dataset, batch_size=10, with_reconstruction=True)
+        with_batch(monkeypatch, 10)
+        preds, rec = predict_series(model, dataset, with_reconstruction=True)
         assert preds.shape == (3, len(dataset))
         assert rec.shape == (3, len(dataset))
         from canet.model import can_forward
@@ -671,13 +675,16 @@ class TestInferenceBatchSize:
 
     @pytest.mark.parametrize("n_sensors, knobs", [(5, DESK_KNOBS), (51, PAPER_KNOBS)],
                              ids=["desk", "paper"])
-    def test_batch_size_never_changes_the_numbers(self, n_sensors, knobs):
+    def test_batch_size_never_changes_the_numbers(self, monkeypatch, n_sensors, knobs):
         values = np.random.default_rng(11).random((n_sensors, 275))
         dataset = make_windows(RawSeries([f"s{i}" for i in range(n_sensors)], values), 5)
         model = CanModel(ModelConfig(n_sensors=n_sensors, **knobs), seed=1)
         assert len(dataset) > 256
-        expected = predict_series(model, dataset, len(dataset), with_reconstruction=True)
-        for size in (1, 7, inference_batch_size(model), 256, None):
-            predictions, rec_last = predict_series(model, dataset, size, with_reconstruction=True)
+        runs = {"default": predict_series(model, dataset, with_reconstruction=True)}
+        for size in (len(dataset), 1, 7, inference_batch_size(model), 256):
+            with_batch(monkeypatch, size)
+            runs[size] = predict_series(model, dataset, with_reconstruction=True)
+        expected = runs[len(dataset)]
+        for size, (predictions, rec_last) in runs.items():
             assert predictions.tobytes() == expected[0].tobytes(), size
             assert rec_last.tobytes() == expected[1].tobytes(), size

@@ -121,7 +121,6 @@ class TestGlobalLocalConv:
     def graph_from(adjacency: np.ndarray) -> SensorGraph:
         n = adjacency.shape[0]
         return SensorGraph(
-            adjacency=Tensor(adjacency),
             normalized=Tensor(adjacency / np.maximum(adjacency.sum(axis=1, keepdims=True), 1e-12)),
             mask=np.ones((n, n)),
         )
@@ -142,8 +141,7 @@ class TestGlobalLocalConv:
         p.propagation = Tensor(np.eye(width))
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
         # local + normalized-global == identity, mask keeps everything
-        graph = SensorGraph(adjacency=Tensor(np.eye(n)), normalized=Tensor(np.eye(n) * 0.5),
-                            mask=np.ones((n, n)))
+        graph = SensorGraph(normalized=Tensor(np.eye(n) * 0.5), mask=np.ones((n, n)))
         local = Tensor(np.eye(n) * 0.5)
         out = global_local_conv(Tensor(h), graph, local, p).data
         np.testing.assert_allclose(out, h, rtol=1e-6)
@@ -153,8 +151,7 @@ class TestGlobalLocalConv:
         p = GraphConvParams.create(1, 1, retain=0.5, rng=gen)
         p.propagation = Tensor(np.eye(1))
         h = Tensor(np.array([[[1.0]], [[3.0]]]))
-        graph = SensorGraph(adjacency=Tensor(np.zeros((2, 2))),
-                            normalized=Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        graph = SensorGraph(normalized=Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])),
                             mask=np.ones((2, 2)))
         out = global_local_conv(h, graph, None, p).data
         np.testing.assert_allclose(out, [[[2.0]], [[2.0]]])
@@ -164,8 +161,7 @@ class TestGlobalLocalConv:
         p = GraphConvParams.create(width, seq, retain=0.0, rng=rng)
         p.propagation = Tensor(np.eye(width))
         mask = np.eye(n)
-        graph = SensorGraph(adjacency=Tensor(np.ones((n, n))),
-                            normalized=Tensor(np.full((n, n), 1.0 / n)),
+        graph = SensorGraph(normalized=Tensor(np.full((n, n), 1.0 / n)),
                             mask=mask)
         local = Tensor(np.full((n, n), 2.0 / n))
         h = rng.standard_normal((n, seq, width)).astype(np.float32)
@@ -197,7 +193,7 @@ class TestBuildSensorGraph:
         assert (graph.mask.sum(axis=1) == 2).all()
         sums = graph.normalized.data.sum(axis=1)
         np.testing.assert_allclose(sums[sums > 0], 1.0, atol=1e-6)
-        assert (graph.adjacency.data >= 0).all()
+        assert (graph.normalized.data >= 0).all()
 
     def test_embedding_scale(self, rng):
         emb = init_sensor_embedding(400, 16, rng)

@@ -33,8 +33,7 @@ class TestCamForward:
     def test_shape_contract(self, rng):
         model = CanModel(small_config(n_sensors=3, window=5), seed=0)
         h = Tensor(rng.standard_normal((3, 6, 8)).astype(np.float32))
-        graph = SensorGraph(adjacency=Tensor(np.ones((3, 3))),
-                            normalized=Tensor(np.full((3, 3), 1 / 3)),
+        graph = SensorGraph(normalized=Tensor(np.full((3, 3), 1 / 3)),
                             mask=np.ones((3, 3)))
         out = cam_forward(h, model.encoder[0], graph)
         assert out.shape == (3, 6, 8)
@@ -45,8 +44,7 @@ class TestCamForward:
         layer.attention.w_out = Tensor(np.zeros((8, 8), dtype=np.float32))
         layer.graph.propagation = Tensor(np.zeros((8, 8), dtype=np.float32))
         h = rng.standard_normal((3, 5, 8)).astype(np.float32)
-        graph = SensorGraph(adjacency=Tensor(np.ones((3, 3))),
-                            normalized=Tensor(np.full((3, 3), 1 / 3)),
+        graph = SensorGraph(normalized=Tensor(np.full((3, 3), 1 / 3)),
                             mask=np.ones((3, 3)))
         out = cam_forward(Tensor(h), layer, graph).data
         np.testing.assert_allclose(out, np_layer_norm(np_layer_norm(h)), rtol=1e-4, atol=1e-5)
@@ -56,8 +54,7 @@ class TestCamForward:
         model = CanModel(small_config(n_sensors=2, window=2, layers=1, heads=2,
                                       model_dim=4, embed_dim=2), seed=4, dtype=np.float64)
         layer = model.encoder[0]
-        graph = SensorGraph(adjacency=Tensor(np.ones((2, 2))),
-                            normalized=Tensor(np.full((2, 2), 0.5)),
+        graph = SensorGraph(normalized=Tensor(np.full((2, 2), 0.5)),
                             mask=np.ones((2, 2)))
         h = Tensor(gen.standard_normal((2, 3, 4)), requires_grad=True)
         assert_grads_match(lambda: cam_forward(h, layer, graph).mean(), [h], step=1e-6)

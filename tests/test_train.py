@@ -14,9 +14,9 @@ from canet.synth import synth_generate
 from canet.model import CanModel, ModelConfig, micro_batch_size, window_map, window_threads
 from canet.optim import Adam
 from canet.tensor import backward
-from canet.train import (ConfigError, DivergenceError, EarlyStopper,
-                         TrainConfig, _batch_loss, _set_gradients, _validation_loss,
-                         joint_loss, prediction_loss, reconstruction_loss, train)
+from canet.train import (ConfigError, DivergenceError, TrainConfig, _batch_loss,
+                         _set_gradients, _validation_loss, joint_loss, prediction_loss,
+                         reconstruction_loss, train)
 from conftest import traced_peak
 
 
@@ -85,24 +85,27 @@ class TestSchedule:
 
 
 class TestEarlyStopper:
-    def test_patience_semantics(self):
-        values = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95]
-        stopper = EarlyStopper(patience=5)
-        stopped_at = None
-        for epoch, v in enumerate(values, start=1):
-            if stopper.update(epoch, v):
-                stopped_at = epoch
-                break
-        assert stopped_at == 7
-        assert stopper.best_epoch == 2
+    """The early-stopping rule as :func:`train` runs it."""
 
-    def test_improvement_resets_counter(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1, 1.0)
-        assert not stopper.update(2, 1.1)
-        assert not stopper.update(3, 0.9)
-        assert not stopper.update(4, 1.0)
-        assert stopper.update(5, 1.0)
+    @staticmethod
+    def train_on(monkeypatch, val_losses, patience):
+        """The log of a run whose epochs read ``val_losses`` in turn; an
+        epoch past their end raises StopIteration."""
+        module = importlib.import_module("canet.train")    # canet.train is the function
+        losses = iter(val_losses)
+        monkeypatch.setattr(module, "_validation_loss", lambda *args: next(losses))
+        cfg = tiny_config(max_epochs=len(val_losses) + 3, patience=patience)
+        return train(tiny_dataset(length=60), cfg)[1]
+
+    def test_patience_semantics(self, monkeypatch):
+        log = self.train_on(monkeypatch, [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95], patience=5)
+        assert log.stopped_early and len(log.epochs) == 7
+        assert (log.best_epoch, log.best_val_loss) == (2, 0.9)
+
+    def test_improvement_resets_counter(self, monkeypatch):
+        log = self.train_on(monkeypatch, [1.0, 1.1, 0.9, 1.0, 1.0], patience=2)
+        assert log.stopped_early and len(log.epochs) == 5
+        assert (log.best_epoch, log.best_val_loss) == (3, 0.9)
 
 
 class TestConfigParsing:
@@ -147,13 +150,12 @@ class TestConfigParsing:
 class TestTrainLoop:
     def test_loss_decreases_and_log_is_complete(self):
         dataset = tiny_dataset()
-        model, log = train(dataset, tiny_config(max_epochs=6))
+        _, log = train(dataset, tiny_config(max_epochs=6))
         assert len(log.epochs) <= 6
         first, last = log.epochs[0], log.epochs[-1]
         assert last["train_loss"] < first["train_loss"]
         for entry in log.epochs:
             assert set(entry) == {"epoch", "train_loss", "val_loss", "phi", "lr"}
-        assert log.n_parameters == model.num_parameters()
 
     def test_deterministic_for_fixed_seed(self):
         dataset = tiny_dataset()
