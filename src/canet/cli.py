@@ -119,15 +119,13 @@ def resolve_train_config(args) -> TrainConfig:
 
 def cmd_synth(args) -> int:
     counts = {"spike": args.spikes, "drift": args.drifts, "stuck": args.stucks}
-    for kind, count in counts.items():
-        if count < 0:
-            raise ConfigError(f"--{kind}s must be >= 0, got {count}")
+    for flag in ("spikes", "drifts", "stucks", "seed"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
     if args.duration < 1:
         raise ConfigError(f"--duration must be >= 1, got {args.duration}")
     if not np.isfinite(args.magnitude):
         raise ConfigError(f"--magnitude must be finite, got {args.magnitude}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     segments, taken = [], []
     try:
@@ -139,6 +137,8 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         # every value synth rejects comes from a flag
         raise ConfigError(str(exc)) from exc
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "train.csv", result.train)
     write_csv(out / "test.csv", result.test)
     graph = {

@@ -77,23 +77,14 @@ class Tensor:
     def __add__(self, other):
         return Add.apply(self, self._wrap(other))
 
-    def __radd__(self, other):
-        return Add.apply(self._wrap(other), self)
-
-    def __sub__(self, other):
-        return Sub.apply(self, self._wrap(other))
-
-    def __rsub__(self, other):
-        return Sub.apply(self._wrap(other), self)
+    def __sub__(self, other):     # a + -b is a - b, bit for bit; a constant's -b is off the tape
+        other = self._wrap(other)
+        return self + (other * -1.0 if other.requires_grad else Tensor(-other.data))
 
     def __mul__(self, other):
         return Mul.apply(self, self._wrap(other))
 
-    def __rmul__(self, other):
-        return Mul.apply(self._wrap(other), self)
-
-    def __matmul__(self, other):
-        return MatMul.apply(self, other)
+    __rmul__ = __mul__      # a * b is b * a, bit for bit
 
     def __getitem__(self, key):
         return Slice.apply(self, key=key)
@@ -141,10 +132,11 @@ class Function:
     """One differentiable operation; saves only what its backward reads.
 
     ``needs[i]`` tells whether input ``i`` needs a gradient.  ``Add``,
-    ``Sub``, ``Mul`` and ``MatMul``, the ops that meet constants in the
-    model, save no array read only by the gradient of an input that needs
-    none and return None for that input; the others save all and return
-    every gradient, which :func:`backward` drops where the parent is None.
+    ``Mul`` and ``MatMul``, the ops that meet constants in the model (a
+    subtraction adds the negated operand), save no array read only by the
+    gradient of an input that needs none and return None for that input;
+    the others save all and return every gradient, which :func:`backward`
+    drops where the parent is None.
     A recorded op's ``parents`` hold, per input, the input's creator, the
     input itself when it is a leaf, or None when it needs no gradient, so an
     op output that no backward reads dies with its last Python reference.
@@ -164,12 +156,9 @@ class Function:
     @classmethod
     def apply(cls, *inputs, **kwargs) -> Tensor:
         if _TAPE.paused:
-            return Tensor(cls((False,) * len(inputs)).forward(
-                *[(t if isinstance(t, Tensor) else Tensor(t)).data for t in inputs], **kwargs))
+            return Tensor(cls((False,) * len(inputs)).forward(*[t.data for t in inputs], **kwargs))
         arrays, needs, parents = [], [], []
         for t in inputs:
-            if not isinstance(t, Tensor):
-                t = Tensor(t)
             arrays.append(t.data)
             needs.append(t.requires_grad)
             parents.append((t.creator or t) if t.requires_grad else None)
@@ -211,17 +200,6 @@ class Add(Function):
     def backward(self, grad):
         return tuple(_unbroadcast(grad, shape) if need else None
                      for shape, need in zip(self.shapes, self.needs))
-
-
-class Sub(Function):
-    def forward(self, a, b):
-        self.shapes = (a.shape, b.shape)
-        return a - b
-
-    def backward(self, grad):
-        (sa, sb), (need_a, need_b) = self.shapes, self.needs
-        return (_unbroadcast(grad, sa) if need_a else None,
-                _unbroadcast(-grad, sb) if need_b else None)
 
 
 class Mul(Function):

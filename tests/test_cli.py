@@ -70,12 +70,15 @@ class TestSynthCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--sensors", "0"), ("--length", "1"), ("--duration", "0"), ("--spikes", "40")])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value):
-        assert run(*synth_args(tmp_path), flag, value) == 2     # the last flag wins
+        out = tmp_path / "out"
+        assert run(*synth_args(out), flag, value) == 2          # the last flag wins
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, spikes", [
         ("--magnitude", "nan", 2), ("--magnitude", "inf", 2), ("--spikes", "-1", 2),
-        ("--drifts", "-1", 2), ("--stucks", "-1", 2), ("--duration", "0", 0)])
+        ("--drifts", "-1", 2), ("--stucks", "-1", 2), ("--duration", "0", 0),
+        ("--seed", "-1", 0)])
     def test_flag_that_would_write_bad_data_exits_2(self, tmp_path, capsys, flag, value, spikes):
         out = tmp_path / "out"
         assert run(*synth_args(out, spikes=spikes), flag, value) == 2

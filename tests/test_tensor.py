@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import canet.tensor
 from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
@@ -588,7 +589,7 @@ class TestBackward:
     # (op, operand shapes, keyword arguments): every op class
     READ_ONLY = [
         (canet.tensor.Add, [(2, 3, 4), (4,)], {}),
-        (canet.tensor.Sub, [(2, 3, 4), (3, 1)], {}),
+        (canet.tensor.Add, [(2, 3, 4), (3, 1)], {}),      # what a - b records
         (Mul, [(2, 3, 4), (3, 4)], {}),
         (canet.tensor.MatMul, [(2, 3, 4), (4, 5)], {}),
         (canet.tensor.MatMul, [(2, 3, 4), (2, 4, 5)], {}),
@@ -609,6 +610,9 @@ class TestBackward:
         (Attention, [(2, 4, 3)] + [(3, 4)] * 3 + [(4, 3)], dict(causal=True, rows=3)),
         (Attention, [(4, 3)] + [(3, 4)] * 3 + [(4, 3)], dict(heads=2, rows=1)),
     ]
+
+    def test_read_only_lists_every_op(self):
+        assert {cls for cls, _, _ in self.READ_ONLY} == set(canet.tensor.Function.__subclasses__())
 
     @pytest.mark.parametrize("cls, shapes, kwargs", READ_ONLY,
                              ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(READ_ONLY)])
@@ -743,6 +747,14 @@ class TestPrimitiveGradients:
         b = param64(rng, (4,))
         assert_grads_match(lambda: total((a + b) * (a - b) * b), [a, b])
 
+    @pytest.mark.parametrize("graph_b", [True, False], ids=["graph", "constant"])
+    def test_sub_broadcast(self, rng, graph_b):
+        # a graph b is negated as b * -1.0, which no model run takes
+        a = param64(rng, (2, 3, 4))
+        b = Tensor(rng.standard_normal((3, 1)), requires_grad=graph_b)
+        weights = Tensor(rng.standard_normal((2, 3, 4)))
+        assert_grads_match(lambda: total((a - b) * weights), [a, b] if graph_b else [a])
+
     def test_matmul_batched(self, rng):
         a = param64(rng, (2, 3, 4))
         b = param64(rng, (4, 5))
@@ -855,6 +867,17 @@ class TestInvariants:
         ]
         for out in outputs:
             assert np.isfinite(out).all()
+
+    @given(st.sampled_from([np.float32, np.float64]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_subtraction_is_numpys_bit_for_bit(self, dtype, graph_b, data):
+        shape_a, shape_b = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2)).input_shapes
+        values = st.floats(allow_nan=False, width=np.dtype(dtype).itemsize * 8) | st.sampled_from(
+            [0.0, -0.0, np.inf, -np.inf])
+        a, b = (data.draw(hnp.arrays(dtype, shape, elements=values)) for shape in (shape_a, shape_b))
+        with np.errstate(over="ignore", invalid="ignore"):     # inf - inf is a NaN
+            out = Tensor(a) - Tensor(b, requires_grad=graph_b)
+            assert out.dtype == dtype and out.data.tobytes() == (a - b).tobytes()
 
     def test_determinism_bit_identical(self):
         def run():
