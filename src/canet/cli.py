@@ -106,15 +106,45 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_train_config(args) -> TrainConfig:
-    """Config file first, then command-line flags on top; the merged
-    mapping is checked once."""
+    """Config file first, then command-line flags on top.  The merged
+    mapping is checked once: each key's name (an unknown key fails with the
+    list of valid ones) and value type in turn, then the ranges, then the
+    seed."""
     mapping = parse_config_file(args.config) if args.config else {}
-    mapping.update({f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
-                    if getattr(args, f.name, None) is not None})
-    cfg = TrainConfig.from_mapping(mapping)
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    mapping.update({key: getattr(args, key) for key in types
+                    if getattr(args, key, None) is not None})
+    for key, raw in mapping.items():
+        if key not in types:
+            raise ConfigError(
+                f"unknown config key {key!r}; valid keys: {', '.join(sorted(types))}")
+        mapping[key] = _coerce(raw, types[key], key)
+    cfg = TrainConfig(**mapping)
     if "seed" not in mapping:
         raise ConfigError("a seed is required: pass --seed or set seed= in the config file")
     return cfg
+
+
+def _coerce(raw, annotation, key):
+    """A config file's text parsed as the key's type; a value that is not
+    text (a flag's) passes through."""
+    if not isinstance(raw, str):
+        return raw
+    text = raw.strip()
+    if annotation is bool:
+        low = text.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"config key {key!r} expects true/false, got {raw!r}")
+    if annotation in (int, float):
+        try:
+            return annotation(text)
+        except ValueError:
+            kind = "an integer" if annotation is int else "a number"
+            raise ConfigError(f"config key {key!r} expects {kind}, got {raw!r}") from None
+    return text
 
 
 def cmd_synth(args) -> int:
@@ -176,7 +206,11 @@ def _load_windows(path, window: int, downsample: int, stats: "NormStats | None" 
     series = load_csv(path)
     if names is not None:
         series = _match_sensors(series, names, path)
+    rows = series.length
     series = downsample_median(series, downsample)
+    if series.length < window + 1:
+        factor = f", downsampled by {downsample} to {series.length}," if downsample > 1 else ""
+        raise DataError(f"{path}: {rows} rows{factor} are fewer than window + 1 = {window + 1}")
     if stats is None:
         stats = minmax_fit(series)
     return make_windows(minmax_apply(series, stats), window), stats
@@ -240,6 +274,9 @@ def cmd_evaluate(args) -> int:
     dataset, _ = _load_windows(args.data, window, cfg.downsample, stats, names)
     if dataset.labels is None:
         raise DataError(f"{args.data} has no label column; evaluation needs ground truth")
+    if not dataset.labels[window:].any():     # unscored: window full blocks of downsample rows
+        raise DataError(f"{args.data} has no label 1 after its first {window * cfg.downsample} "
+                        "rows, which are not scored; the threshold search needs an anomaly")
     calibration = None
     if cfg.calibration == "train":
         calibration, _ = _load_windows(args.train_data, window, cfg.downsample, stats, names)

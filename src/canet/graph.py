@@ -15,8 +15,6 @@ import numpy as np
 from canet.tensor import (Tensor, glorot_uniform, leaky_relu, matmul, relu, row_matmul,
                           row_normalize, softmax)
 
-LEAKY_SLOPE = 0.2      # of the leaky relu over the local graph's pair logits
-
 
 def init_sensor_embedding(n_sensors: int, embed_dim: int,
                           rng: np.random.Generator, dtype=np.float32) -> Tensor:
@@ -38,11 +36,9 @@ def topk_mask(adjacency: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"top-k must be >= 1, got {k}")
-    values = np.asarray(getattr(adjacency, "data", adjacency))
-    n = values.shape[-1]
-    keep = min(k, n)
-    order = np.argsort(-values, axis=-1, kind="stable")
-    mask = np.zeros_like(values)
+    keep = min(k, adjacency.shape[-1])
+    order = np.argsort(-adjacency, axis=-1, kind="stable")
+    mask = np.zeros_like(adjacency)
     np.put_along_axis(mask, order[..., :keep], 1.0, axis=-1)
     return mask
 
@@ -94,7 +90,7 @@ def local_adjacency(features: Tensor, params: GraphConvParams) -> Tensor:
     flat = matmul(features, params.feature_map).reshape(tuple(lead) + (n, half))
     self_score = matmul(flat, params.attn_vector[:half])      # (..., n, 1)
     peer_score = matmul(flat, params.attn_vector[half:])
-    logits = leaky_relu(self_score + peer_score.transpose(), slope=LEAKY_SLOPE)
+    logits = leaky_relu(self_score + peer_score.transpose())
     return softmax(logits, axis=-1)
 
 
@@ -129,11 +125,11 @@ def global_local_conv(features: Tensor, graph: SensorGraph,
 
 def write_embeddings_csv(path, sensor_names, embedding: np.ndarray) -> None:
     """Write one row per sensor: sensor_id, e_0 .. e_{d-1}."""
-    values = np.asarray(getattr(embedding, "data", embedding))
-    if len(sensor_names) != values.shape[0]:
-        raise ValueError(f"{len(sensor_names)} sensor names for {values.shape[0]} embedding rows")
+    if len(sensor_names) != embedding.shape[0]:
+        raise ValueError(
+            f"{len(sensor_names)} sensor names for {embedding.shape[0]} embedding rows")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["sensor_id"] + [f"e_{i}" for i in range(values.shape[1])])
-        for name, row in zip(sensor_names, values):
+        writer.writerow(["sensor_id"] + [f"e_{i}" for i in range(embedding.shape[1])])
+        for name, row in zip(sensor_names, embedding):
             writer.writerow([name] + [repr(float(v)) for v in row])

@@ -19,13 +19,11 @@ class Adam:
     its value and moments (the step counter still advances once per call).
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8     # Kingma & Ba's defaults
+
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         dtype, *mixed = {p.data.dtype for p in self.params} or {np.dtype(np.float32)}
         if mixed:

@@ -330,10 +330,11 @@ class Relu(Function):
 
 
 class LeakyRelu(Function):
-    def forward(self, a, slope):
-        self.slope = slope
+    slope = 0.2     # as in graph attention networks (Veličković et al., 2018)
+
+    def forward(self, a):
         self.positive = a >= 0
-        return np.where(self.positive, a, slope * a)
+        return np.where(self.positive, a, self.slope * a)
 
     def backward(self, grad):
         return (np.where(self.positive, grad, self.slope * grad),)
@@ -496,10 +497,12 @@ class LayerNorm(Function):
     are built in place.
     """
 
-    def forward(self, x, gain, bias, eps):
+    eps = 1e-5
+
+    def forward(self, x, gain, bias):
         # the composed ops' arithmetic in their order, so outputs keep their bytes
         normed = x - _mean(x, -1, True)
-        inv = (_mean(normed * normed, -1, True) + eps) ** -0.5
+        inv = (_mean(normed * normed, -1, True) + self.eps) ** -0.5
         normed *= inv
         self.shapes = (x.shape, gain.shape, bias.shape)
         self.inv, self.normed, self.gain = inv, normed, gain
@@ -559,10 +562,8 @@ def relu(x: Tensor) -> Tensor:
     return Relu.apply(x)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    return LeakyRelu.apply(x, slope=slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    return LeakyRelu.apply(x)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -571,9 +572,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Softmax.apply(x, axis=axis)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    return LayerNorm.apply(x, gain, bias, eps=eps)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (ε = 1e-5), then affine."""
+    return LayerNorm.apply(x, gain, bias)
 
 
 def row_normalize(x: Tensor) -> Tensor:

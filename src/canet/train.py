@@ -72,39 +72,6 @@ class TrainConfig(ModelKnobs):
         return ModelConfig(n_sensors=n_sensors,
                            **{f.name: getattr(self, f.name) for f in fields(ModelKnobs)})
 
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        """Build from string-valued key=value pairs; unknown keys fail with
-        the list of valid ones."""
-        valid = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in valid:
-                raise ConfigError(
-                    f"unknown config key {key!r}; valid keys: {', '.join(sorted(valid))}")
-            kwargs[key] = _coerce(raw, valid[key], key)
-        return cls(**kwargs)
-
-
-def _coerce(raw, annotation, key):
-    if not isinstance(raw, str):
-        return raw
-    text = raw.strip()
-    if annotation is bool:
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r} expects true/false, got {raw!r}")
-    if annotation in (int, float):
-        try:
-            return annotation(text)
-        except ValueError:
-            kind = "an integer" if annotation is int else "a number"
-            raise ConfigError(f"config key {key!r} expects {kind}, got {raw!r}") from None
-    return text
-
 
 def _window_rmse(estimate: Tensor, actual: Tensor, axis) -> Tensor:
     diff = estimate - actual
@@ -134,7 +101,6 @@ class TrainLog:
     epochs: List[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = np.inf
-    stopped_early: bool = False
 
 
 def train(dataset: WindowedDataset, cfg: TrainConfig,
@@ -145,7 +111,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
     epoch's record goes to ``on_epoch`` as it ends, so a run that later
     raises :class:`DivergenceError` has already handed over its epochs."""
     if len(dataset) < 2:
-        raise ValueError(f"dataset has {len(dataset)} windows; need at least 2")
+        raise ValueError("training needs 2 windows, one to fit and one to validate; "
+                         f"the dataset has {len(dataset)}")
     if dataset.window != cfg.window:
         raise ValueError(
             f"dataset window {dataset.window} does not match config window {cfg.window}")
@@ -154,7 +121,8 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
     n_val = max(1, int(round(cfg.val_fraction * n_windows)))
     n_train = n_windows - n_val
     if n_train < 1:
-        raise ValueError("validation split leaves no training windows")
+        raise ValueError(f"val_fraction {cfg.val_fraction} holds out {n_val} of {n_windows} "
+                         "windows and leaves none to train on")
     val_indices = np.arange(n_train, n_windows)
 
     model = CanModel(cfg.model_config(dataset.n_sensors), seed=cfg.seed)
@@ -202,7 +170,6 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
                 stale += 1
             optimizer.lr *= cfg.lr_decay
             if stale >= cfg.patience:
-                log.stopped_early = True
                 break
 
     if best_state is not None:

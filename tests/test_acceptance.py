@@ -85,7 +85,7 @@ class TestCriterion1GradientSuite:
             "softmax": lambda: total(softmax(matmul(x, w), axis=-1) * probe),
             "layer_norm": lambda: total(layer_norm(x, gain, bias) * probe),
             "relu": lambda: total(relu(matmul(x, w)) * probe),
-            "leaky_relu": lambda: total(leaky_relu(matmul(x, w), 0.2) * probe),
+            "leaky_relu": lambda: total(leaky_relu(matmul(x, w)) * probe),
             "row_normalize": lambda: total(row_normalize(relu(matmul(x, w)) + 0.3) * probe),
             "sqrt_mean": lambda: sqrt((x * x).mean()),
             "concat_slice": lambda: total(concat([x, x[..., :2]], axis=-1)

@@ -11,7 +11,7 @@ import pytest
 
 from canet.checkpoint import load_checkpoint, save_checkpoint
 from canet.cli import main, parse_config_file
-from canet.data import load_csv
+from canet.data import load_csv, write_csv
 from canet.detection import confusion_metrics, point_adjust
 from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
 
@@ -128,6 +128,24 @@ class TestTrainCommand:
         assert code == 0
         text = (out / "config.txt").read_text()
         assert "window=4" in text
+
+    def test_config_txt_is_a_config_file(self, tmp_path):
+        run(*synth_args(tmp_path))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*train_args(tmp_path / "train.csv", first),
+                   "--can-plus", "--calibration", "train") == 0
+        assert run("train", "--data", str(tmp_path / "train.csv"),
+                   "--config", str(first / "config.txt"), "--out", str(second)) == 0
+        for name in ("config.txt", "model.ckpt", "train.log"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_series_too_short_after_downsampling_names_file_and_factor(self, tmp_path, capsys):
+        run(*synth_args(tmp_path))
+        data = tmp_path / "train.csv"
+        code = run(*train_args(data, tmp_path / "o", downsample=100))
+        assert code == 3
+        assert (f"{data}: 300 rows, downsampled by 100 to 3, are fewer than window + 1 = 5"
+                in capsys.readouterr().err)
 
     def test_flags_are_checked_after_merging_over_config_file(self, tmp_path):
         # heads=3 alone does not divide the default model_dim of 32
@@ -448,6 +466,36 @@ class TestEvaluateCommand:
         code = run("evaluate", "--data", str(base / "train.csv"),
                    "--checkpoint", str(ckpt), "--out", str(base / "e"))
         assert code == 3
+
+    def test_short_train_data_names_its_file(self, checkpoint, tmp_path, capsys):
+        base, ckpt = checkpoint
+        short = tmp_path / "short.csv"
+        short.write_text("".join((base / "train.csv").read_text().splitlines(True)[:5]))
+        code = run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "e"), "--calibration", "train",
+                   "--train-data", str(short))
+        assert code == 3
+        assert f"{short}: 4 rows are fewer than window + 1 = 5" in capsys.readouterr().err
+
+    def test_no_scored_anomaly_exits_3_before_scoring(self, checkpoint, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("the model ran")
+
+        monkeypatch.setattr("canet.detection.predict_series", no_scoring)
+        base, ckpt = checkpoint
+        series = load_csv(base / "test.csv")
+        series.labels[:] = 0
+        series.labels[:4] = 1       # the first window rows are not scored
+        data = tmp_path / "unscored.csv"
+        write_csv(data, series)
+        code = run("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "e"), "--calibration", "train",
+                   "--train-data", str(base / "train.csv"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(data) in err and "first 4 rows" in err
+        assert not (tmp_path / "e").exists()
 
     def test_can_plus_flag(self, trained):
         base, ckpt = trained

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from canet import Tensor
+from canet.cli import resolve_train_config
 from canet.data import RawSeries, make_windows, minmax_apply, minmax_fit
 from canet.synth import synth_generate
 from canet.model import CanModel, ModelConfig, micro_batch_size, window_map, window_threads
@@ -99,32 +101,40 @@ class TestEarlyStopper:
 
     def test_patience_semantics(self, monkeypatch):
         log = self.train_on(monkeypatch, [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95], patience=5)
-        assert log.stopped_early and len(log.epochs) == 7
+        assert len(log.epochs) == 7
         assert (log.best_epoch, log.best_val_loss) == (2, 0.9)
 
     def test_improvement_resets_counter(self, monkeypatch):
         log = self.train_on(monkeypatch, [1.0, 1.1, 0.9, 1.0, 1.0], patience=2)
-        assert log.stopped_early and len(log.epochs) == 5
+        assert len(log.epochs) == 5
         assert (log.best_epoch, log.best_val_loss) == (3, 0.9)
 
 
+def resolve(mapping, tmp_path) -> TrainConfig:
+    """``resolve_train_config`` of ``mapping`` written as a config file, with
+    ``--seed 0`` as the one flag."""
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in mapping.items()))
+    return resolve_train_config(argparse.Namespace(config=path, seed=0))
+
+
 class TestConfigParsing:
-    def test_from_mapping_coerces_types(self):
-        cfg = TrainConfig.from_mapping({"window": "7", "lr": "0.01",
-                                        "can_plus": "true", "ablation": "no-ae"})
+    def test_from_mapping_coerces_types(self, tmp_path):
+        cfg = resolve({"window": "7", "lr": "0.01", "can_plus": "true", "ablation": "no-ae"},
+                      tmp_path)
         assert cfg.window == 7 and cfg.lr == 0.01 and cfg.can_plus is True
         assert cfg.ablation == "no-ae"
 
-    def test_unknown_key_lists_valid_ones(self):
+    def test_unknown_key_lists_valid_ones(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            TrainConfig.from_mapping({"widnow": "7"})
+            resolve({"widnow": "7"}, tmp_path)
         assert "widnow" in str(err.value) and "window" in str(err.value)
 
-    def test_bad_value_reported(self):
+    def test_bad_value_reported(self, tmp_path):
         with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"window": "five"})
+            resolve({"window": "five"}, tmp_path)
         with pytest.raises(ConfigError):
-            TrainConfig.from_mapping({"can_plus": "maybe"})
+            resolve({"can_plus": "maybe"}, tmp_path)
 
     def test_bad_ablation_rejected(self):
         with pytest.raises(ConfigError):
@@ -237,12 +247,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(dataset, tiny_config(window=5))
 
+    def test_one_window_is_too_few(self):
+        dataset = make_windows(RawSeries(["a"], np.zeros((1, 5))), 4)
+        with pytest.raises(ValueError, match="training needs 2 windows, one to fit and one "
+                                             "to validate; the dataset has 1"):
+            train(dataset, tiny_config())
+
+    def test_val_fraction_that_leaves_no_training_window_names_itself(self):
+        dataset = make_windows(RawSeries(["a"], np.zeros((1, 8))), 4)
+        with pytest.raises(ValueError, match="val_fraction 0.9 holds out 4 of 4 windows "
+                                             "and leaves none to train on"):
+            train(dataset, tiny_config(val_fraction=0.9))
+
     def test_early_stop_on_plateau(self):
         # zero learning rate: the validation loss can never improve after
         # epoch 1, so training stops exactly at 1 + patience epochs
         dataset = tiny_dataset()
         _, log = train(dataset, tiny_config(max_epochs=60, patience=2, lr=0.0))
-        assert log.stopped_early
         assert len(log.epochs) == 3
         assert log.best_epoch == 1
 
