@@ -30,7 +30,7 @@ class AttentionParams:
     heads: int
 
     @staticmethod
-    def create(width: int, heads: int, rng: np.random.Generator, dtype=np.float32) -> "AttentionParams":
+    def create(width: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
         if heads < 1:
             raise ValueError(f"head count must be >= 1, got {heads}")
         if width % heads != 0:
@@ -38,11 +38,11 @@ class AttentionParams:
 
         def blocks() -> Tensor:
             # one draw per head block, in the order seeded models have always used
-            drawn = [glorot_uniform(rng, (width, width // heads), dtype).data for _ in range(heads)]
+            drawn = [glorot_uniform(rng, (width, width // heads)).data for _ in range(heads)]
             return Tensor(np.concatenate(drawn, axis=1), requires_grad=True)
 
         return AttentionParams(w_query=blocks(), w_key=blocks(), w_value=blocks(),
-                               w_out=glorot_uniform(rng, (width, width), dtype), heads=heads)
+                               w_out=glorot_uniform(rng, (width, width)), heads=heads)
 
 
 def scaled_dot_attention(sequence: Tensor, params: AttentionParams, causal: bool = False,
@@ -65,10 +65,10 @@ def multi_head_attention(sequence: Tensor, params: AttentionParams, causal: bool
     return scaled_dot_attention(sequence, params, causal=causal, rows=rows)
 
 
-def sinusoid_table(length: int, width: int, dtype=np.float32) -> np.ndarray:
+def sinusoid_table(length: int, width: int) -> np.ndarray:
     """Fixed sinusoidal position table: sin on even channels, cos on odd."""
     positions = np.arange(length, dtype=np.float64)[:, None]
     channels = np.arange(width, dtype=np.float64)[None, :]
     angles = positions / np.power(10000.0, 2.0 * (channels // 2) / width)
     table = np.where(channels % 2 == 0, np.sin(angles), np.cos(angles))
-    return table.astype(dtype)
+    return table.astype(np.float32)

@@ -44,10 +44,10 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
     """Rebuild the model and return ``(model, extra)``.
 
     Round-trips every parameter bit-exactly; rejects unknown versions,
-    truncated files, offsets other than the packed layout ``save_checkpoint``
-    writes, data bytes after the last parameter, a NaN or infinite parameter
-    value, and ``extra["sensor_names"]``, when present, unless it is
-    ``n_sensors`` distinct strings.
+    truncated files, a parameter listed twice, offsets other than the packed
+    layout ``save_checkpoint`` writes, data bytes after the last parameter, a
+    NaN or infinite parameter value, and ``extra["sensor_names"]``, when
+    present, unless it is ``n_sensors`` distinct strings.
     """
     try:
         with open(path, "rb") as handle:
@@ -79,6 +79,8 @@ def load_checkpoint(path) -> tuple[CanModel, dict]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             # the layout save_checkpoint writes: each entry starts where the last one ended
+            if entry["name"] in arrays:
+                raise CheckpointError(f"parameter {entry['name']} is listed twice in {path}")
             if entry["offset"] != start:
                 raise CheckpointError(f"parameter {entry['name']} in {path} starts at byte "
                                       f"{entry['offset']!r}, expected {start}")

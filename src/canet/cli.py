@@ -249,6 +249,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    window_threads()        # a bad CAN_THREADS is a config error, raised before any file is read
     model, extra = load_checkpoint(args.checkpoint)
     try:
         stored = TrainConfig(**extra["train_config"])

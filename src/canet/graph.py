@@ -16,11 +16,10 @@ from canet.tensor import (Tensor, glorot_uniform, leaky_relu, matmul, relu, row_
                           row_normalize, softmax)
 
 
-def init_sensor_embedding(n_sensors: int, embed_dim: int,
-                          rng: np.random.Generator, dtype=np.float32) -> Tensor:
+def init_sensor_embedding(n_sensors: int, embed_dim: int, rng: np.random.Generator) -> Tensor:
     """One learnable row per sensor, seeded normal scaled by 1/sqrt(dim)."""
     values = rng.standard_normal((n_sensors, embed_dim)) / np.sqrt(embed_dim)
-    return Tensor(values.astype(dtype), requires_grad=True)
+    return Tensor(values.astype(np.float32), requires_grad=True)
 
 
 def global_adjacency(embedding: Tensor) -> Tensor:
@@ -71,13 +70,13 @@ class GraphConvParams:
 
     @staticmethod
     def create(width: int, seq_len: int, retain: float,
-               rng: np.random.Generator, dtype=np.float32) -> "GraphConvParams":
+               rng: np.random.Generator) -> "GraphConvParams":
         if not 0.0 <= retain <= 1.0:
             raise ValueError(f"retain ratio must be in [0, 1], got {retain}")
         return GraphConvParams(
-            feature_map=glorot_uniform(rng, (width, width), dtype),
-            attn_vector=glorot_uniform(rng, (2 * seq_len * width, 1), dtype),
-            propagation=glorot_uniform(rng, (width, width), dtype),
+            feature_map=glorot_uniform(rng, (width, width)),
+            attn_vector=glorot_uniform(rng, (2 * seq_len * width, 1)),
+            propagation=glorot_uniform(rng, (width, width)),
             retain=retain,
         )
 
@@ -91,7 +90,7 @@ def local_adjacency(features: Tensor, params: GraphConvParams) -> Tensor:
     self_score = matmul(flat, params.attn_vector[:half])      # (..., n, 1)
     peer_score = matmul(flat, params.attn_vector[half:])
     logits = leaky_relu(self_score + peer_score.transpose())
-    return softmax(logits, axis=-1)
+    return softmax(logits)
 
 
 def global_local_conv(features: Tensor, graph: SensorGraph,

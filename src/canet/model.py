@@ -94,9 +94,8 @@ class Linear:
     bias: Tensor
 
     @staticmethod
-    def create(fan_in: int, fan_out: int, rng: np.random.Generator,
-               dtype=np.float32) -> "Linear":
-        return Linear(glorot_uniform(rng, (fan_in, fan_out), dtype), zeros((fan_out,), dtype))
+    def create(fan_in: int, fan_out: int, rng: np.random.Generator) -> "Linear":
+        return Linear(glorot_uniform(rng, (fan_in, fan_out)), zeros((fan_out,)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight) + self.bias
@@ -132,38 +131,37 @@ class ForwardOutput:
 class CanModel:
     """Parameter container plus the forward passes defined below."""
 
-    def __init__(self, config: ModelConfig, seed: int, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed: int):
         self.config = config
-        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         cfg = config
         seq = cfg.window + 1
 
-        self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng, dtype)
-        self.input = Linear.create(1, cfg.model_dim, rng, dtype)
-        self.positions = Tensor(sinusoid_table(seq, cfg.model_dim, dtype))
+        self.embedding = init_sensor_embedding(cfg.n_sensors, cfg.embed_dim, rng)
+        self.input = Linear.create(1, cfg.model_dim, rng)
+        self.positions = Tensor(sinusoid_table(seq, cfg.model_dim))
 
         self.encoder: List[CamLayerParams] = []
         for _ in range(cfg.layers):
-            attention = AttentionParams.create(cfg.model_dim, cfg.heads, rng, dtype)
+            attention = AttentionParams.create(cfg.model_dim, cfg.heads, rng)
             if cfg.ablation == "no-graph-conv":
-                graph, dense = None, glorot_uniform(rng, (cfg.model_dim, cfg.model_dim), dtype)
+                graph, dense = None, glorot_uniform(rng, (cfg.model_dim, cfg.model_dim))
             else:
-                graph = GraphConvParams.create(cfg.model_dim, seq, cfg.retain, rng, dtype)
+                graph = GraphConvParams.create(cfg.model_dim, seq, cfg.retain, rng)
                 dense = None
             self.encoder.append(CamLayerParams(
                 attention=attention, graph=graph, dense=dense,
                 use_local=cfg.ablation != "no-local-graph",
-                ln_attn_gain=ones((cfg.model_dim,), dtype),
-                ln_attn_bias=zeros((cfg.model_dim,), dtype),
-                ln_graph_gain=ones((cfg.model_dim,), dtype),
-                ln_graph_bias=zeros((cfg.model_dim,), dtype),
+                ln_attn_gain=ones((cfg.model_dim,)),
+                ln_attn_bias=zeros((cfg.model_dim,)),
+                ln_graph_gain=ones((cfg.model_dim,)),
+                ln_graph_bias=zeros((cfg.model_dim,)),
             ))
 
         # the autoencoder between encoder and decoders: width -> 8 -> 4 -> 8 -> width
         dims = (cfg.model_dim,) + BOTTLENECK_DIMS + (cfg.model_dim,)
         self.bottleneck = None if cfg.ablation == "no-ae" else [
-            Linear.create(a, b, rng, dtype) for a, b in zip(dims, dims[1:])]
+            Linear.create(a, b, rng) for a, b in zip(dims, dims[1:])]
 
         self.pre_decoder = [self._decoder_layer(rng) for _ in range(cfg.layers)]
         if cfg.ablation == "no-rec-decoder":
@@ -171,16 +169,15 @@ class CanModel:
         else:
             self.rec_decoder = [self._decoder_layer(rng) for _ in range(cfg.layers)]
 
-        self.pred_head = Linear.create(cfg.model_dim, 1, rng, dtype)
-        self.rec_head = None if self.rec_decoder is None else Linear.create(
-            cfg.model_dim, 1, rng, dtype)
+        self.pred_head = Linear.create(cfg.model_dim, 1, rng)
+        self.rec_head = None if self.rec_decoder is None else Linear.create(cfg.model_dim, 1, rng)
 
     def _decoder_layer(self, rng) -> DecoderLayerParams:
         cfg = self.config
         return DecoderLayerParams(
-            attention=AttentionParams.create(cfg.model_dim, cfg.heads, rng, self.dtype),
-            ln_gain=ones((cfg.model_dim,), self.dtype),
-            ln_bias=zeros((cfg.model_dim,), self.dtype),
+            attention=AttentionParams.create(cfg.model_dim, cfg.heads, rng),
+            ln_gain=ones((cfg.model_dim,)),
+            ln_bias=zeros((cfg.model_dim,)),
         )
 
     def named_parameters(self):
@@ -197,7 +194,7 @@ class CanModel:
 
     def _as_input(self, x) -> Tensor:
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
+            x = Tensor(np.asarray(x, dtype=self.embedding.dtype))
         n, k = x.shape[-2], x.shape[-1]
         if n != self.config.n_sensors or k != self.config.window:
             raise ShapeError(
@@ -328,10 +325,10 @@ def can_forward(x, model: CanModel, reconstruct: bool = True) -> ForwardOutput:
 
 def inference_batch_size(model: CanModel) -> int:
     """Windows per inference batch when none is given: as many as fit one
-    activation, (n_sensors, window + 1, model_dim) per window, in 1 MiB
-    (half of a 2 MiB L2 cache), clamped to 1..256."""
-    cfg = model.config
-    window_bytes = cfg.n_sensors * (cfg.window + 1) * cfg.model_dim * model.dtype.itemsize
+    activation, (n_sensors, window + 1, model_dim) values of the parameters'
+    dtype per window, in 1 MiB (half of a 2 MiB L2 cache), clamped to 1..256."""
+    cfg, itemsize = model.config, model.embedding.dtype.itemsize
+    window_bytes = cfg.n_sensors * (cfg.window + 1) * cfg.model_dim * itemsize
     return min(256, max(1, (1 << 20) // window_bytes))
 
 

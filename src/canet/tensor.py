@@ -1,19 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values live in numpy arrays, float32 by default; building a model from
-float64 arrays switches the whole computation to 64-bit, which is what the
-gradient checks use.  Every differentiable operation is a ``Function`` node
-that links to the ops (or leaf tensors) it read, never to their values, and
-saves only the arrays its backward reads.  :func:`backward` walks the
-recorded graph in reverse topological order, adding the gradients a node
-receives in one fixed order (the bytes of a seeded run depend on it),
-returns the gradients of the leaves (``requires_grad`` tensors with no
-creator) as a dict and frees each node as it passes it, so the graph is
-gone when it returns.  It writes no tensor's ``grad``; that slot is where
-the caller hands gradients to the optimizer.  Inside a :class:`no_grad`
-block ops record nothing, so a forward-only pass keeps no intermediate
-arrays alive.  On tiny arrays recording and walking back an op cost as much
-as its arithmetic, so both are kept to plain loops.
+Values live in numpy arrays, float32 by default; every op computes in the
+dtype of its operands, so the same ops on float64 arrays run in 64-bit,
+which is what the gradient checks use.  Every differentiable operation is a
+``Function`` node that links to the ops (or leaf tensors) it read, never to
+their values, and saves only the arrays its backward reads.
+:func:`backward` walks the recorded graph in reverse topological order,
+adding the gradients a node receives in one fixed order (the bytes of a
+seeded run depend on it), returns the gradients of the leaves
+(``requires_grad`` tensors with no creator) as a dict and frees each node as
+it passes it, so the graph is gone when it returns.  It writes no tensor's
+``grad``; that slot is where the caller hands gradients to the optimizer.
+Inside a :class:`no_grad` block ops record nothing, so a forward-only pass
+keeps no intermediate arrays alive.  On tiny arrays recording and walking
+back an op cost as much as its arithmetic, so both are kept to plain loops.
 
 Tensors are value-like: no op mutates its operands, and one forward/backward
 pass belongs to a single thread.
@@ -89,8 +89,9 @@ class Tensor:
     def __getitem__(self, key):
         return Slice.apply(self, key=key)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return Mean.apply(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None) -> "Tensor":
+        """The mean over ``axis`` (None: every axis); reduced axes are dropped."""
+        return Mean.apply(self, axis=axis)
 
     def reshape(self, shape) -> "Tensor":
         return Reshape.apply(self, shape=tuple(shape))
@@ -287,16 +288,15 @@ class Concat(Function):
 
 
 class Mean(Function):
-    def forward(self, a, axis=None, keepdims=False):
+    def forward(self, a, axis=None):
         self.original = a.shape
         self.axis = axis
-        self.keepdims = keepdims
-        out = _mean(a, axis, keepdims)
+        out = _mean(a, axis, False)
         self.count = a.size // max(out.size, 1)
         return out
 
     def backward(self, grad):
-        if self.axis is not None and not self.keepdims:
+        if self.axis is not None:
             grad = np.expand_dims(grad, self.axis)
         return (np.broadcast_to(grad, self.original) / self.count,)
 
@@ -341,18 +341,17 @@ class LeakyRelu(Function):
 
 
 class Softmax(Function):
-    """Softmax along one axis; ``-inf`` entries come out exactly zero."""
+    """Softmax along the last axis; ``-inf`` entries come out exactly zero."""
 
-    def forward(self, a, axis=-1):
-        self.axis = axis
-        out = a - _reduce_keepdims(np.maximum, a, axis)
+    def forward(self, a):
+        out = a - _reduce_keepdims(np.maximum, a)
         np.exp(out, out=out)
-        out /= _reduce_keepdims(np.add, out, axis)
+        out /= _reduce_keepdims(np.add, out)
         self.out = out
         return out
 
     def backward(self, grad):
-        inner = _reduce_keepdims(np.add, grad * self.out, self.axis)
+        inner = _reduce_keepdims(np.add, grad * self.out)
         return ((grad - inner) * self.out,)
 
 
@@ -480,12 +479,12 @@ def _reduce_keys(ufunc, a: np.ndarray) -> np.ndarray:
     return acc[..., None]
 
 
-def _reduce_keepdims(ufunc, a: np.ndarray, axis: int) -> np.ndarray:
-    """``ufunc.reduce`` over ``axis``, kept as a length-1 axis, as one
-    elementwise pass per position over a contiguous copy with the axis in
+def _reduce_keepdims(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis, kept as a length-1 axis, as one
+    elementwise pass per position over a contiguous copy with that axis in
     front: faster than strided views (:func:`_reduce_keys`) on softmax's long
     axis.  The sum is sequential, numpy's own order below 8 positions."""
-    return np.expand_dims(ufunc.reduce(np.moveaxis(a, axis, 0).copy(), axis=0), axis)
+    return ufunc.reduce(np.moveaxis(a, -1, 0).copy(), axis=0)[..., None]
 
 
 class LayerNorm(Function):
@@ -566,10 +565,10 @@ def leaky_relu(x: Tensor) -> Tensor:
     return LeakyRelu.apply(x)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Probability-normalize along ``axis``; to exclude positions, add
+def softmax(x: Tensor) -> Tensor:
+    """Probability-normalize along the last axis; to exclude positions, add
     ``-inf`` to them first."""
-    return Softmax.apply(x, axis=axis)
+    return Softmax.apply(x)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -589,20 +588,19 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Concat.apply(*tensors, axis=axis)
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple, dtype=np.float32) -> Tensor:
+def glorot_uniform(rng: np.random.Generator, shape: tuple) -> Tensor:
     """Fan-balanced uniform init for weight matrices."""
-    fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-    fan_out = shape[-1]
+    fan_in, fan_out = int(np.prod(shape[:-1])), shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-limit, limit, size=shape).astype(np.float32), requires_grad=True)
 
 
-def zeros(shape: tuple, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zeros(shape: tuple) -> Tensor:
+    return Tensor(np.zeros(shape, np.float32), requires_grad=True)
 
 
-def ones(shape: tuple, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def ones(shape: tuple) -> Tensor:
+    return Tensor(np.ones(shape, np.float32), requires_grad=True)
 
 
 def backward(loss: Tensor) -> dict:

@@ -115,6 +115,9 @@ BAD_HEADERS = {
     "offsets-overlap": lambda h: {
         **h, "params": [h["params"][0], {**h["params"][1], "offset": h["params"][0]["offset"]},
                         *h["params"][2:]]},
+    # an empty first copy keeps the offsets packed, so only the repeat is wrong
+    "repeated-parameter": lambda h: {
+        **h, "params": [{**h["params"][0], "shape": [0]}, *h["params"]]},
 }
 
 
@@ -136,7 +139,7 @@ def full_slot_forward(x: np.ndarray, model):
     without a reconstruction decoder.
     """
     cfg = model.config
-    x = Tensor(np.asarray(x, dtype=model.dtype))
+    x = Tensor(np.asarray(x, dtype=model.embedding.dtype))
     lead, (n, k) = x.shape[:-2], x.shape[-2:]
     graph = build_sensor_graph(model.embedding, cfg.neighbor_k)
 
@@ -149,7 +152,7 @@ def full_slot_forward(x: np.ndarray, model):
         return running[..., -crop_len:, :]
 
     with no_grad():
-        zero_slot = Tensor(np.zeros(lead + (n, 1, 1), dtype=model.dtype))
+        zero_slot = Tensor(np.zeros(lead + (n, 1, 1), dtype=model.embedding.dtype))
         h = model._lift(concat([x.reshape(x.shape + (1,)), zero_slot], axis=-2), k + 1)
         embeddings = []
         for layer in model.encoder:
@@ -195,7 +198,7 @@ def composed_attention(q, k, v, causal=False):
     scores = matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.transpose())
     if causal:
         scores = scores + future_bias(scores)
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)
 
 
 def qkv_attention(x, w_q, w_k, w_v, w_out, causal=False, heads=1, rows=None):
@@ -231,6 +234,18 @@ def per_head_attention(x, ws, upstream, causal=False, heads=1, rows=None):
 
 def param64(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:
     return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
+
+
+def float64(node):
+    """Cast every tensor ``node`` holds to float64 in place and return ``node``:
+    a tensor itself, or what a model's attributes, a dataclass's fields or a
+    list's items hold, at any depth.  Models are built in float32; this is how
+    the gradient checks and byte oracles run one in 64-bit."""
+    if isinstance(node, Tensor):
+        node.data = node.data.astype(np.float64)
+    for child in node if isinstance(node, list) else getattr(node, "__dict__", {}).values():
+        float64(child)
+    return node
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from canet.model import CanModel, ModelConfig, can_forward, decoder_forward, enc
 from canet.synth import place_segments, synth_generate
 from canet.train import (TrainConfig, joint_loss, prediction_loss,
                          reconstruction_loss, train)
-from conftest import finite_difference_gradient, max_rel_err, total
+from conftest import finite_difference_gradient, float64, max_rel_err, total
 from test_detection import brute_force_best_f1, brute_force_point_adjust
 
 DESK_TRAIN_FLAGS = [
@@ -82,7 +82,7 @@ class TestCriterion1GradientSuite:
         probe = Tensor(gen.standard_normal((3, 4)))
         cases = {
             "matmul": lambda: total(matmul(x, w) * probe),
-            "softmax": lambda: total(softmax(matmul(x, w), axis=-1) * probe),
+            "softmax": lambda: total(softmax(matmul(x, w)) * probe),
             "layer_norm": lambda: total(layer_norm(x, gain, bias) * probe),
             "relu": lambda: total(relu(matmul(x, w)) * probe),
             "leaky_relu": lambda: total(leaky_relu(matmul(x, w)) * probe),
@@ -99,7 +99,7 @@ class TestCriterion1GradientSuite:
         # full joint loss at the stated sizes, 64-bit
         cfg = ModelConfig(n_sensors=2, window=3, layers=1, heads=2, model_dim=4,
                           embed_dim=3, neighbor_k=2, retain=0.8)
-        model = CanModel(cfg, seed=7, dtype=np.float64)
+        model = float64(CanModel(cfg, seed=7))
         data = Tensor(gen.uniform(0, 1, (2, 3)))
         target = Tensor(gen.uniform(0, 1, (2,)))
 

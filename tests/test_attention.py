@@ -6,7 +6,8 @@ from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_a
                              sinusoid_table)
 from canet.model import _named_tensors
 from canet.tensor import Attention
-from conftest import assert_grads_match, causal_mask, future_bias, qkv_attention, total
+from conftest import (assert_grads_match, causal_mask, float64, future_bias, qkv_attention,
+                      total)
 
 
 def identity_params(width: int, heads: int = 1) -> AttentionParams:
@@ -70,14 +71,14 @@ class TestScaledDotAttention:
         return x.data + values @ params.w_out.data
 
     def test_single_position_returns_value(self, rng):
-        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        params = float64(AttentionParams.create(4, 2, rng))
         x = Tensor(rng.standard_normal((1, 4)))
         out = scaled_dot_attention(x, params)
         np.testing.assert_allclose(out.data, self.projected(x, params, x.data @ params.w_value.data),
                                    rtol=1e-12)
 
     def test_identical_keys_average_values(self, rng):
-        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        params = float64(AttentionParams.create(4, 2, rng))
         params.w_key = Tensor(np.zeros((4, 4)))       # every key is zero
         x = Tensor(rng.standard_normal((4, 4)))
         out = scaled_dot_attention(x, params)
@@ -85,7 +86,7 @@ class TestScaledDotAttention:
         np.testing.assert_allclose(out.data, self.projected(x, params, mean), rtol=1e-12)
 
     def test_causal_first_position_sees_only_itself(self, rng):
-        params = AttentionParams.create(4, 2, rng, dtype=np.float64)
+        params = float64(AttentionParams.create(4, 2, rng))
         x = Tensor(rng.standard_normal((5, 4)))
         out = scaled_dot_attention(x, params, causal=True)
         first = Tensor(x.data[:1])
@@ -143,7 +144,7 @@ class TestMultiHead:
     @pytest.mark.parametrize("causal", [False, True])
     def test_float64_oracle_per_head_blocks(self, heads, causal):
         gen = np.random.default_rng(heads)
-        params = AttentionParams.create(8, heads, gen, dtype=np.float64)
+        params = float64(AttentionParams.create(8, heads, gen))
         seq = gen.standard_normal((3, 6, 8))
         out = multi_head_attention(Tensor(seq), params, causal=causal).data
         np.testing.assert_allclose(out, per_head_reference(seq, params, causal),
@@ -188,7 +189,7 @@ class TestMultiHead:
 
     def test_gradients(self):
         gen = np.random.default_rng(7)
-        params = AttentionParams.create(4, 2, gen, dtype=np.float64)
+        params = float64(AttentionParams.create(4, 2, gen))
         seq = Tensor(gen.standard_normal((3, 4)), requires_grad=True)
         tensors = [seq] + [p for _, p in _named_tensors(params, "p")]
         assert_grads_match(
@@ -221,7 +222,7 @@ class TestInvariantProperties:
         q = Tensor(rng.standard_normal((5, 3)))
         k = Tensor(rng.standard_normal((5, 3)))
         scores = matmul(q, k.transpose()) * (1 / np.sqrt(3))
-        weights = softmax(scores + future_bias(scores), axis=-1).data
+        weights = softmax(scores + future_bias(scores)).data
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0).all()
         assert (weights[np.triu_indices(5, k=1)] == 0).all()

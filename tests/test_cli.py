@@ -616,6 +616,14 @@ class TestCheckpointAndFlagChecks:
         assert self.evaluate(*checkpoint) == 2
         assert "CAN_THREADS" in capsys.readouterr().err
 
+    def test_bad_thread_env_var_is_named_before_a_missing_data_file(self, checkpoint,
+                                                                    monkeypatch, tmp_path, capsys):
+        base, ckpt = checkpoint
+        monkeypatch.setenv("CAN_THREADS", "0")
+        assert run("evaluate", "--data", str(tmp_path / "missing.csv"), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "e")) == 2
+        assert "CAN_THREADS" in capsys.readouterr().err
+
     def test_bad_thread_env_var_leaves_no_train_output(self, checkpoint, monkeypatch,
                                                        tmp_path, capsys):
         base, _ = checkpoint

@@ -15,7 +15,7 @@ from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
 from canet.model import CanModel, ModelConfig, can_forward
 from canet.tensor import Tensor, backward
 from canet.train import _batch_loss
-from conftest import traced_peak
+from conftest import float64, traced_peak
 
 
 def with_batch(monkeypatch, windows, threads=1):
@@ -670,7 +670,9 @@ class TestInferenceBatchSize:
         (5, DESK_KNOBS, np.float32, 256), (2000, PAPER_KNOBS, np.float32, 1)],
         ids=["paper", "paper-float64", "desk", "too-wide"])
     def test_rule(self, n_sensors, knobs, dtype, expected):
-        model = CanModel(ModelConfig(n_sensors=n_sensors, **knobs), seed=0, dtype=dtype)
+        model = CanModel(ModelConfig(n_sensors=n_sensors, **knobs), seed=0)
+        if dtype is np.float64:
+            float64(model)
         assert inference_batch_size(model) == expected
 
     @pytest.mark.parametrize("n_sensors, knobs", [(5, DESK_KNOBS), (51, PAPER_KNOBS)],

@@ -5,7 +5,7 @@ from canet import Tensor, row_normalize
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv, init_sensor_embedding,
                          local_adjacency, topk_mask, write_embeddings_csv)
-from conftest import assert_grads_match, total
+from conftest import assert_grads_match, float64, total
 
 
 class TestGlobalAdjacency:
@@ -74,8 +74,8 @@ class TestNormalizeAdjacency:
 
 class TestLocalAdjacency:
     @staticmethod
-    def params(width, seq, rng, dtype=np.float32):
-        return GraphConvParams.create(width, seq, retain=0.8, rng=rng, dtype=dtype)
+    def params(width, seq, rng):
+        return GraphConvParams.create(width, seq, retain=0.8, rng=rng)
 
     def test_zero_attention_vector_gives_uniform_rows(self, rng):
         p = self.params(3, 4, rng)
@@ -170,8 +170,8 @@ class TestGlobalLocalConv:
 
     def test_gradients_flow_to_embedding_and_params(self):
         gen = np.random.default_rng(11)
-        emb = init_sensor_embedding(3, 2, gen, dtype=np.float64)
-        p = GraphConvParams.create(2, 2, retain=0.3, rng=gen, dtype=np.float64)
+        emb = float64(init_sensor_embedding(3, 2, gen))
+        p = float64(GraphConvParams.create(2, 2, retain=0.3, rng=gen))
         h = Tensor(gen.standard_normal((3, 2, 2)), requires_grad=True)
 
         def loss():

@@ -11,9 +11,9 @@ from canet.detection import predict_series
 from canet.graph import SensorGraph
 from canet.model import (ABLATIONS, BOTTLENECK_DIMS, CanModel, Linear, ModelConfig,
                          bottleneck_ae, cam_forward, can_forward, decoder_forward,
-                         encoder_forward)
+                         encoder_forward, inference_batch_size)
 from canet.train import _batch_loss
-from conftest import assert_grads_match, full_slot_forward
+from conftest import assert_grads_match, float64, full_slot_forward
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -51,8 +51,8 @@ class TestCamForward:
 
     def test_gradient_matches_finite_differences(self):
         gen = np.random.default_rng(21)
-        model = CanModel(small_config(n_sensors=2, window=2, layers=1, heads=2,
-                                      model_dim=4, embed_dim=2), seed=4, dtype=np.float64)
+        model = float64(CanModel(small_config(n_sensors=2, window=2, layers=1, heads=2,
+                                              model_dim=4, embed_dim=2), seed=4))
         layer = model.encoder[0]
         graph = SensorGraph(normalized=Tensor(np.full((2, 2), 0.5)),
                             mask=np.ones((2, 2)))
@@ -80,7 +80,7 @@ class TestEncoder:
     def test_scalar_walkthrough_oracle(self):
         cfg = ModelConfig(n_sensors=1, window=1, layers=1, heads=1, model_dim=2,
                           embed_dim=2, neighbor_k=1, retain=0.8)
-        model = CanModel(cfg, seed=0, dtype=np.float64)
+        model = float64(CanModel(cfg, seed=0))
 
         w_in = np.array([[0.5, -0.2]])
         b_in = np.array([0.1, 0.2])
@@ -111,7 +111,7 @@ class TestEncoder:
 
         # independent numpy walkthrough of the same arithmetic
         cols = np.array([[0.3], [0.0]])
-        h0 = cols @ w_in + b_in + sinusoid_table(2, 2, np.float64)
+        h0 = cols @ w_in + b_in + sinusoid_table(2, 2).astype(np.float64)
         q, k, v = h0 @ w_q, h0 @ w_k, h0 @ w_v
         scores = q @ k.T / np.sqrt(2.0)
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -130,9 +130,9 @@ class TestEncoder:
         np.testing.assert_allclose(embeddings[0].data[0], expected, rtol=1e-10)
 
 
-def bottleneck(width, rng, dtype=np.float32):
+def bottleneck(width, rng):
     dims = (width,) + BOTTLENECK_DIMS + (width,)
-    return [Linear.create(a, b, rng, dtype) for a, b in zip(dims, dims[1:])]
+    return [Linear.create(a, b, rng) for a, b in zip(dims, dims[1:])]
 
 
 class TestBottleneck:
@@ -150,7 +150,7 @@ class TestBottleneck:
 
     def test_jacobian_rank_bounded_by_bottleneck_width(self):
         gen = np.random.default_rng(2)
-        ae = bottleneck(16, gen, dtype=np.float64)
+        ae = float64(bottleneck(16, gen))
         x = Tensor(gen.standard_normal((1, 16)), requires_grad=True)
         rows = [backward(bottleneck_ae(x, ae)[0, i])[x][0] for i in range(16)]
         singular = np.linalg.svd(np.stack(rows), compute_uv=False)
@@ -159,10 +159,8 @@ class TestBottleneck:
 
 class TestDecoder:
     @staticmethod
-    def build(layers=2, width=8, heads=2, seed=5, dtype=np.float32):
-        model = CanModel(small_config(layers=layers, model_dim=width, heads=heads),
-                         seed=seed, dtype=dtype)
-        return model
+    def build(layers=2, width=8, heads=2, seed=5):
+        return CanModel(small_config(layers=layers, model_dim=width, heads=heads), seed=seed)
 
     def test_prediction_shape(self, rng):
         model = self.build()
@@ -352,6 +350,18 @@ class TestParameterAccounting:
         assert len(named) == len(set(named))
         assert sorted(named) == sorted(reachable)
 
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_built_in_float32_and_cast_whole_to_float64(self, ablation):
+        # the 64-bit checks cast a built model; a tensor the cast missed would
+        # run them in mixed precision
+        model = CanModel(ModelConfig(n_sensors=51, ablation=ablation), seed=0)   # paper width
+        tensors = [p for _, p in model.named_parameters()] + [model.positions]
+        assert {t.dtype for t in tensors} == {np.dtype(np.float32)}
+        assert inference_batch_size(model) == 26
+        assert float64(model) is model
+        assert {t.dtype for t in tensors} == {np.dtype(np.float64)}
+        assert inference_batch_size(model) == 13
+
 
 class TestEveryOpIsReachable:
     def test_train_and_predict_apply_every_op(self, monkeypatch, rng):
@@ -404,8 +414,9 @@ class TestCroppedLastLayers:
         for (n_sensors, batch), ablation in itertools.product(
                 ((4, 6), (1, 1), (1, 6)), ABLATIONS):
             x = rng.random((batch, n_sensors, 4))
-            model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation),
-                             seed=0, dtype=dtype)
+            model = CanModel(small_config(n_sensors=n_sensors, ablation=ablation), seed=0)
+            if dtype is np.float64:
+                float64(model)
             out = can_forward(x.astype(dtype), model)
             encoded = encoder_forward(x.astype(dtype), model)
             y_pred, y_rec, embeddings = full_slot_forward(x, model)

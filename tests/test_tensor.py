@@ -20,9 +20,10 @@ from conftest import (assert_grads_match, future_bias, param64, per_head_attenti
 def composed_layer_norm(x, gain, bias, eps=1e-5):
     """Layer norm as primitive ops, its forward bytes' oracle: the inverse
     deviation is numpy's ``(var + eps) ** -0.5``, taken as a constant."""
-    mu = x.mean(axis=-1, keepdims=True)
+    keep = x.shape[:-1] + (1,)
+    mu = x.mean(axis=-1).reshape(keep)
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1).reshape(keep)
     inv = Tensor((var.data + eps) ** -0.5)
     return centered * inv * gain + bias
 
@@ -99,29 +100,31 @@ class TestSoftmax:
 
 
 class TestLeadingAxisReduce:
-    """``_reduce_keepdims`` against numpy's max and a sequential sum."""
+    """``_reduce_keepdims``, softmax's reduction over the last axis, against
+    numpy's max and a sequential sum.  ``axis`` names the axis of the drawn
+    array that is moved last, so all but -1 reduce a strided view."""
 
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_max_equals_numpy(self, rng, axis):
-        a = rng.standard_normal((3, 4, 11, 6)).astype(np.float32)
-        np.testing.assert_array_equal(_reduce_keepdims(np.maximum, a, axis),
-                                      np.max(a, axis=axis, keepdims=True))
+        a = np.moveaxis(rng.standard_normal((3, 4, 11, 6)).astype(np.float32), axis, -1)
+        np.testing.assert_array_equal(_reduce_keepdims(np.maximum, a),
+                                      np.max(a, axis=-1, keepdims=True))
 
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_sum_equals_sequential_loop(self, rng, axis):
-        # the last axis is long enough for numpy's own sum to go pairwise
-        a = rng.standard_normal((3, 4, 6, 11)).astype(np.float32)
-        acc = np.take(a, 0, axis=axis)
-        for i in range(1, a.shape[axis]):
-            acc = acc + np.take(a, i, axis=axis)
-        np.testing.assert_array_equal(_reduce_keepdims(np.add, a, axis),
-                                      np.expand_dims(acc, axis))
+        # at axis -1, 11 positions: enough for numpy's own sum to go pairwise
+        a = np.moveaxis(rng.standard_normal((3, 4, 6, 11)).astype(np.float32), axis, -1)
+        acc = a[..., 0]
+        for i in range(1, a.shape[-1]):
+            acc = acc + a[..., i]
+        np.testing.assert_array_equal(_reduce_keepdims(np.add, a), acc[..., None])
 
     def test_sum_equals_numpy_on_short_axes(self, rng):
         a = rng.standard_normal((2, 5, 3, 7)).astype(np.float32)
         for axis in range(a.ndim):
-            np.testing.assert_array_equal(_reduce_keepdims(np.add, a, axis),
-                                          np.sum(a, axis=axis, keepdims=True))
+            last = np.moveaxis(a, axis, -1)
+            np.testing.assert_array_equal(_reduce_keepdims(np.add, last),
+                                          np.sum(last, axis=-1, keepdims=True))
 
 
 class TestKeyAxisReduce:
@@ -466,7 +469,7 @@ class TestBackward:
 
     def test_softmax_sum_has_zero_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        np.testing.assert_allclose(backward(total(softmax(x, axis=-1)))[x], 0.0, atol=1e-7)
+        np.testing.assert_allclose(backward(total(softmax(x)))[x], 0.0, atol=1e-7)
 
     def test_composite_matches_finite_differences(self, rng):
         x = param64(rng, (3, 4))
@@ -474,7 +477,7 @@ class TestBackward:
 
         def loss():
             h = relu(matmul(x, w))
-            return total(softmax(h, axis=-1) * h)
+            return total(softmax(h) * h)
 
         assert_grads_match(loss, [x, w])
 
@@ -597,8 +600,8 @@ class TestBackward:
         (canet.tensor.Sqrt, [(2, 3, 4)], {}),
         (canet.tensor.Relu, [(2, 3, 4)], {}),
         (canet.tensor.LeakyRelu, [(2, 3, 4)], {}),
-        (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=-1)),
-        (canet.tensor.Softmax, [(2, 3, 4)], dict(axis=0)),
+        (canet.tensor.Softmax, [(2, 3, 4)], {}),
+        (canet.tensor.Softmax, [(5,)], {}),
         (Attention, [(2, 4, 3), (3, 4), (3, 4), (3, 2), (2, 3)], dict(causal=True, heads=2)),
         (Attention, [(4, 3), (3, 8), (3, 8), (3, 4), (4, 3)], dict(heads=4)),
         (canet.tensor.LayerNorm, [(2, 3, 4), (4,), (4,)], {}),
@@ -791,7 +794,6 @@ class TestPrimitiveGradients:
     def test_sum_mean_axes(self, rng):
         a = param64(rng, (3, 4, 2))
         assert_grads_match(lambda: (a.mean(axis=1) * a.mean(axis=1)).mean(), [a])
-        assert_grads_match(lambda: total(a.mean(axis=(0, 2), keepdims=True) * a), [a])
 
     def test_sqrt(self, rng):
         a = Tensor(np.abs(rng.standard_normal((4,))) + 0.5, requires_grad=True)
@@ -803,19 +805,13 @@ class TestPrimitiveGradients:
         mask[:, 0] = False
         excluded = Tensor(np.where(mask, -np.inf, 0.0))
         weights = rng.standard_normal((3, 5))
-        assert_grads_match(lambda: total(softmax(a + excluded, axis=-1) * Tensor(weights)), [a])
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_softmax_leading_axis_gradient(self, rng, axis):
-        a = param64(rng, (4, 3, 5))
-        weights = Tensor(rng.standard_normal((4, 3, 5)))
-        assert_grads_match(lambda: total(softmax(a, axis=axis) * weights), [a])
+        assert_grads_match(lambda: total(softmax(a + excluded) * Tensor(weights)), [a])
 
     def test_softmax_causal_attention_gradient(self, rng):
         scores = param64(rng, (2, 3, 2, 4, 4))
         weights = Tensor(rng.standard_normal((2, 3, 2, 4, 4)))
         assert_grads_match(
-            lambda: total(softmax(scores + future_bias(scores), axis=-1) * weights), [scores])
+            lambda: total(softmax(scores + future_bias(scores)) * weights), [scores])
 
     def test_row_normalize_gradient(self, rng):
         a = Tensor(rng.uniform(0.1, 2.0, (4, 4)), requires_grad=True)
@@ -855,7 +851,7 @@ class TestInvariants:
             (tx + ty).data, (tx - ty).data, (tx * ty).data,
             matmul(tx, ty.transpose()).data,
             relu(tx).data, leaky_relu(tx).data,
-            softmax(tx, axis=-1).data,
+            softmax(tx).data,
             layer_norm(tx, Tensor(np.ones(4)), Tensor(np.zeros(4))).data,
             row_normalize(relu(tx)).data,
             sqrt(total(tx * tx)).data,
@@ -879,7 +875,7 @@ class TestInvariants:
         def run():
             gen = np.random.default_rng(99)
             x = Tensor(gen.standard_normal((4, 4)), requires_grad=True)
-            y = softmax(matmul(x, x.transpose()), axis=-1)
+            y = softmax(matmul(x, x.transpose()))
             return y.data.tobytes(), backward(total(y))[x].tobytes()
 
         assert run() == run()

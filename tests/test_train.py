@@ -19,7 +19,7 @@ from canet.tensor import backward
 from canet.train import (ConfigError, DivergenceError, TrainConfig, _batch_loss,
                          _set_gradients, _validation_loss, joint_loss, prediction_loss,
                          reconstruction_loss, train)
-from conftest import traced_peak
+from conftest import float64, traced_peak
 
 
 def tiny_dataset(n_sensors=3, length=120, seed=0, window=4):
@@ -324,7 +324,7 @@ class TestMicroBatches:
     @staticmethod
     def float64_setup():
         dataset = tiny_dataset(n_sensors=12, length=60)
-        model = CanModel(tiny_config().model_config(12), seed=1, dtype=np.float64)
+        model = float64(CanModel(tiny_config().model_config(12), seed=1))
         return model, dataset, np.random.default_rng(2).permutation(37)
 
     @pytest.mark.parametrize("micro", [16, 10, 36], ids=["16+16+5", "10+10+10+7", "36+1"])
@@ -373,7 +373,9 @@ class TestMicroBatches:
         (2000, PAPER, np.float32, 1),
     ], ids=["paper", "desk", "paper-1-layer", "paper-float64", "2000-sensors"])
     def test_size_depends_on_the_model_only(self, monkeypatch, sensors, knobs, dtype, size):
-        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0, dtype=dtype)
+        model = CanModel(ModelConfig(window=5, n_sensors=sensors, **knobs), seed=0)
+        if dtype is np.float64:
+            float64(model)
         for threads in ("1", "3"):
             monkeypatch.setenv("CAN_THREADS", threads)
             assert micro_batch_size(model) == size
