@@ -39,7 +39,14 @@ class NormStats:
     maximum: np.ndarray
 
 
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_CELLS = 1024
+
+
+def block_rows(columns: int) -> int:
+    """Rows per CSV block of a table ``columns`` cells wide: ``CSV_BLOCK_CELLS``
+    cells, and at least one row, so a block's text and Python objects do not
+    grow with the width."""
+    return max(1, CSV_BLOCK_CELLS // columns)
 
 
 def load_csv(path) -> RawSeries:
@@ -47,9 +54,10 @@ def load_csv(path) -> RawSeries:
     timestamp.  Columns named ``timestamp`` and ``label`` are split out;
     sensor column order is preserved.  Every header name must be distinct.
 
-    The file is decoded as UTF-8, with or without a leading byte-order mark,
-    and parsed in blocks of ``CSV_BLOCK_ROWS`` rows, column by column, so
-    memory beyond the result is bounded by one block of cells.
+    The file is decoded as UTF-8, with or without a leading byte-order mark.
+    The header row is read alone, then the data rows in blocks of
+    ``block_rows(len(header))``, each parsed column by column, so the cells
+    held as Python objects beyond the result are one block's.
     """
     try:
         # undecodable bytes read as lone surrogates, which no cell rule accepts
@@ -58,8 +66,8 @@ def load_csv(path) -> RawSeries:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle, strict=True)
-        block, fault = _read_rows(path, reader, 1 + CSV_BLOCK_ROWS)
-        header = block.pop(0) if block else None
+        block, fault = _read_rows(path, reader, 1)
+        header = block[0] if block else None
         if not header:
             raise fault or DataError(f"{path} is empty")
         if not _decodes(header):
@@ -67,6 +75,8 @@ def load_csv(path) -> RawSeries:
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
             raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+        rows = block_rows(len(header))
+        block, fault = _read_rows(path, reader, rows)
         if not block:
             raise fault or DataError(f"{path} has a header but no data rows")
         sensors = [c for c, name in enumerate(header) if name not in _SPLIT_RULES]
@@ -88,7 +98,7 @@ def load_csv(path) -> RawSeries:
             start += len(block)
             if fault is not None:
                 raise fault
-            block, fault = _read_rows(path, reader, CSV_BLOCK_ROWS)
+            block, fault = _read_rows(path, reader, rows)
         if fault is not None:
             raise fault
 
@@ -183,7 +193,7 @@ def write_csv(path, series: RawSeries) -> None:
     The header goes through ``csv.writer``, which quotes names as needed;
     the data rows, whose cells never need quoting, are joined column by
     column, with the writer's ``\\r\\n`` line ends, and written in blocks of
-    ``CSV_BLOCK_ROWS`` rows, so at most one block is held as text.
+    ``block_rows(len(header))`` rows, so at most one block is held as text.
     """
     header: List[str] = []
     arrays = []         # (columns, length) each, float64 or int64: repr writes every cell
@@ -195,11 +205,12 @@ def write_csv(path, series: RawSeries) -> None:
     if series.labels is not None:
         header.append("label")
         arrays.append(np.asarray(series.labels).astype(np.int64)[None])
+    rows = block_rows(len(header))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for start in range(0, series.length, CSV_BLOCK_ROWS):
+        for start in range(0, series.length, rows):
             columns = [map(repr, row) for array in arrays
-                       for row in array[:, start:start + CSV_BLOCK_ROWS].tolist()]
+                       for row in array[:, start:start + rows].tolist()]
             handle.write("".join(",".join(cells) + "\r\n" for cells in zip(*columns)))
 
 

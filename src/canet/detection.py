@@ -268,9 +268,9 @@ def write_report_json(path, report: DetectionReport) -> None:
 def write_scores_csv(path, report: DetectionReport, truth: np.ndarray) -> None:
     """(t, score, label) rows for external plotting; the scores belong to
     the last ``len(report.scores)`` timestamps of ``truth``.  Rows are
-    written in blocks of ``CSV_BLOCK_ROWS``, so at most one block is held as text."""
+    written in blocks of ``block_rows(3)``, so at most one block is held as text."""
     scores, truth = np.asarray(report.scores, dtype=np.float64), np.asarray(truth)
-    rows, first = canet.data.CSV_BLOCK_ROWS, len(truth) - len(scores)
+    rows, first = canet.data.block_rows(3), len(truth) - len(scores)
     with open(path, "w", newline="") as handle:
         handle.write("t,score,label\n")
         for t0 in range(first, len(truth), rows):

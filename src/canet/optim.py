@@ -9,14 +9,15 @@ from canet.tensor import ShapeError, Tensor
 
 
 class Adam:
-    """Adam with bias correction (Kingma & Ba, 2015) over parameters of one dtype.
+    """Adam with bias correction (Kingma & Ba, 2015).
 
-    The moments live in one flat buffer each; ``m[i]`` and ``v[i]`` are
-    writable views of parameter ``i``'s share.  :meth:`step` reads ``grad``
-    off each parameter and updates each run of consecutive parameters that
-    have one by a few vector ops over their gathered gradients, with the
-    per-parameter update's arithmetic; a parameter whose grad is unset keeps
-    its value and moments (the step counter still advances once per call).
+    The moments live in one flat float32 buffer each, the dtype of every
+    model parameter; ``m[i]`` and ``v[i]`` are writable views of parameter
+    ``i``'s share.  :meth:`step` reads ``grad`` off each parameter and
+    updates each run of consecutive parameters that have one by a few vector
+    ops over their gathered gradients, with the per-parameter update's
+    arithmetic; a parameter whose grad is unset keeps its value and moments
+    (the step counter still advances once per call).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8     # Kingma & Ba's defaults
@@ -25,12 +26,8 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        dtype, *mixed = {p.data.dtype for p in self.params} or {np.dtype(np.float32)}
-        if mixed:
-            raise ValueError(f"Adam needs parameters of one dtype, got "
-                             f"{', '.join(sorted(map(str, [dtype, *mixed])))}")
         self._offsets = list(accumulate((p.size for p in self.params), initial=0))
-        self._m, self._v = (np.zeros(self._offsets[-1], dtype) for _ in range(2))
+        self._m, self._v = (np.zeros(self._offsets[-1], np.float32) for _ in range(2))
         self.m, self.v = ([flat[a:b].reshape(p.shape) for p, a, b
                            in zip(self.params, self._offsets, self._offsets[1:])]
                           for flat in (self._m, self._v))

@@ -467,7 +467,7 @@ class TestReportFiles:
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
     def test_scores_csv_in_blocks_matches_row_writer_and_loads(self, tmp_path, monkeypatch,
                                                                 count):
-        monkeypatch.setattr(canet.data, "CSV_BLOCK_ROWS", 3)
+        monkeypatch.setattr(canet.data, "CSV_BLOCK_CELLS", 3 * 3)      # 3 rows of 3 cells
         gen = np.random.default_rng(count)
         report = self.report(gen.standard_normal(count) * 10.0 ** gen.integers(-300, 300, count))
         truth = gen.integers(0, 2, 4 + count)
@@ -482,8 +482,9 @@ class TestReportFiles:
             np.testing.assert_array_equal(table.labels, truth[4:])
 
     # tracemalloc peak of writing 2*10^5 scores: 29.2 MiB when every row was
-    # joined into one string, 0.5 MiB in blocks of CSV_BLOCK_ROWS rows
-    WRITE_BOUND_MIB = 1.0
+    # joined into one string, 0.50 MiB in blocks of 4096 rows, 0.05 MiB in
+    # blocks of block_rows(3) = 341
+    WRITE_BOUND_MIB = 0.2
 
     def test_scores_csv_peak_under_bound(self, tmp_path):
         gen = np.random.default_rng(0)
