@@ -12,7 +12,6 @@ windows a pass takes and runs independent windows on several threads.
 import contextvars
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import List, Optional
@@ -377,15 +376,21 @@ def _one_blas_thread() -> None:
 
 @contextmanager
 def window_map(threads: int):
-    """A ``map(fn, items)`` whose results come back in item order, computed
-    on ``threads`` threads.  Each task runs in a copy of the calling thread's
-    context, so numpy's error state carries over.  For one thread (or none)
-    it is the builtin ``map``, on the calling thread.  Entering it first
+    """A ``map(fn, items)`` over a sequence, results in item order, computed
+    on ``threads`` threads.  Each pooled task runs in a copy of the calling
+    thread's context, so numpy's error state carries over.  One thread (or
+    none) is the builtin ``map`` on the calling thread, with no thread pool
+    loaded, and so is a call of fewer than two items.  Entering it first
     puts BLAS on one thread (:func:`_one_blas_thread`)."""
     _one_blas_thread()
     if threads <= 1:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor      # loaded only for a pool
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield lambda fn, items: [task.result() for task in [
-            pool.submit(contextvars.copy_context().run, fn, item) for item in items]]
+        def pooled(fn, items):
+            if len(items) < 2:
+                return map(fn, items)
+            return [task.result() for task in [
+                pool.submit(contextvars.copy_context().run, fn, item) for item in items]]
+        yield pooled

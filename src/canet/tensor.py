@@ -422,6 +422,7 @@ class Attention(Function):
     def backward(self, grad):
         x, w_q, w_k, w_v, w_out = self.saved
         heads, p, rows, residual = self.heads, self.p, self.rows, grad
+        del self.p                          # so that p goes at its last read
         v = _split_heads(x @ w_v, heads)
         kept = _merged_product(p, v, heads)
         shape = kept.shape
@@ -437,10 +438,12 @@ class Attention(Function):
         grad = _split_heads(grad, heads)
         gx_v, gw_v = _weight_grads(_merged_product(np.swapaxes(p, -1, -2), grad, heads),
                                    x, w_v, x.shape)
-        ds = grad @ np.swapaxes(v, -1, -2).copy()
+        v = np.swapaxes(v, -1, -2).copy()   # vᵀ; v is not read again
+        ds = grad @ v
         del grad, v
         ds -= _reduce_keys(np.add, ds * p)
         ds *= p
+        del p
         gq = _merged_product(ds, _split_heads(x @ w_k, heads), heads)
         gq *= self.scale
         gx, gw_q = _weight_grads(gq, x, w_q, x.shape)

@@ -3,14 +3,15 @@
 Each mini-batch runs the full forward pass, combines the two RMSE losses by
 the scheduled weights, and takes one Adam step.  Every mini-batch is split
 into micro-batches (:func:`canet.model.micro_batch_size`; one when it
-fits) whose forward and backward passes run on the window threads.  Their
-gradients are summed on the calling thread in micro-batch order, so the
-numbers do not depend on the thread count, and reach Adam through each
-parameter's ``grad``.  The learning rate decays per epoch; training stops
-when the validation loss has not improved for ``patience`` consecutive
-epochs, and the best-validation parameters are restored before returning.
-The validation loss runs without an autodiff tape, in chunks of one
-training micro-batch.
+fits) whose forward and backward passes run on the window threads, or on
+the calling thread when there is only one.  Their gradients are summed on
+the calling thread in micro-batch order, so the numbers do not depend on
+the thread count, and reach Adam through each parameter's ``grad``.  The
+learning rate decays per epoch; training stops when the validation loss
+has not improved for ``patience`` consecutive epochs, and the
+best-validation parameters are restored before returning.  The validation
+loss runs without an autodiff tape, in chunks of one training micro-batch
+spread over the threads the same way.
 """
 
 from dataclasses import dataclass, field, fields
@@ -201,7 +202,8 @@ def _set_gradients(model: CanModel, params: List[Tensor], dataset: WindowedDatas
     run on any thread.  The loss is a mean over windows, so a micro-batch of
     n_i of the N windows enters the loss and the gradients with weight
     n_i / N, summed on the calling thread in micro-batch order.  A lone
-    micro-batch has weight 1.0, and its gradients are handed over uncopied.
+    micro-batch runs on the calling thread with weight 1.0, and its
+    gradients are handed over uncopied.
     """
     for p in params:
         p.grad = None

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,21 @@ class TestMicroBatches:
         assert threaded == serial
         for before, p in zip(grads, model.parameters()):
             assert p.grad.dtype == np.float32 and p.grad.tobytes() == before.tobytes()
+
+    def test_only_parallel_work_leaves_the_calling_thread(self):
+        # a lone micro-batch has nothing to run beside it; two items go to the
+        # pool and come back in item order, the first finishing last
+        def task(item):
+            time.sleep(0.05 if item == 0 else 0.0)
+            return item, threading.get_ident()
+
+        caller = threading.get_ident()
+        with window_map(2) as map_windows:
+            lone = list(map_windows(task, [0]))
+            pair = list(map_windows(task, [0, 1]))
+        assert lone == [(0, caller)]
+        assert [item for item, _ in pair] == [0, 1]
+        assert caller not in {ident for _, ident in pair}
 
     # one power of two at most inference_batch_size // layers, and at least 1
     @pytest.mark.parametrize("sensors, knobs, dtype, size", [
