@@ -17,7 +17,7 @@ from canet.data import (DataError, NormStats, RawSeries, WindowedDataset,
                         minmax_apply, minmax_fit, write_csv)
 from canet.synth import AnomalySegment, SynthResult, synth_generate
 from canet.train import (ConfigError, DivergenceError, TrainConfig, TrainLog,
-                         joint_loss, prediction_loss, reconstruction_loss, train)
+                         joint_loss, prediction_loss, reconstruction_loss)
 from canet.detection import (DetectionReport, anomaly_scores, confusion_metrics,
                              evaluate, normalize_errors, point_adjust,
                              prediction_errors, predict_series, threshold_grid_search)

@@ -194,6 +194,8 @@ def _match_sensors(series: RawSeries, names, path) -> RawSeries:
         raise DataError(
             f"{path}: sensors do not match the checkpoint's {len(names)}; "
             f"missing {missing}, unexpected {unexpected}")
+    if series.sensor_names == list(names):
+        return series
     order = [series.sensor_names.index(name) for name in names]
     return RawSeries(list(names), series.values[order], series.timestamps, series.labels)
 
@@ -213,7 +215,8 @@ def _load_windows(path, window: int, downsample: int, stats: "NormStats | None" 
         raise DataError(f"{path}: {rows} rows{factor} are fewer than window + 1 = {window + 1}")
     if stats is None:
         stats = minmax_fit(series)
-    return make_windows(minmax_apply(series, stats), window), stats
+    series = minmax_apply(series, stats)     # drops the loaded copy before windowing
+    return make_windows(series, window), stats
 
 
 def cmd_train(args) -> int:

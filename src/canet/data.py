@@ -246,11 +246,13 @@ def minmax_fit(train: RawSeries) -> NormStats:
 
 
 def minmax_apply(series: RawSeries, stats: NormStats) -> RawSeries:
-    """(x - min) / (max - min) per sensor.  Constant sensors map to zero;
+    """(x - min) / (max - min) per sensor, in one new array divided in
+    place; the input is left as it is.  Constant sensors map to zero;
     values outside the fitted range are not clipped."""
     span = stats.maximum - stats.minimum
     safe = np.where(span == 0, 1.0, span)
-    scaled = (series.values - stats.minimum[:, None]) / safe[:, None]
+    scaled = series.values - stats.minimum[:, None]
+    scaled /= safe[:, None]
     scaled[span == 0, :] = 0.0
     return RawSeries(series.sensor_names, scaled, series.timestamps, series.labels)
 

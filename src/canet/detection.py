@@ -163,21 +163,22 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
                    with_reconstruction: bool = False):
     """Run the prediction decoder over every window.
 
-    Returns ``(predictions, rec_last)`` with one column per window: the
-    prediction targets column ``j + window`` and, when requested, the
-    reconstruction of the window's last history column.  The reconstruction
-    decoder runs only when requested.  Each of the :func:`window_threads`
-    threads runs batches of ``max(1, inference_batch_size // threads)``
-    windows without an autodiff tape, so memory grows with the batch, not
-    with the series or the thread count.  Windows are independent, so
-    neither changes the numbers.
+    Returns ``(predictions, rec_last)`` with one column per window, in the
+    model's dtype (float32 for a built model), which holds its outputs
+    exactly: the prediction targets column ``j + window`` and, when
+    requested, the reconstruction of the window's last history column.  The
+    reconstruction decoder runs only when requested.  Each of the
+    :func:`window_threads` threads runs batches of
+    ``max(1, inference_batch_size // threads)`` windows without an autodiff
+    tape, so memory grows with the batch, not with the series or the thread
+    count.  Windows are independent, so neither changes the numbers.
     """
     threads = window_threads()
     batch_size = max(1, inference_batch_size(model) // threads)
     n_windows = len(dataset)
     n = dataset.n_sensors
-    predictions = np.empty((n, n_windows), dtype=np.float64)
-    rec_last = np.empty((n, n_windows), dtype=np.float64) if with_reconstruction else None
+    predictions = np.empty((n, n_windows), dtype=model.embedding.dtype)
+    rec_last = np.empty_like(predictions) if with_reconstruction else None
     if with_reconstruction and model.rec_decoder is None:
         raise ValueError("model has no reconstruction decoder")
 

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from canet.checkpoint import load_checkpoint, save_checkpoint
-from canet.cli import main, parse_config_file
-from canet.data import load_csv, write_csv
+from canet.cli import _load_windows, _match_sensors, main, parse_config_file
+from canet.data import NormStats, RawSeries, load_csv, write_csv
 from canet.detection import confusion_metrics, point_adjust
-from conftest import BAD_HEADERS, append_data_bytes, rewrite_header
+from conftest import BAD_HEADERS, append_data_bytes, rewrite_header, traced_peak
 
 
 def run(*argv) -> int:
@@ -396,6 +396,48 @@ class TestThreadPolicy:
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "blas threads 1"
+
+
+class TestLoadWindowsMemory:
+    # tracemalloc peak of _load_windows on 51 sensors x 4000 rows, counted in
+    # float64 series of 1.56 MiB: 3.08-3.11 when minmax_apply held its input,
+    # the difference and the quotient at once and the loaded series lived
+    # through make_windows; 2.18-2.21 with the difference divided in place
+    # and the loaded series dropped before make_windows, which leaves
+    # load_csv's own peak
+    BOUND = 2.6
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "evaluate-in-order"])
+    def test_peak_in_series_under_bound(self, tmp_path, command):
+        n, rows = 51, 4000
+        gen = np.random.default_rng(0)
+        names = [f"s{i}" for i in range(n)]
+        path = tmp_path / "wide.csv"
+        write_csv(path, RawSeries(names, gen.standard_normal((n, rows)),
+                                  np.arange(rows) * 60.0, gen.integers(0, 2, rows)))
+        # evaluate matches the columns to the checkpoint's order and scales with its stats
+        order = names if command != "evaluate" else names[::-1]
+        stats = None if command == "train" else NormStats(np.full(n, -1.0), np.full(n, 2.0))
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(
+            _load_windows(path, 5, 1, stats, None if stats is None else order)))
+        assert peak / (n * rows * 8) < self.BOUND, f"peak {peak / (n * rows * 8):.2f} series"
+
+        dataset, fitted = loaded[0]
+        raw = load_csv(path)
+        values = raw.values[[raw.sensor_names.index(name) for name in order]]
+        span = (fitted.maximum - fitted.minimum)[:, None]
+        expected = ((values - fitted.minimum[:, None]) / span).astype(np.float32)
+        assert dataset.values.tobytes() == expected.tobytes()
+
+    def test_sensors_in_the_checkpoint_order_are_not_copied(self):
+        values = np.arange(12.0).reshape(3, 4)
+        series = RawSeries(["a", "b", "c"], values)
+        assert _match_sensors(series, ("a", "b", "c"), "x.csv") is series
+        reordered = _match_sensors(series, ["c", "a", "b"], "x.csv")
+        assert reordered.sensor_names == ["c", "a", "b"]
+        assert np.array_equal(reordered.values, values[[2, 0, 1]])
+        assert not np.shares_memory(reordered.values, values)
 
 
 class TestEvaluateCommand:

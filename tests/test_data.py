@@ -451,6 +451,22 @@ class TestMinMax:
         assert out.values.min() >= 0.0 and out.values.max() <= 1.0
         assert out.values.min() == 0.0 and out.values.max() == 1.0
 
+    def test_one_new_array_keeps_every_byte_and_leaves_the_input(self, rng):
+        values = rng.standard_normal((3, 20000)) * 5
+        values[1] = 2.0                                 # a constant sensor
+        stats = minmax_fit(RawSeries(["a", "b", "c"], values))
+        expected = (values - stats.minimum[:, None]) / np.where(
+            stats.maximum > stats.minimum, stats.maximum - stats.minimum, 1.0)[:, None]
+        expected[1] = 0.0
+        kept = values.copy()
+        out = []
+        peak = traced_peak(lambda: out.append(minmax_apply(RawSeries(["a", "b", "c"], values), stats)))
+        assert out[0].values.tobytes() == expected.tobytes()
+        assert values.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out[0].values, values)
+        # the difference is divided in place: one series, not the difference and the quotient
+        assert peak < 1.5 * values.nbytes
+
 
 class TestWindows:
     def test_window_count(self, rng):

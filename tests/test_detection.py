@@ -660,6 +660,32 @@ class TestEvaluate:
         np.testing.assert_allclose(preds[:, 6], single.y_pred.data[0], rtol=1e-6)
         np.testing.assert_allclose(rec[:, 6], single.y_rec.data[0, :, -1], rtol=1e-6)
 
+    @pytest.mark.parametrize("cast, dtype", [(False, np.float32), (True, np.float64)],
+                             ids=["built", "float64"])
+    def test_predictions_are_held_in_the_model_dtype(self, cast, dtype):
+        model, dataset, _ = self.tiny_setup(seed=5)
+        if cast:
+            float64(model)
+        predictions, rec_last = predict_series(model, dataset, with_reconstruction=True)
+        assert predictions.dtype == dtype and rec_last.dtype == dtype
+
+    @pytest.mark.parametrize("can_plus", [False, True], ids=["plain", "can-plus"])
+    def test_float32_predictions_keep_every_error_byte(self, monkeypatch, can_plus):
+        model, dataset, labels = self.tiny_setup(seed=4)
+        predictions, rec_last = predict_series(model, dataset, with_reconstruction=True)
+        assert predictions.dtype == np.float32
+        for held, actual in ((predictions, dataset.values[:, 4:]),
+                             (rec_last, dataset.values[:, 3:-1])):
+            errors = prediction_errors(held, actual)
+            assert errors.tobytes() == prediction_errors(held.astype(np.float64), actual).tobytes()
+
+        expected = evaluate(model, dataset, labels, can_plus=can_plus)
+        monkeypatch.setattr(canet.detection, "predict_series", lambda *args: tuple(
+            None if a is None else a.astype(np.float64) for a in predict_series(*args)))
+        widened = evaluate(model, dataset, labels, can_plus=can_plus)
+        assert expected.scores.tobytes() == widened.scores.tobytes()
+        assert expected.threshold == widened.threshold
+
 
 PAPER_KNOBS = dict(window=5, layers=3, heads=8, model_dim=32, embed_dim=10, neighbor_k=10)
 DESK_KNOBS = dict(window=5, layers=1, heads=4, model_dim=16, embed_dim=8, neighbor_k=5)

@@ -38,6 +38,11 @@ def tiny_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def test_import_binds_the_submodule():
+    import canet.train as module            # the package re-exports no name that shadows it
+    assert module._validation_loss is _validation_loss
+
+
 class TestLosses:
     def test_prediction_loss_examples(self):
         equal = Tensor(np.array([1.0, 2.0]))
@@ -95,7 +100,7 @@ class TestEarlyStopper:
     def train_on(monkeypatch, val_losses, patience):
         """The log of a run whose epochs read ``val_losses`` in turn; an
         epoch past their end raises StopIteration."""
-        module = importlib.import_module("canet.train")    # canet.train is the function
+        module = importlib.import_module("canet.train")
         losses = iter(val_losses)
         monkeypatch.setattr(module, "_validation_loss", lambda *args: next(losses))
         cfg = tiny_config(max_epochs=len(val_losses) + 3, patience=patience)
@@ -277,7 +282,7 @@ class TestValidation:
         n_val = round(0.3 * len(dataset))
         n_train = len(dataset) - n_val
         sizes = []
-        module = importlib.import_module("canet.train")    # canet.train is the function
+        module = importlib.import_module("canet.train")
         forward = module.can_forward
 
         def counted(x, model, **kwargs):
