@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import canet.tensor
-from canet import Tensor, backward
 from canet.attention import multi_head_attention
 from canet.graph import build_sensor_graph, global_local_conv, local_adjacency
 from canet.model import bottleneck_ae
-from canet.tensor import concat, layer_norm, matmul, no_grad, row_matmul, softmax
+from canet.tensor import (Tensor, backward, concat, layer_norm, matmul, no_grad, row_matmul,
+                          softmax)
 
 GRAD_RTOL = 1e-4
 

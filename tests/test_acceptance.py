@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from canet import Tensor, backward
 from canet.attention import AttentionParams, multi_head_attention
 from canet.checkpoint import load_checkpoint
 from canet.cli import main as cli_main
@@ -23,6 +22,7 @@ from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          init_sensor_embedding, local_adjacency, topk_mask)
 from canet.model import CanModel, ModelConfig, can_forward, decoder_forward, encoder_forward
 from canet.synth import place_segments, synth_generate
+from canet.tensor import Tensor, backward
 from canet.train import (TrainConfig, joint_loss, prediction_loss,
                          reconstruction_loss, train)
 from conftest import finite_difference_gradient, float64, max_rel_err, total

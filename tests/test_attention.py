@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from canet import ShapeError, Tensor, no_grad
 from canet.attention import (AttentionParams, multi_head_attention, scaled_dot_attention,
                              sinusoid_table)
 from canet.model import _named_tensors
-from canet.tensor import Attention
+from canet.tensor import Attention, ShapeError, Tensor, no_grad
 from conftest import (assert_grads_match, causal_mask, float64, future_bias, qkv_attention,
                       total)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from canet import Tensor, row_normalize
 from canet.graph import (GraphConvParams, SensorGraph, build_sensor_graph,
                          global_adjacency, global_local_conv, init_sensor_embedding,
                          local_adjacency, topk_mask, write_embeddings_csv)
+from canet.tensor import Tensor, row_normalize
 from conftest import assert_grads_match, float64, total
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import canet.tensor
-from canet import ShapeError, Tensor, backward
 from canet.attention import sinusoid_table
 from canet.data import RawSeries, make_windows
 from canet.detection import predict_series
@@ -12,6 +11,7 @@ from canet.graph import SensorGraph
 from canet.model import (ABLATIONS, BOTTLENECK_DIMS, CanModel, Linear, ModelConfig,
                          bottleneck_ae, cam_forward, can_forward, decoder_forward,
                          encoder_forward, inference_batch_size)
+from canet.tensor import ShapeError, Tensor, backward
 from canet.train import _batch_loss
 from conftest import assert_grads_match, float64, full_slot_forward
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from canet import ShapeError, Tensor
 from canet.optim import Adam
+from canet.tensor import ShapeError, Tensor
 from conftest import finite_difference_gradient, total
 
 

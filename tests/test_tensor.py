@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import canet.tensor
-from canet import (ConsumedGraphError, ShapeError, Tensor, backward, concat, layer_norm,
-                   leaky_relu, matmul, no_grad, relu, row_normalize, softmax, sqrt)
-from canet.tensor import (Attention, Mul, _mean, _reduce_keepdims, _reduce_keys,
-                          _unbroadcast, row_matmul)
+from canet.tensor import (Attention, ConsumedGraphError, Mul, ShapeError, Tensor, _mean,
+                          _reduce_keepdims, _reduce_keys, _unbroadcast, backward, concat,
+                          layer_norm, leaky_relu, matmul, no_grad, relu, row_matmul,
+                          row_normalize, softmax, sqrt)
 from conftest import (assert_grads_match, future_bias, param64, per_head_attention,
                       qkv_attention, total, traced_peak)
 

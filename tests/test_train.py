@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from canet import Tensor
 from canet.cli import resolve_train_config
 from canet.data import RawSeries, make_windows, minmax_apply, minmax_fit
 from canet.synth import synth_generate
 from canet.model import CanModel, ModelConfig, micro_batch_size, window_map, window_threads
 from canet.optim import Adam
-from canet.tensor import backward
+from canet.tensor import Tensor, backward
 from canet.train import (ConfigError, DivergenceError, TrainConfig, _batch_loss,
                          _set_gradients, _validation_loss, joint_loss, prediction_loss,
                          reconstruction_loss, train)
