@@ -24,7 +24,7 @@ from canet.synth import place_segments, synth_generate
 from canet.train import ConfigError, DivergenceError, TrainConfig, train
 
 # the TrainConfig keys evaluate may override on a checkpoint's stored ones
-SCORING_KEYS = ("score_sensors", "calibration", "can_plus")
+SCORING_KEYS = ("score_sensors", "can_plus")
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, help="test CSV with a label column")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--out", default=".", help="output directory")
-    p_eval.add_argument("--train-data", help="training CSV for calibration='train'")
+    p_eval.add_argument("--train-data",
+                        help="training CSV whose windows calibrate the deviations "
+                             "(default: the test series itself)")
     _add_config_flags(p_eval, SCORING_KEYS)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -267,12 +269,6 @@ def cmd_evaluate(args) -> int:
         raise CheckpointError(f"bad run metadata in {args.checkpoint}: {exc!r}") from exc
     cfg = dataclasses.replace(stored, **{key: getattr(args, key) for key in SCORING_KEYS
                                          if getattr(args, key) is not None})
-    if cfg.calibration == "train" and not args.train_data:
-        source = ("--calibration train" if args.calibration
-                  else "calibration 'train' from the checkpoint's config")
-        raise ConfigError(f"{source} needs --train-data; pass --train-data or --calibration self")
-    if cfg.calibration != "train" and args.train_data is not None:
-        raise ConfigError(f"--train-data needs calibration 'train', not {cfg.calibration!r}")
 
     window = model.config.window
     dataset, _ = _load_windows(args.data, window, cfg.downsample, stats, names)
@@ -281,11 +277,10 @@ def cmd_evaluate(args) -> int:
     if not dataset.labels[window:].any():     # unscored: window full blocks of downsample rows
         raise DataError(f"{args.data} has no label 1 after its first {window * cfg.downsample} "
                         "rows, which are not scored; the threshold search needs an anomaly")
-    calibration = None
-    if cfg.calibration == "train":
-        calibration, _ = _load_windows(args.train_data, window, cfg.downsample, stats, names)
+    calibration = (None if args.train_data is None else
+                   _load_windows(args.train_data, window, cfg.downsample, stats, names)[0])
 
-    report = evaluate(model, dataset, dataset.labels, score_sensors=cfg.score_sensors,
+    report = evaluate(model, dataset, score_sensors=cfg.score_sensors,
                       calibration=calibration, can_plus=cfg.can_plus)
 
     out = Path(args.out)

@@ -198,23 +198,22 @@ def predict_series(model: CanModel, dataset: WindowedDataset,
     return predictions, rec_last
 
 
-def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
-             score_sensors: int = 2, calibration: Optional[WindowedDataset] = None,
+def evaluate(model: CanModel, dataset: WindowedDataset, score_sensors: int = 2,
+             calibration: Optional[WindowedDataset] = None,
              can_plus: bool = False) -> DetectionReport:
     """Score a labelled test series and search the best threshold.
 
-    ``truth`` is the full-length label vector; the first ``window``
-    timestamps have no prediction and are excluded.  Deviations calibrate
-    on the prediction errors of the ``calibration`` windows when given
-    (training data, reported as calibration ``'train'``), else on the
-    evaluated stream itself (``'self'``).  ``can_plus`` fuses the
-    reconstruction deviation into the score at a fixed small weight.
+    The labels are ``dataset.labels``; the first ``window`` timestamps have
+    no prediction and are excluded.  Deviations calibrate on the prediction
+    errors of the ``calibration`` windows when given (training data,
+    reported as calibration ``'train'``), else on the evaluated stream
+    itself (``'self'``).  ``can_plus`` fuses the reconstruction deviation
+    into the score at a fixed small weight.
     """
-    truth = np.asarray(truth).astype(bool)
+    if dataset.labels is None:
+        raise ValueError("evaluate needs a dataset with labels")
     k = dataset.window
     length = dataset.values.shape[1]
-    if truth.shape[0] != length:
-        raise ValueError(f"truth length {truth.shape[0]} does not match series length {length}")
 
     def errors_of(windows: WindowedDataset, with_reconstruction: bool = False):
         predictions, rec_last = predict_series(model, windows, with_reconstruction)
@@ -242,7 +241,7 @@ def evaluate(model: CanModel, dataset: WindowedDataset, truth: np.ndarray,
         aligned = np.concatenate([rec_scores[1:], rec_scores[-1:]])
         scores = scores + REC_FUSE_WEIGHT * aligned
 
-    report = threshold_grid_search(scores, truth[k:])
+    report = threshold_grid_search(scores, dataset.labels[k:])
     report.scores = scores
     report.extras = {"scored_from": int(k),
                      "score_sensors": min(score_sensors, dataset.n_sensors),

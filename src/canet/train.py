@@ -21,8 +21,7 @@ import numpy as np
 
 from canet.data import WindowedDataset
 from canet.model import (_POSITIVE, _UNIT, CanModel, ConfigError, ModelConfig, ModelKnobs,
-                         _knob, _one_of, can_forward, micro_batch_size, window_map,
-                         window_threads)
+                         _knob, can_forward, micro_batch_size, window_map, window_threads)
 from canet.optim import Adam
 from canet.tensor import Tensor, backward, no_grad, sqrt
 
@@ -54,7 +53,6 @@ class TrainConfig(ModelKnobs):
     seed: int = _knob(0, "run seed (required for train)", _NON_NEGATIVE)
 
     score_sensors: int = _knob(2, "deviations aggregated per timestamp", _POSITIVE)
-    calibration: str = _knob("self", "deviation calibration source", _one_of("self", "train"))
     can_plus: bool = _knob(False, "fuse reconstruction deviation into the score")
     downsample: int = _knob(1, "median-downsampling factor applied to input series", _POSITIVE)
 

@@ -294,7 +294,7 @@ class TestCriterion8AblationDirection:
                               max_epochs=10, patience=4, seed=seed, ablation=ablation)
             model, _ = train(train_ds, cfg)
             from canet.detection import evaluate
-            return evaluate(model, test_ds, made.test.labels).f1
+            return evaluate(model, test_ds).f1
 
         seeds = (101, 202, 303, 404, 505)
         full = [f1_for(s, "none") for s in seeds]

@@ -12,7 +12,8 @@ import pytest
 from canet.checkpoint import load_checkpoint, save_checkpoint
 from canet.cli import _load_windows, _match_sensors, main, parse_config_file
 from canet.data import NormStats, RawSeries, load_csv, write_csv
-from canet.detection import confusion_metrics, point_adjust
+from canet.detection import (confusion_metrics, evaluate, point_adjust, write_report_json,
+                             write_scores_csv)
 from conftest import BAD_HEADERS, append_data_bytes, rewrite_header, traced_peak
 
 
@@ -111,11 +112,12 @@ class TestTrainCommand:
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         run(*synth_args(tmp_path))
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("windoow=4\nseed=1\n")
-        code = run("train", "--data", str(tmp_path / "train.csv"),
-                   "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "windoow" in capsys.readouterr().err
+        for line, key in (("windoow=4", "windoow"), ("calibration=train", "calibration")):
+            cfg.write_text(f"{line}\nseed=1\n")
+            code = run("train", "--data", str(tmp_path / "train.csv"),
+                       "--config", str(cfg), "--out", str(tmp_path / "o"))
+            assert code == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_flags_override_config_file(self, tmp_path):
         run(*synth_args(tmp_path))
@@ -132,8 +134,7 @@ class TestTrainCommand:
     def test_config_txt_is_a_config_file(self, tmp_path):
         run(*synth_args(tmp_path))
         first, second = tmp_path / "first", tmp_path / "second"
-        assert run(*train_args(tmp_path / "train.csv", first),
-                   "--can-plus", "--calibration", "train") == 0
+        assert run(*train_args(tmp_path / "train.csv", first), "--can-plus") == 0
         assert run("train", "--data", str(tmp_path / "train.csv"),
                    "--config", str(first / "config.txt"), "--out", str(second)) == 0
         for name in ("config.txt", "model.ckpt", "train.log"):
@@ -349,7 +350,7 @@ class TestThreadPolicy:
         # a desk batch of 64 is one micro-batch; the train.log digest was written
         # by the one-pass training step that came before micro-batches, and the
         # checkpoint's parameter data is still that step's (its header lost the
-        # removed adjacency, position and local-width keys)
+        # removed adjacency, position, local-width and calibration keys)
         run(*synth_args(tmp_path, sensors=5, length=600, spikes=0))
         out = tmp_path / "desk"
         assert run("train", "--data", str(tmp_path / "train.csv"), "--out", str(out),
@@ -358,7 +359,7 @@ class TestThreadPolicy:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("model.ckpt", "train.log")}
         assert digests == {
-            "model.ckpt": "c15283789894f7b36f6ef13f5d9b29e122bdd2bb84d89c78285480571d4b055a",
+            "model.ckpt": "bc9e86317ed74e883bd0457639ce4289eedbd910e1e97c361af3afdf46ac5ef7",
             "train.log": "a1414f1d07cb48cc2bdd54572ee6ce770cc813604d38d94385d1da200d4f9b62"}
 
     # finished: the epochs done before the fault, which train.log must keep
@@ -514,8 +515,7 @@ class TestEvaluateCommand:
         short = tmp_path / "short.csv"
         short.write_text("".join((base / "train.csv").read_text().splitlines(True)[:5]))
         code = run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
-                   "--out", str(tmp_path / "e"), "--calibration", "train",
-                   "--train-data", str(short))
+                   "--out", str(tmp_path / "e"), "--train-data", str(short))
         assert code == 3
         assert f"{short}: 4 rows are fewer than window + 1 = 5" in capsys.readouterr().err
 
@@ -532,8 +532,7 @@ class TestEvaluateCommand:
         data = tmp_path / "unscored.csv"
         write_csv(data, series)
         code = run("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                   "--out", str(tmp_path / "e"), "--calibration", "train",
-                   "--train-data", str(base / "train.csv"))
+                   "--out", str(tmp_path / "e"), "--train-data", str(base / "train.csv"))
         assert code == 3
         err = capsys.readouterr().err
         assert str(data) in err and "first 4 rows" in err
@@ -553,27 +552,30 @@ class TestEvaluateCommand:
         out = base / "eval-cal"
         code = run("evaluate", "--data", str(base / "test.csv"),
                    "--checkpoint", str(ckpt), "--out", str(out),
-                   "--calibration", "train", "--train-data", str(base / "train.csv"))
+                   "--train-data", str(base / "train.csv"))
         assert code == 0
 
-    def test_train_calibration_without_data_exits_2(self, trained, capsys):
+    def test_train_data_selects_train_calibration(self, trained):
         base, ckpt = trained
-        code = run("evaluate", "--data", str(base / "test.csv"),
-                   "--checkpoint", str(ckpt), "--out", str(base / "e2"),
-                   "--calibration", "train")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--calibration train needs --train-data" in err and "checkpoint" not in err
+        train_data = ("--train-data", str(base / "train.csv"))
+        for flags, calibration in (((), "self"), (train_data, "train")):
+            out = base / f"eval-{calibration}"
+            assert run("evaluate", "--data", str(base / "test.csv"), "--checkpoint", str(ckpt),
+                       "--out", str(out), *flags) == 0
+            assert json.loads((out / "report.json").read_text())["calibration"] == calibration
 
-    def test_train_data_without_train_calibration_exits_2(self, trained, capsys):
-        base, ckpt = trained
-        out = base / "e3"
-        code = run("evaluate", "--data", str(base / "absent.csv"),
-                   "--checkpoint", str(ckpt), "--out", str(out),
-                   "--train-data", str(base / "absent.csv"))
-        assert code == 2
-        assert "--train-data needs calibration 'train', not 'self'" in capsys.readouterr().err
-        assert not out.exists()
+        model, extra = load_checkpoint(ckpt)
+        stats = NormStats(np.asarray(extra["norm_min"]), np.asarray(extra["norm_max"]))
+        names = extra["sensor_names"]
+        dataset, _ = _load_windows(base / "test.csv", 4, 1, stats, names)
+        train_windows, _ = _load_windows(base / "train.csv", 4, 1, stats, names)
+        report = evaluate(model, dataset, calibration=train_windows)
+        library = base / "library"
+        library.mkdir()
+        write_report_json(library / "report.json", report)
+        write_scores_csv(library / "scores.csv", report, dataset.labels)
+        for name in ("report.json", "scores.csv"):
+            assert (library / name).read_bytes() == (base / "eval-train" / name).read_bytes()
 
     def test_evaluate_idempotent(self, trained):
         base, ckpt = trained
@@ -606,7 +608,7 @@ class TestEvaluateCommand:
                 train_data = self.swapped_copy(train_data, base)
             out = base / f"eval-{calibration}-{swap}"
             argv = ["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                    "--out", str(out), "--calibration", calibration]
+                    "--out", str(out)]
             if calibration == "train":
                 argv += ["--train-data", str(train_data)]
             code = run(*argv)
@@ -622,8 +624,7 @@ class TestEvaluateCommand:
         renamed.write_text(paths[flag].read_text().replace("sensor_1", "sensor_9", 1))
         paths[flag] = renamed
         code = run("evaluate", "--data", str(paths["--data"]), "--checkpoint", str(ckpt),
-                   "--out", str(base / "e"), "--calibration", "train",
-                   "--train-data", str(paths["--train-data"]))
+                   "--out", str(base / "e"), "--train-data", str(paths["--train-data"]))
         assert code == 3
         err = capsys.readouterr().err
         assert "['sensor_1']" in err and "['sensor_9']" in err
@@ -704,6 +705,19 @@ class TestCheckpointAndFlagChecks:
         else:
             assert run(command, "--checkpoint", str(old), "--out", str(tmp_path / "e.csv")) == 3
         assert "'adjacency_norm'" in capsys.readouterr().err
+
+    def test_checkpoint_storing_calibration_exits_3_for_evaluate_only(self, checkpoint,
+                                                                      tmp_path, capsys):
+        # a train_config as written while calibration was a config key
+        base, ckpt = checkpoint
+        old = tmp_path / "old.ckpt"
+        rewrite_header(ckpt, lambda h: {**h, "extra": {
+            **h["extra"], "train_config": {**h["extra"]["train_config"],
+                                           "calibration": "train"}}}, old)
+        assert self.evaluate(base, old) == 3
+        assert "'calibration'" in capsys.readouterr().err
+        assert run("export-embeddings", "--checkpoint", str(old),
+                   "--out", str(tmp_path / "e.csv")) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
     def test_non_finite_parameter_exits_3(self, checkpoint, tmp_path, capsys, command):
@@ -800,11 +814,10 @@ class TestCheckpointAndFlagChecks:
 
 @pytest.fixture(scope="module")
 def scoring_checkpoint(tmp_path_factory):
-    """A one-epoch checkpoint trained with ``--can-plus --calibration train``."""
+    """A one-epoch checkpoint trained with ``--can-plus``."""
     base = tmp_path_factory.mktemp("scoring")
     run(*synth_args(base))
-    run(*train_args(base / "train.csv", base / "run", max_epochs=1, calibration="train"),
-        "--can-plus")
+    run(*train_args(base / "train.csv", base / "run", max_epochs=1), "--can-plus")
     return base, base / "run" / "model.ckpt"
 
 
@@ -813,7 +826,6 @@ class TestScoringFlags:
 
     # the flag and help text argparse prints for each scoring key
     HELP = ("--score-sensors SCORE_SENSORS deviations aggregated per timestamp (>= 1)",
-            "--calibration CALIBRATION deviation calibration source (one of self, train)",
             "--can-plus, --no-can-plus fuse reconstruction deviation into the score")
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -823,7 +835,7 @@ class TestScoringFlags:
         shown = " ".join(capsys.readouterr().out.split())
         for line in self.HELP:
             assert line in shown
-        assert "--k-s" not in shown
+        assert "--k-s" not in shown and "--calibration" not in shown
         assert ("--batch-size" in shown) == (command == "train")    # train's optimizer batch
 
     def evaluate(self, base, ckpt, out, *flags):
@@ -836,15 +848,6 @@ class TestScoringFlags:
                              "--train-data", str(base / "train.csv")) == 0
         report = json.loads((tmp_path / "e" / "report.json").read_text())
         assert (report["can_plus"], report["calibration"]) == (False, "train")
-
-    def test_stored_train_calibration_without_data_names_its_source(
-            self, scoring_checkpoint, tmp_path, capsys):
-        base, ckpt = scoring_checkpoint
-        assert self.evaluate(base, ckpt, tmp_path / "e") == 2
-        err = capsys.readouterr().err
-        assert "from the checkpoint's config" in err
-        assert "pass --train-data or --calibration self" in err
-        assert not (tmp_path / "e").exists()
 
 
 @pytest.fixture(scope="module")

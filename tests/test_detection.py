@@ -448,7 +448,7 @@ class TestReportFiles:
         model, dataset, labels = TestEvaluate.tiny_setup(can_plus=True)
         for kwargs in ({}, {"can_plus": True},
                        {"calibration": TestEvaluate.calibration_windows()}):
-            report = evaluate(model, dataset, labels, **kwargs)
+            report = evaluate(model, dataset, **kwargs)
             write_report_json(tmp_path / "report.json", report)
             write_scores_csv(tmp_path / "scores.csv", report, labels)
             assert (tmp_path / "report.json").read_text() == reference_report_json(report)
@@ -513,7 +513,7 @@ class TestScoringMemory:
         rec_last = gen.random((n, scored)) if can_plus else None
         monkeypatch.setattr(canet.detection, "predict_series", lambda *args: (
             predictions.copy(), None if rec_last is None else rec_last.copy()))
-        peak = traced_peak(lambda: evaluate(None, dataset, labels, can_plus=can_plus))
+        peak = traced_peak(lambda: evaluate(None, dataset, can_plus=can_plus))
         peak /= predictions.nbytes
         assert peak < bound, f"peak {peak:.2f} arrays"
 
@@ -538,16 +538,16 @@ class TestEvaluate:
         return make_windows(RawSeries(["a", "b", "c"], values), 4)
 
     def test_zero_weight_model_yields_finite_report(self):
-        model, dataset, labels = self.tiny_setup()
+        model, dataset, _ = self.tiny_setup()
         for _, p in model.named_parameters():
             p.data = np.zeros_like(p.data)
-        report = evaluate(model, dataset, labels)
+        report = evaluate(model, dataset)
         assert np.isfinite(report.scores).all()
         assert 0.0 <= report.f1 <= 1.0
 
     def test_untrained_model_yields_consistent_report(self):
-        model, dataset, labels = self.tiny_setup()
-        report = evaluate(model, dataset, labels)
+        model, dataset, _ = self.tiny_setup()
+        report = evaluate(model, dataset)
         assert 0.0 <= report.f1 <= 1.0
         assert report.scores.shape == (36,)
         assert report.extras["scored_from"] == 4
@@ -558,50 +558,50 @@ class TestEvaluate:
         assert report.f1 == pytest.approx(f)
 
     def test_score_sensor_count_changes_scores_not_consistency(self):
-        model, dataset, labels = self.tiny_setup()
-        small = evaluate(model, dataset, labels, score_sensors=2)
-        full = evaluate(model, dataset, labels, score_sensors=3)
+        model, dataset, _ = self.tiny_setup()
+        small = evaluate(model, dataset, score_sensors=2)
+        full = evaluate(model, dataset, score_sensors=3)
         assert not np.allclose(small.scores, full.scores)
         assert 0.0 <= full.f1 <= 1.0
 
     def test_can_plus_changes_scores(self):
-        model, dataset, labels = self.tiny_setup()
-        base = evaluate(model, dataset, labels)
-        fused = evaluate(model, dataset, labels, can_plus=True)
+        model, dataset, _ = self.tiny_setup()
+        base = evaluate(model, dataset)
+        fused = evaluate(model, dataset, can_plus=True)
         assert not np.allclose(base.scores, fused.scores)
 
     def test_calibration_windows_select_train_calibration(self):
-        model, dataset, labels = self.tiny_setup()
-        assert evaluate(model, dataset, labels).extras["calibration"] == "self"
+        model, dataset, _ = self.tiny_setup()
+        assert evaluate(model, dataset).extras["calibration"] == "self"
         calib = self.calibration_windows()
-        report = evaluate(model, dataset, labels, calibration=calib)
+        report = evaluate(model, dataset, calibration=calib)
         assert np.isfinite(report.scores).all()
         assert report.extras["calibration"] == "train"
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_train_calibration_scores_match_oracle(self, monkeypatch, k):
-        model, dataset, labels = self.tiny_setup(seed=4)
+        model, dataset, _ = self.tiny_setup(seed=4)
         calib = self.calibration_windows()
         with_batch(monkeypatch, 5)
-        report = evaluate(model, dataset, labels, score_sensors=k, calibration=calib)
+        report = evaluate(model, dataset, score_sensors=k, calibration=calib)
         e_test = prediction_errors(predict_series(model, dataset)[0], dataset.values[:, 4:])
         e_cal = prediction_errors(predict_series(model, calib)[0], calib.values[:, 4:])
         expected = anomaly_scores(normalize_errors(e_test, e_cal), k)
         np.testing.assert_array_equal(report.scores, expected)
-        assert not np.array_equal(report.scores, evaluate(model, dataset, labels,
-                                                          score_sensors=k).scores)
+        assert not np.array_equal(report.scores,
+                                  evaluate(model, dataset, score_sensors=k).scores)
 
-    def test_truth_length_validated(self):
-        model, dataset, _ = self.tiny_setup()
-        with pytest.raises(ValueError):
-            evaluate(model, dataset, np.zeros(10))
+    def test_unlabelled_dataset_rejected(self):
+        model, _, _ = self.tiny_setup()
+        with pytest.raises(ValueError, match="labels"):
+            evaluate(model, self.calibration_windows())
 
     def test_thread_count_never_changes_results(self, monkeypatch):
-        model, dataset, labels = self.tiny_setup(seed=3)
+        model, dataset, _ = self.tiny_setup(seed=3)
         with_batch(monkeypatch, 7)
-        serial = evaluate(model, dataset, labels)
+        serial = evaluate(model, dataset)
         with_batch(monkeypatch, 7, threads=4)
-        threaded = evaluate(model, dataset, labels)
+        threaded = evaluate(model, dataset)
         assert serial.scores.tobytes() == threaded.scores.tobytes()
         assert serial.threshold == threaded.threshold
 
@@ -641,9 +641,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_training_after_evaluate_gets_gradients(self, monkeypatch, threads):
-        model, dataset, labels = self.tiny_setup(seed=7)
+        model, dataset, _ = self.tiny_setup(seed=7)
         with_batch(monkeypatch, 10, threads=int(threads))
-        evaluate(model, dataset, labels, can_plus=True)
+        evaluate(model, dataset, can_plus=True)
         grads = backward(_batch_loss(model, dataset, np.arange(8), 0.5, 0.5))
         for name, p in model.named_parameters():
             assert p in grads and np.abs(grads[p]).sum() > 0, name
@@ -671,7 +671,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("can_plus", [False, True], ids=["plain", "can-plus"])
     def test_float32_predictions_keep_every_error_byte(self, monkeypatch, can_plus):
-        model, dataset, labels = self.tiny_setup(seed=4)
+        model, dataset, _ = self.tiny_setup(seed=4)
         predictions, rec_last = predict_series(model, dataset, with_reconstruction=True)
         assert predictions.dtype == np.float32
         for held, actual in ((predictions, dataset.values[:, 4:]),
@@ -679,10 +679,10 @@ class TestEvaluate:
             errors = prediction_errors(held, actual)
             assert errors.tobytes() == prediction_errors(held.astype(np.float64), actual).tobytes()
 
-        expected = evaluate(model, dataset, labels, can_plus=can_plus)
+        expected = evaluate(model, dataset, can_plus=can_plus)
         monkeypatch.setattr(canet.detection, "predict_series", lambda *args: tuple(
             None if a is None else a.astype(np.float64) for a in predict_series(*args)))
-        widened = evaluate(model, dataset, labels, can_plus=can_plus)
+        widened = evaluate(model, dataset, can_plus=can_plus)
         assert expected.scores.tobytes() == widened.scores.tobytes()
         assert expected.threshold == widened.threshold
 
